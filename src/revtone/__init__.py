@@ -25,6 +25,7 @@ from .actions import (
 )
 from .errors import (
     ConfigError,
+    ConvergenceError,
     DegenerateMeasureError,
     DegenerateTorusError,
     ExprError,
@@ -77,8 +78,8 @@ __all__ = [
     "dI2_dE", "di2_drho_fd", "energy_K", "frequencies", "limit_cdf",
     "limit_density_unnorm", "liouville_state", "normalization_M",
     "phase_space_symbol", "radial_symbol", "torus_average", "turning_points",
-    "ConfigError", "DegenerateMeasureError", "DegenerateTorusError", "ExprError",
-    "InvalidParameterError", "LabelingError", "OutsideMomentImageError",
+    "ConfigError", "ConvergenceError", "DegenerateMeasureError", "DegenerateTorusError",
+    "ExprError", "InvalidParameterError", "LabelingError", "OutsideMomentImageError",
     "OutsideOpenIntervalError", "RejectedProfileError", "ResolutionError",
     "RevtoneError", "SignedMeasureError", "UnsupportedQuantizationError",
     "ConvergenceReport", "EmpiricalMeasure", "LimitMeasure", "convergence_sweep",

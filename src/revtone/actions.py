@@ -28,6 +28,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .errors import (
+    ConvergenceError,
     DegenerateTorusError,
     InvalidParameterError,
     OutsideMomentImageError,
@@ -35,7 +36,7 @@ from .errors import (
     SignedMeasureError,
 )
 from .quadrature import map_to_interval, tanh_sinh_rule
-from .surface import SurfaceProfile
+from .surface import SurfaceProfile, find_root
 
 MIN_QUAD_NODES = 64
 # Residual floor used when quadrature-limited accuracy is required, as in
@@ -124,21 +125,13 @@ def phase_space_symbol(sigma: Callable, name: str = "") -> SymbolFn:
 @lru_cache(maxsize=8192)
 def _turning_points_cached(p: SurfaceProfile, ca: float):
     def f(r):
-        return float(p.a(r)) - ca
+        # a vanishes at the poles by contract; rounding there must not hide a root
+        return float(p.a(r)) - ca if 0.0 < r < p.L else -ca
 
-    def bisect(lo, hi):
-        flo = f(lo)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi or hi - lo <= 1e-16 * (1.0 + abs(mid)):
-                break
-            if (f(mid) < 0.0) == (flo < 0.0):
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+    def df(r):
+        return float(p.a1(r))
 
-    return bisect(0.0, p.r0), bisect(p.r0, p.L)
+    return find_root(f, df, 0.0, p.r0), find_root(f, df, p.r0, p.L)
 
 
 def turning_points(ev: ActionEvaluator, c: float, E: float) -> tuple[float, float]:
@@ -257,7 +250,8 @@ def energy_K(ev: ActionEvaluator, c: float, I2: float, tol: float | None = None)
 
     Monotonicity of the action in E makes the bracketing safe; iteration
     stops once the action residual drops below tol (default: the
-    evaluator's newton_tol).
+    evaluator's newton_tol) or a step no longer moves E, and raises
+    ConvergenceError if neither happens within 100 steps.
     """
     if not np.isfinite(I2) or I2 <= 0.0:
         raise InvalidParameterError(f"action must be positive, got {I2}")
@@ -296,7 +290,7 @@ def energy_K(ev: ActionEvaluator, c: float, I2: float, tol: float | None = None)
         if abs(E_new - E) <= 4.0 * np.finfo(float).eps * E:
             return E_new
         E = E_new
-    return E
+    raise ConvergenceError(f"energy_K({c}, {I2}) not converged: residual {f:.3e} > {tol:.3e}")
 
 
 def frequencies(ev: ActionEvaluator, c: float) -> tuple[float, float]:

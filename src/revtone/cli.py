@@ -3,7 +3,8 @@
 Commands: validate, density, spectrum, converge, verify-sphere.  A
 config file supplies `section.key = value` parameters; --config, --out,
 and --command override file values.  Exit codes: 0 success, 1
-verification failure, 2 configuration error, 3 numerical failure.
+verification failure, 2 configuration error, 3 numerical failure or any
+other unexpected error.
 
 All writes go through a temp-file-and-rename so partial outputs never
 land under their final names, and all floats are emitted via repr so
@@ -16,6 +17,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -298,6 +300,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except RevtoneError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except Exception:
+        # exit 1 means a verification failed, so a crash must not reach it
+        traceback.print_exc()
         return EXIT_NUMERICAL
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from . import actions as _actions
 from . import expr as _expr
 from .errors import ConfigError
-from .surface import load_profile_table, make_ellipsoid, make_round_sphere
+from .surface import load_profile_table, make_ellipsoid, make_round_sphere, read_table
 
 COMMANDS = ("validate", "density", "spectrum", "converge", "verify-sphere")
 PROFILE_KINDS = ("round_sphere", "ellipsoid", "custom_table")
@@ -40,7 +40,6 @@ class ActionsConfig:
 @dataclass(frozen=True)
 class SpectralConfig:
     grid_size: int = 4000
-    interp: str = "cubic"
 
 
 @dataclass(frozen=True)
@@ -114,12 +113,8 @@ def _parse_ells(raw: str, line: int, col: int) -> tuple:
 def parse_config(text: str) -> RunConfig:
     """Parse config text into a RunConfig, rejecting anything unknown."""
     cfg = RunConfig()
-    profile = dict(kind="round_sphere", aspect=1.0, table_path=None)
-    actions = dict(quad_nodes=256, fd_step=1e-6, newton_tol=1e-11)
-    spectral = dict(grid_size=4000, interp="cubic")
-    symbol: dict = {}
-    run: dict = {}
-    density: dict = {}
+    # keys absent from the text keep the dataclass defaults
+    profile, actions, spectral, symbol, run, density = {}, {}, {}, {}, {}, {}
     kind_line = 0
 
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -160,8 +155,6 @@ def parse_config(text: str) -> RunConfig:
         elif section == "spectral":
             if key == "grid_size":
                 spectral["grid_size"] = _parse_int(raw, lineno, val_col, full, 8)
-            elif key == "interp":
-                spectral["interp"] = _parse_choice(raw, lineno, val_col, full, ("cubic",))
             else:
                 raise ConfigError(f"unknown key {full!r}", line=lineno, col=key_col)
         elif section == "symbol":
@@ -191,7 +184,7 @@ def parse_config(text: str) -> RunConfig:
         else:
             raise ConfigError(f"unknown section {section!r}", line=lineno, col=key_col)
 
-    if profile["kind"] == "custom_table" and not profile["table_path"]:
+    if profile.get("kind") == "custom_table" and not profile.get("table_path"):
         raise ConfigError("profile.kind = custom_table needs profile.table_path",
                           line=kind_line or 1, col=1)
     sym_cfg = None
@@ -240,35 +233,6 @@ def build_evaluator(cfg: RunConfig, profile) -> _actions.ActionEvaluator:
                                     newton_tol=a.newton_tol)
 
 
-def _table_callable(path: str):
-    from scipy.interpolate import CubicSpline
-
-    xs, ys = [], []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            rows = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read symbol table {path!r}: {exc}")
-    for lineno, row in enumerate(rows, start=1):
-        row = row.split("#", 1)[0].strip()
-        if not row:
-            continue
-        parts = row.split()
-        if len(parts) != 2:
-            raise ConfigError(f"symbol table {path!r} expects two columns", line=lineno, col=1)
-        try:
-            xs.append(float(parts[0]))
-            ys.append(float(parts[1]))
-        except ValueError:
-            raise ConfigError(f"symbol table {path!r} has a non-numeric entry",
-                              line=lineno, col=1)
-    if len(xs) < 4:
-        raise ConfigError(f"symbol table {path!r} needs at least 4 rows")
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ConfigError(f"symbol table {path!r} needs strictly increasing abscissae")
-    return CubicSpline(xs, ys)
-
-
 def build_symbol(cfg: RunConfig) -> _actions.SymbolFn | None:
     if cfg.symbol is None:
         return None
@@ -278,7 +242,7 @@ def build_symbol(cfg: RunConfig) -> _actions.SymbolFn | None:
         fn = _expr.parse_expr(sc.expr, var)
         name = sc.expr
     else:
-        fn = _table_callable(sc.table_path)
+        fn = read_table(sc.table_path, "symbol table", 4)
         name = sc.table_path
     if sc.kind == "radial_mult":
         return _actions.radial_symbol(fn, name=name)

@@ -36,6 +36,10 @@ class LabelingError(RevtoneError):
     eigenvalue index, so the (ell, m) label cannot be trusted."""
 
 
+class ConvergenceError(RevtoneError):
+    """An iteration ran out of steps before reaching its tolerance."""
+
+
 class ResolutionError(RevtoneError):
     """The radial grid is too coarse to resolve the requested modes."""
 

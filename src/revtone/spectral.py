@@ -9,7 +9,8 @@ with u -> 0 at the poles for m != 0 and zero flux for m = 0.  The
 discretization is a flux-conservative second-order scheme on a uniform
 grid pulled back from the poles by delta = L / (10 * grid_size), written
 as a symmetric tridiagonal pencil with weight a(r) and solved by
-bisection plus inverse iteration for selected indices.
+bisection plus inverse iteration for selected indices.  The profile is
+sampled once per grid size, at nodes and half-points, for all m.
 
 Eigenvalues carry an O(h^2) bias with a smooth coefficient, so every
 headline number (lambda^2 and the equator value u(r0)) is Richardson
@@ -19,7 +20,8 @@ on every solve.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -58,34 +60,44 @@ class JointSlice:
     profile: SurfaceProfile
 
 
-def _grid(p: SurfaceProfile, m: int, grid_size: int):
-    delta = p.L / (10.0 * grid_size)
-    rs = np.linspace(delta, p.L - delta, grid_size)
-    h = float(rs[1] - rs[0])
-    r = rs[1:-1] if m != 0 else rs
-    return r, h
+# A uniform radial grid with the profile sampled once on it: a at the
+# grid_size nodes, ah at the grid_size - 1 half-points between them.
+_Grid = namedtuple("_Grid", "r h a ah")
 
 
-def _tridiagonal(p: SurfaceProfile, m: int, r: np.ndarray, h: float):
+def _grids(p: SurfaceProfile, grid_size: int) -> tuple:
+    """The fine grid and the half-size grid of the Richardson pair."""
+    if grid_size < MIN_GRID:
+        raise InvalidParameterError(f"grid_size must be >= {MIN_GRID}, got {grid_size}")
+    grids = []
+    for n in (grid_size, grid_size // 2):
+        delta = p.L / (10.0 * n)
+        rs = np.linspace(delta, p.L - delta, n)
+        grids.append(_Grid(rs, float(rs[1] - rs[0]), np.asarray(p.a(rs), float),
+                           np.asarray(p.a(0.5 * (rs[:-1] + rs[1:])), float)))
+    return tuple(grids)
+
+
+def _tridiagonal(g: _Grid, m: int):
     """Symmetric standard-form tridiagonal of the weighted pencil.
 
     Half-grid profile values are computed once and reused on both sides
     of each flux, so for m = 0 the constant vector is annihilated
-    exactly and lambda^2 = 0 is represented to rounding.
+    exactly and lambda^2 = 0 is represented to rounding.  For m != 0 the
+    pole nodes are dropped and the fluxes through them stay on the diagonal.
     """
-    ar = np.asarray(p.a(r), float)
-    ah = np.asarray(p.a(0.5 * (r[:-1] + r[1:])), float)
-    h2 = h * h
+    h2 = g.h * g.h
+    r, ar, ah = (g.r, g.a, g.ah) if m == 0 else (g.r[1:-1], g.a[1:-1], g.ah[1:-1])
     diag = np.zeros_like(ar)
     diag[:-1] += ah / h2
     diag[1:] += ah / h2
     if m != 0:
         diag += (m * m) / ar
-        diag[0] += float(p.a(r[0] - 0.5 * h)) / h2
-        diag[-1] += float(p.a(r[-1] + 0.5 * h)) / h2
+        diag[0] += g.ah[0] / h2
+        diag[-1] += g.ah[-1] / h2
     off = -ah / h2
     sq = np.sqrt(ar)
-    return diag / ar, off / (sq[:-1] * sq[1:]), ar, sq
+    return r, diag / ar, off / (sq[:-1] * sq[1:]), ar, sq
 
 
 def _count_nodes(u: np.ndarray) -> int:
@@ -99,17 +111,16 @@ def _fix_sign(u: np.ndarray) -> np.ndarray:
     return u if u[idx] > 0 else -u
 
 
-def _solve_indices(p: SurfaceProfile, m: int, idx_lo: int, idx_hi: int, grid_size: int):
+def _solve_indices(g: _Grid, m: int, idx_lo: int, idx_hi: int):
     """Eigenpairs idx_lo..idx_hi (ascending) on one grid; u normalized."""
-    r, h = _grid(p, m, grid_size)
-    diag, off, ar, sq = _tridiagonal(p, m, r, h)
+    r, diag, off, ar, sq = _tridiagonal(g, m)
     vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(idx_lo, idx_hi))
     modes = []
     for k in range(vals.shape[0]):
         u = vecs[:, k] / sq
-        u = _fix_sign(u / np.sqrt(np.trapezoid(ar * u * u, dx=h)))
+        u = _fix_sign(u / np.sqrt(np.trapezoid(ar * u * u, dx=g.h)))
         modes.append((float(vals[k]), u))
-    return r, h, modes
+    return r, modes
 
 
 def _interp_at(r: np.ndarray, u: np.ndarray, x: float) -> float:
@@ -134,12 +145,13 @@ def _check_resolution(lam_max: float, h: float):
             f"{lam_max:.3g}; need {MIN_POINTS_PER_WAVELENGTH:g} (refine the grid)")
 
 
-def _assemble(p: SurfaceProfile, m: int, n_lo: int, n_hi: int, grid_size: int):
+def _assemble(p: SurfaceProfile, fine_grid: _Grid, coarse_grid: _Grid, m: int,
+              n_lo: int, n_hi: int):
     """Richardson-extrapolated modes for node counts n_lo..n_hi."""
-    r_f, h_f, fine = _solve_indices(p, m, n_lo, n_hi, grid_size)
-    r_c, h_c, coarse = _solve_indices(p, m, n_lo, n_hi, grid_size // 2)
+    r_f, fine = _solve_indices(fine_grid, m, n_lo, n_hi)
+    r_c, coarse = _solve_indices(coarse_grid, m, n_lo, n_hi)
     lam_max = np.sqrt(max(fine[-1][0], 0.0))
-    _check_resolution(lam_max, h_f)
+    _check_resolution(lam_max, fine_grid.h)
     out = []
     for k, ((l2_f, u_f), (l2_c, u_c)) in enumerate(zip(fine, coarse)):
         n = n_lo + k
@@ -147,7 +159,7 @@ def _assemble(p: SurfaceProfile, m: int, n_lo: int, n_hi: int, grid_size: int):
         if nodes != n:
             raise LabelingError(
                 f"m = {m}, eigenindex {n}: counted {nodes} interior nodes "
-                f"at grid {grid_size} (refine the grid)")
+                f"at grid {len(fine_grid.r)} (refine the grid)")
         l2 = (4.0 * l2_f - l2_c) / 3.0
         v0 = (4.0 * _interp_at(r_f, u_f, p.r0) - _interp_at(r_c, u_c, p.r0)) / 3.0
         lam = float(np.sqrt(max(l2, 0.0)))
@@ -164,14 +176,7 @@ def radial_modes(p: SurfaceProfile, m: int, n_max: int, grid_size: int) -> list:
     """
     if n_max < 0:
         raise InvalidParameterError(f"n_max must be >= 0, got {n_max}")
-    if grid_size < MIN_GRID:
-        raise InvalidParameterError(f"grid_size must be >= {MIN_GRID}, got {grid_size}")
-    return _assemble(p, int(m), 0, n_max, grid_size)
-
-
-def _mirror(mode: RadialMode, m: int) -> RadialMode:
-    return RadialMode(m=m, n=mode.n, ell=mode.ell, lam=mode.lam, r=mode.r, u=mode.u,
-                      u_at_r0=mode.u_at_r0)
+    return _assemble(p, *_grids(p, grid_size), int(m), 0, n_max)
 
 
 def joint_slice(p: SurfaceProfile, ev: _actions.ActionEvaluator, ell: int,
@@ -179,20 +184,20 @@ def joint_slice(p: SurfaceProfile, ev: _actions.ActionEvaluator, ell: int,
     """The full multiplet at label ell: modes with n = ell - |m|, |m| <= ell.
 
     The radial operator depends on m^2 only, so negative m reuses the
-    positive-m solve.
+    positive-m solve, and every m reuses one sampling of the profile per
+    grid size.
     """
     if ell < 1:
         raise InvalidParameterError(f"ell must be >= 1, got {ell}")
-    if grid_size < MIN_GRID:
-        raise InvalidParameterError(f"grid_size must be >= {MIN_GRID}, got {grid_size}")
+    grids = _grids(p, grid_size)
     by_m = {}
     for m in range(0, ell + 1):
         n = ell - m
-        by_m[m] = _assemble(p, m, n, n, grid_size)[0]
+        by_m[m] = _assemble(p, *grids, m, n, n)[0]
     modes = []
     norms = {}
     for m in range(-ell, ell + 1):
-        mode = by_m[abs(m)] if m >= 0 else _mirror(by_m[-m], m)
+        mode = by_m[abs(m)] if m >= 0 else replace(by_m[-m], m=m)
         modes.append(mode)
         norms[m] = restricted_norm(mode, p)
     return JointSlice(ell=ell, modes=modes, restricted_norms=norms, profile=p)

@@ -114,9 +114,20 @@ def geodesic_radial_average(a, a1, c: float, b, r_start: float,
     return float(y_last[2] / t_last)
 
 
-def ellipse_half_meridian_length(aspect: float, n: int = 400) -> float:
-    """Arclength of half the meridian ellipse by Gauss-Legendre quadrature."""
+def ellipse_meridian_arclength(aspect: float, t: float, n: int = 100) -> float:
+    """Arclength of the meridian ellipse (sin t, aspect cos t) from t = 0
+    to t, by Gauss-Legendre quadrature.
+
+    100 nodes reach rounding level for aspects 0.5 to 5.  numpy's rule
+    itself loses digits at higher orders: with 400 nodes the half
+    meridian at aspect 5 is off by 2e-13.
+    """
     x, w = np.polynomial.legendre.leggauss(n)
-    t = 0.5 * math.pi * (x + 1.0)
-    ds = np.sqrt(np.cos(t) ** 2 + aspect ** 2 * np.sin(t) ** 2)
-    return float(0.5 * math.pi * np.dot(w, ds))
+    tau = 0.5 * t * (x + 1.0)
+    ds = np.sqrt(np.cos(tau) ** 2 + aspect ** 2 * np.sin(tau) ** 2)
+    return float(0.5 * t * np.dot(w, ds))
+
+
+def ellipse_half_meridian_length(aspect: float, n: int = 100) -> float:
+    """Arclength of half the meridian ellipse by Gauss-Legendre quadrature."""
+    return ellipse_meridian_arclength(aspect, math.pi, n)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from revtone import (
     ActionEvaluator,
+    ConvergenceError,
     DegenerateTorusError,
     InvalidParameterError,
     OutsideMomentImageError,
@@ -25,7 +26,9 @@ from revtone import (
     torus_average,
     turning_points,
 )
+from revtone import actions
 from revtone.actions import equator_momentum
+from revtone.surface import make_ellipsoid
 
 import oracles
 
@@ -63,6 +66,23 @@ def test_turning_points_ellipsoid_residual(ell13, ell13_ev):
     assert 0.0 < r1 < ell13.r0 < r2 < ell13.L
     assert ell13.a(r1) == pytest.approx(0.5, abs=1e-12 * ell13.L)
     assert ell13.a(r2) == pytest.approx(0.5, abs=1e-12 * ell13.L)
+
+
+@pytest.mark.parametrize("aspect", [0.5, 1.3, 5.0])
+def test_turning_points_resolved_to_rounding(aspect):
+    p = make_ellipsoid(aspect)
+    ev = ActionEvaluator(p)
+    eps = np.finfo(float).eps
+    step = 1e-12 * p.L
+    for ca in (1e-6, 0.05, 0.3, 0.7, 0.95, 0.999):
+        r1, r2 = turning_points(ev, ca, 1.0)
+        assert 0.0 < r1 < p.r0 < r2 < p.L
+        for r, sign in ((r1, 1.0), (r2, -1.0)):
+            # the root finder resolves r to 2 eps L; a itself rounds at a few eps
+            bound = abs(float(p.a1(r))) * 2.0 * eps * p.L + 4.0 * eps
+            assert abs(float(p.a(r)) - ca) <= bound
+            # and the root is bracketed: a - ca changes sign 1e-12 L either side
+            assert sign * (float(p.a(r - step)) - ca) < 0.0 < sign * (float(p.a(r + step)) - ca)
 
 
 def test_turning_points_degenerate_at_threshold(sphere_ev):
@@ -126,6 +146,14 @@ def test_energy_threshold(sphere_ev, ell13_ev):
     for ev in (sphere_ev, ell13_ev):
         a0 = ev.profile.a_r0
         assert energy_K(ev, 1.0, 1.0) == pytest.approx(1.0 / a0, abs=1e-14)
+
+
+def test_energy_raises_when_newton_runs_out(sphere_ev, monkeypatch):
+    # an action that stays above target keeps every Newton step small and
+    # inside the bracket, so only the iteration cap can end the loop
+    monkeypatch.setattr(actions, "action_I2", lambda ev, c, E: 1.0 + 1e-6)
+    with pytest.raises(ConvergenceError):
+        energy_K(sphere_ev, 0.5, 1.0)
 
 
 def test_energy_inverse_consistency(sphere_ev, ell13_ev):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from revtone import ActionEvaluator, joint_slice, make_round_sphere
+from revtone import cli
 from revtone.cli import legendre_equator_norm, main
 
 import oracles
@@ -55,6 +56,17 @@ def test_validate_decreasing_table_names_row(tmp_path, capsys):
                  f"run.command = validate\nrun.out_dir = {tmp_path}\n")
     assert main(["--config", cfg]) == 2
     assert "row" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "density"])
+def test_missing_profile_table_is_config_error(tmp_path, capsys, command):
+    cfg = _write(tmp_path / "run.cfg",
+                 "profile.kind = custom_table\n"
+                 f"profile.table_path = {tmp_path / 'absent.dat'}\n"
+                 f"run.command = {command}\nrun.out_dir = {tmp_path}\n")
+    assert main(["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read profile table" in err and "Traceback" not in err
 
 
 # --- density ---------------------------------------------------------------
@@ -231,6 +243,18 @@ def test_command_and_out_overrides(tmp_path):
     out = tmp_path / "override"
     assert main(["--config", cfg, "--command", "density", "--out", str(out)]) == 0
     assert (out / "density.csv").exists()
+
+
+def test_unexpected_exception_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    # exit 1 is reserved for failed verifications
+    def broken(cfg):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(cli._config, "build_profile", broken)
+    cfg = _write(tmp_path / "run.cfg",
+                 f"profile.kind = round_sphere\nrun.command = density\nrun.out_dir = {tmp_path}\n")
+    assert main(["--config", cfg]) == 3
+    assert "ZeroDivisionError" in capsys.readouterr().err
 
 
 def test_missing_command_is_config_error(tmp_path, capsys):

@@ -15,7 +15,6 @@ actions.fd_step = 1e-7
 actions.newton_tol = 1e-12
 
 spectral.grid_size = 2000
-spectral.interp = cubic
 
 run.command = converge
 run.ells = 10, 20, 40
@@ -35,7 +34,6 @@ def test_defaults():
     assert cfg.actions.fd_step == pytest.approx(1e-6)
     assert cfg.actions.newton_tol == pytest.approx(1e-11)
     assert cfg.spectral.grid_size == 4000
-    assert cfg.spectral.interp == "cubic"
     assert cfg.command is None
     assert cfg.ells == ()
     assert cfg.out_dir == "out"
@@ -62,6 +60,13 @@ def test_unknown_key_rejected_with_position():
     assert "line 2" in msg
 
 
+def test_removed_interp_key_rejected():
+    # spectral.interp had the single legal value "cubic" and is gone
+    with pytest.raises(ConfigError) as err:
+        parse_config("profile.kind = round_sphere\nspectral.interp = cubic\n")
+    assert "unknown key" in str(err.value) and "line 2" in str(err.value)
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError):
         parse_config("plotting.style = fancy\n")
@@ -81,7 +86,6 @@ def test_malformed_line_rejected():
     "profile.aspect = 0",
     "density.n = 4",
     "run.command = dance",
-    "spectral.interp = quintic",
 ])
 def test_out_of_range_values_rejected(line):
     with pytest.raises(ConfigError):

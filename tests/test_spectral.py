@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,20 @@ def test_ellipsoid_multiplet_splits(ell13_slices):
 def test_joint_slice_requires_positive_ell(sphere, sphere_ev):
     with pytest.raises(InvalidParameterError):
         joint_slice(sphere, sphere_ev, 0, 2000)
+
+
+def test_joint_slice_samples_profile_once_per_grid(sphere, sphere_ev):
+    # nodes and half-points on the fine and the half-size grid, for all 26 m
+    calls = []
+
+    def a(r):
+        if np.ndim(r) > 0:
+            calls.append(np.size(r))
+        return sphere.a(r)
+
+    slice_ = joint_slice(dataclasses.replace(sphere, a=a), sphere_ev, 25, 4000)
+    assert len(slice_.modes) == 51
+    assert sorted(calls) == [1999, 2000, 3999, 4000]
 
 
 def test_joint_slice_deterministic(sphere, sphere_ev):

@@ -13,6 +13,7 @@ from revtone import (
     make_round_sphere,
     validate_profile,
 )
+from revtone.surface import _EllipsoidMeridian, find_root
 
 import oracles
 
@@ -46,6 +47,36 @@ def test_ellipsoid_13_geometry(ell13):
     L_ref = oracles.ellipse_half_meridian_length(1.3)
     assert ell13.L == pytest.approx(L_ref, abs=1e-10)
     assert validate_profile(ell13).passed
+
+
+@pytest.mark.parametrize("aspect", [0.5, 1.3, 5.0])
+def test_ellipsoid_meridian_matches_arclength_oracle(aspect):
+    m = _EllipsoidMeridian(aspect)
+    assert m.L == pytest.approx(oracles.ellipse_half_meridian_length(aspect), abs=1e-13)
+    r = np.random.default_rng(7).uniform(0.0, m.L, 25)
+    t = m.t_of_r(r)
+    back = np.array([oracles.ellipse_meridian_arclength(aspect, ti) for ti in t])
+    assert np.max(np.abs(back - r)) <= 1e-13
+
+
+@pytest.mark.parametrize("aspect, max_degree", [(0.5, 200), (1.3, 64), (5.0, 200)])
+def test_ellipsoid_series_is_chopped(aspect, max_degree):
+    # 513 Lobatto samples; the plateau rule keeps far fewer terms
+    assert len(_EllipsoidMeridian(aspect).coeffs) - 1 <= max_degree
+
+
+def test_find_root_needs_a_sign_change():
+    assert find_root(lambda x: x * x - 2.0, lambda x: 2.0 * x, 0.0, 2.0) == pytest.approx(
+        np.sqrt(2.0), abs=4e-16)
+    with pytest.raises(InvalidParameterError):
+        find_root(lambda x: x * x + 1.0, lambda x: 2.0 * x, -1.0, 2.0)
+
+
+def test_find_root_stops_at_float_resolution():
+    # f changes sign between two neighbouring floats and never vanishes
+    x0 = 1.0 + 2.0 ** -40
+    root = find_root(lambda x: -1.0 if x <= x0 else 1.0, lambda x: 0.0, 0.0, 2.0)
+    assert abs(root - x0) <= 4.0 * np.spacing(2.0)
 
 
 def test_ellipsoid_oblate_validates():
