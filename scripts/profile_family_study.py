@@ -52,7 +52,7 @@ def study_aspect(aspect: float, n: int, out_dir: str) -> dict:
         writer = csv.writer(f)
         writer.writerow(["c", "density_unnorm", "cdf"])
         for c, unnorm, cdf in density_rows(ev, n):
-            writer.writerow([repr(c), repr(unnorm), repr(cdf)])
+            writer.writerow([repr(float(x)) for x in (c, unnorm, cdf)])
 
     omega1_half, omega2_half = frequencies(ev, 0.5)
     return {

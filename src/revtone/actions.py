@@ -434,10 +434,9 @@ class _SinSeries:
         self._lo = float(_cheb.chebval(-1.0, self._anti))
         self.total = (np.pi / 2.0) * (float(_cheb.chebval(1.0, self._anti)) - self._lo)
 
-    def cumulative(self, c: float) -> float:
-        c = min(max(c, -1.0), 1.0)
-        u = np.arcsin(c) / (np.pi / 2.0)
-        return (np.pi / 2.0) * (float(_cheb.chebval(u, self._anti)) - self._lo)
+    def cumulative(self, c: float | np.ndarray) -> float | np.ndarray:
+        u = np.arcsin(np.clip(c, -1.0, 1.0)) / (np.pi / 2.0)
+        return (np.pi / 2.0) * (_cheb.chebval(u, self._anti) - self._lo)
 
 
 def _build_sin_series(f, tol: float = 1e-10) -> _SinSeries:
@@ -494,12 +493,14 @@ def normalization_M(ev: ActionEvaluator) -> float:
     return _mu_series(ev).total
 
 
-def limit_cdf(ev: ActionEvaluator, c: float) -> float:
-    """CDF of the normalized limit density at c in [-1, 1]."""
-    if abs(c) > 1.0:
-        raise OutsideOpenIntervalError(f"cdf argument must lie in [-1, 1], got {c}")
+def limit_cdf(ev: ActionEvaluator, c: float | np.ndarray) -> float | np.ndarray:
+    """CDF of the normalized limit density, elementwise over c in [-1, 1]."""
+    outside = np.abs(c) > 1.0
+    if np.any(outside):
+        raise OutsideOpenIntervalError(
+            f"cdf argument must lie in [-1, 1], got {np.asarray(c)[outside][0]}")
     series = _mu_series(ev)
-    return min(max(series.cumulative(c) / series.total, 0.0), 1.0)
+    return np.clip(series.cumulative(c) / series.total, 0.0, 1.0)
 
 
 def liouville_state(ev: ActionEvaluator, sym: SymbolFn) -> float:
@@ -515,7 +516,8 @@ def nu_mass_and_cdf(ev: ActionEvaluator, sym: SymbolFn):
     """(omega, cdf) pair for the limit measure of a symbol.
 
     omega is the total torus-average mass; cdf is the normalized
-    cumulative function.  A vanishing omega admits no normalization.
+    cumulative function, elementwise over arrays and not clipped to
+    [0, 1].  A vanishing omega admits no normalization.
     """
     series = _nu_series(ev, sym)
     omega = series.total
@@ -523,7 +525,7 @@ def nu_mass_and_cdf(ev: ActionEvaluator, sym: SymbolFn):
         raise SignedMeasureError(
             f"total average {omega:.3e} vanishes; no normalized limit density exists")
 
-    def cdf(c: float) -> float:
+    def cdf(c: float | np.ndarray) -> float | np.ndarray:
         return series.cumulative(c) / omega
 
     return omega, cdf

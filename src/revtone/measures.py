@@ -13,9 +13,7 @@ interval, while KS stalls against limits with endpoint blow-up.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -65,7 +63,7 @@ class EmpiricalMeasure:
 
 @dataclass(frozen=True, eq=False)
 class LimitMeasure:
-    """Normalized limit density on (-1, 1) with its CDF and raw mass."""
+    """Normalized limit density on (-1, 1), its array-valued CDF and raw mass."""
 
     density: Callable
     cdf: Callable
@@ -120,10 +118,8 @@ def limit_measure_mu(ev: _actions.ActionEvaluator) -> LimitMeasure:
     def density(c: float) -> float:
         return _actions.limit_density_unnorm(ev, c) / M
 
-    def cdf(c: float) -> float:
-        return _actions.limit_cdf(ev, c)
-
-    return LimitMeasure(density=density, cdf=cdf, mass_constant=M)
+    return LimitMeasure(density=density, cdf=lambda c: _actions.limit_cdf(ev, c),
+                        mass_constant=M)
 
 
 def limit_measure_nu(ev: _actions.ActionEvaluator, sym: _actions.SymbolFn) -> LimitMeasure:
@@ -145,75 +141,57 @@ def _require_unsigned(emp: EmpiricalMeasure):
 def ks_distance(emp: EmpiricalMeasure, lim: LimitMeasure) -> float:
     """Sup-distance between CDFs, checking both sides of every jump."""
     _require_unsigned(emp)
-    worst = 0.0
-    below = 0.0
-    for c, w in emp.atoms:
-        target = float(lim.cdf(c))
-        worst = max(worst, abs(below - target), abs(below + w - target))
-        below += w
-    return worst
-
-
-def _segment_mismatch(cdf, lo: float, hi: float, level: float) -> float:
-    """Integral of |cdf - level| over [lo, hi].
-
-    Splits at one bisected sign change when the endpoints disagree; a
-    non-monotone cdf (sign-changing symbol) may hide an even number of
-    extra crossings inside a piece, costing only local quadrature error.
-    """
-    if hi - lo <= 1e-300:
-        return 0.0
-    f_lo = float(cdf(lo)) - level
-    f_hi = float(cdf(hi)) - level
-    pieces = []
-    if f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0.0) == (f_hi < 0.0):
-        pieces.append((lo, hi))
-    else:
-        a, b = lo, hi
-        for _ in range(_CROSSING_BISECTIONS):
-            mid = 0.5 * (a + b)
-            if mid <= a or mid >= b:
-                break
-            if (float(cdf(mid)) - level < 0.0) == (f_lo < 0.0):
-                a = mid
-            else:
-                b = mid
-        cross = 0.5 * (a + b)
-        pieces.append((lo, cross))
-        pieces.append((cross, hi))
-    x, w = gauss_legendre_rule(_SEGMENT_GL_NODES)
-    total = 0.0
-    for a, b in pieces:
-        if b - a <= 1e-300:
-            continue
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        vals = [abs(float(cdf(mid + half * xi)) - level) for xi in x]
-        total += half * float(np.dot(w, vals))
-    return total
+    cum = np.concatenate(([0.0], np.cumsum(emp.weights)))
+    target = lim.cdf(emp.positions)
+    return float(np.max(np.maximum(np.abs(cum[:-1] - target), np.abs(cum[1:] - target)),
+                        initial=0.0))
 
 
 def wasserstein1(emp: EmpiricalMeasure, lim: LimitMeasure) -> float:
     """L1 distance between CDFs over [-1, 1].
 
-    The empirical CDF is constant between atoms, so the integral is a
-    sum of segment integrals of |lim.cdf - level|, each split at its
-    single crossing when one exists.
+    The empirical CDF is a constant level between atoms, so the integral
+    is a sum of segment integrals of |lim.cdf - level|.  A segment whose
+    ends straddle its level is split at a crossing, bisected in lockstep
+    with every other straddling segment; a non-monotone cdf
+    (sign-changing symbol) may hide an even number of extra crossings
+    inside a piece, costing only local quadrature error.  Each piece
+    then gets Gauss-Legendre quadrature, all in one cdf call.
     """
     _require_unsigned(emp)
-    bounds = [-1.0]
-    levels = []
-    below = 0.0
-    for c, w in emp.atoms:
-        if c > bounds[-1]:
-            bounds.append(c)
-            levels.append(below)
-        below += w
-    bounds.append(1.0)
-    levels.append(below)
-    total = 0.0
-    for lo, hi, level in zip(bounds[:-1], bounds[1:], levels):
-        total += _segment_mismatch(lim.cdf, lo, hi, level)
-    return total
+    pos = emp.positions
+    cum = np.concatenate(([0.0], np.cumsum(emp.weights)))
+    # an atom opens a segment when it lies right of -1 and of every earlier atom
+    opens = pos > np.maximum.accumulate(np.concatenate(([-1.0], pos)))[:-1]
+    bounds = np.concatenate(([-1.0], pos[opens], [1.0]))
+    lo, hi = bounds[:-1], bounds[1:]
+    level = np.concatenate((cum[:-1][opens], cum[-1:]))
+    f = lim.cdf(bounds)
+    f_lo, f_hi = f[:-1] - level, f[1:] - level
+    straddle = (f_lo != 0.0) & (f_hi != 0.0) & ((f_lo < 0.0) != (f_hi < 0.0))
+
+    a, b = lo[straddle], hi[straddle]
+    s_level, s_neg = level[straddle], f_lo[straddle] < 0.0
+    live = np.ones(a.size, bool)
+    for _ in range(_CROSSING_BISECTIONS):
+        mid = 0.5 * (a + b)
+        live &= (mid > a) & (mid < b)
+        if not live.any():
+            break
+        idx = np.flatnonzero(live)
+        left = (lim.cdf(mid[idx]) - s_level[idx] < 0.0) == s_neg[idx]
+        a[idx[left]] = mid[idx[left]]
+        b[idx[~left]] = mid[idx[~left]]
+    # two pieces per segment, split at its crossing; the second is empty without one
+    split = hi.copy()
+    split[straddle] = 0.5 * (a + b)
+    starts, ends = np.concatenate((lo, split)), np.concatenate((split, hi))
+    keep = ends - starts > 1e-300
+    starts, ends, levels = starts[keep], ends[keep], np.tile(level, 2)[keep]
+    x, w = gauss_legendre_rule(_SEGMENT_GL_NODES)
+    mid, half = 0.5 * (starts + ends), 0.5 * (ends - starts)
+    vals = np.abs(lim.cdf(mid[:, None] + half[:, None] * x) - levels[:, None])
+    return float(np.sum(half * (vals @ w)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,9 +240,7 @@ def _sweep_row(p, ev, ell, sym, grid_size, lim_mu, lim_nu):
     }
     if sym is not None:
         nu = empirical_nu(slice_, sym)
-        if nu.signed:
-            row["ks_nu"] = row["w1_nu"] = None
-        else:
+        if not nu.signed:
             row["ks_nu"] = ks_distance(nu, lim_nu)
             row["w1_nu"] = wasserstein1(nu, lim_nu)
     return row
@@ -276,9 +252,7 @@ def convergence_sweep(p: SurfaceProfile, ev: _actions.ActionEvaluator, ells: lis
     """Distances of the empirical measures to their limits over ells.
 
     Rows for failing ells carry an `error` field and the sweep
-    continues; fits use the surviving rows.  Work parallelizes across
-    ells (REVTONE_THREADS caps the pool) and the output is independent
-    of scheduling order.
+    continues; fits use the surviving rows.
     """
     ells = [int(l) for l in ells]
     if any(b <= a for a, b in zip(ells, ells[1:])):
@@ -286,19 +260,12 @@ def convergence_sweep(p: SurfaceProfile, ev: _actions.ActionEvaluator, ells: lis
     lim_mu = limit_measure_mu(ev)
     lim_nu = limit_measure_nu(ev, sym) if sym is not None else None
 
-    def run(ell):
+    rows = []
+    for ell in ells:
         try:
-            return _sweep_row(p, ev, ell, sym, grid_size, lim_mu, lim_nu)
+            rows.append(_sweep_row(p, ev, ell, sym, grid_size, lim_mu, lim_nu))
         except RevtoneError as exc:
-            return {"ell": ell, "error": f"{type(exc).__name__}: {exc}"}
-
-    env_cap = os.environ.get("REVTONE_THREADS")
-    workers = max(1, min(len(ells), int(env_cap) if env_cap else (os.cpu_count() or 1)))
-    if workers == 1:
-        rows = [run(ell) for ell in ells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, ells))
+            rows.append({"ell": ell, "error": f"{type(exc).__name__}: {exc}"})
 
     w1 = [row.get("w1_mu") for row in rows]
     fit = _fit_decay(ells, w1) or {"w1_exponent": float("nan"), "w1_r2": float("nan")}

@@ -75,6 +75,34 @@ def cube_cdf(c: float) -> float:
     return (c ** 3 + 1.0) / 2.0
 
 
+def _arcsine_antiderivative(c: float) -> float:
+    """Antiderivative of arcsine_cdf on [-1, 1]."""
+    return (c * math.asin(c) + math.sqrt(max(1.0 - c * c, 0.0))) / math.pi + 0.5 * c
+
+
+def arcsine_w1(atoms) -> float:
+    """Exact W1 between atoms (c, w), sorted by c, and the arcsine law.
+
+    Between atoms the empirical CDF is a constant level L, which the
+    increasing arcsine CDF crosses once, at -cos(pi L); on either side
+    of that crossing |F - L| integrates in closed form.
+    """
+    def excess(a, b, level):
+        return _arcsine_antiderivative(b) - _arcsine_antiderivative(a) - level * (b - a)
+
+    def segment(lo, hi, level):
+        cross = min(max(-math.cos(math.pi * level), lo), hi)
+        return excess(cross, hi, level) - excess(lo, cross, level)
+
+    total, below, lo = 0.0, 0.0, -1.0
+    for c, w in atoms:
+        if c > lo:
+            total += segment(lo, c, below)
+            lo = c
+        below += w
+    return total + segment(lo, 1.0, below)
+
+
 # W1 between the three-atom ell = 1 sphere measure (half weights at
 # c = -1 and c = 1) and the arcsine law: the CDF gap is |asin(c)|/pi,
 # integrating to 2 (pi/2 - 1)/pi.

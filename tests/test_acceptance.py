@@ -50,7 +50,7 @@ def _finish(log, idx, name, ok, detail):
 
 def _arcsine_limit():
     return LimitMeasure(density=oracles.arcsine_density,
-                        cdf=oracles.arcsine_cdf, mass_constant=np.pi)
+                        cdf=np.vectorize(oracles.arcsine_cdf), mass_constant=np.pi)
 
 
 def test_01_action_identity_on_sphere(acceptance_log, sphere_ev):

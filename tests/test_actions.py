@@ -240,6 +240,15 @@ def test_limit_cdf_sphere(sphere_ev):
     assert limit_cdf(sphere_ev, 1.0) == pytest.approx(1.0, abs=1e-8)
 
 
+def test_limit_cdf_rejects_any_point_outside(sphere_ev):
+    with pytest.raises(OutsideOpenIntervalError):
+        limit_cdf(sphere_ev, np.array([0.0, 0.5, 1.0 + 1e-12]))
+    with pytest.raises(OutsideOpenIntervalError):
+        limit_cdf(sphere_ev, np.array([[0.0, -1.5], [0.2, 0.3]]))
+    with pytest.raises(OutsideOpenIntervalError):
+        limit_cdf(sphere_ev, 1.5)
+
+
 def test_limit_cdf_monotone(ell13_ev):
     grid = np.linspace(-1.0, 1.0, 81)
     vals = [limit_cdf(ell13_ev, float(c)) for c in grid]

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from revtone import (
     DegenerateMeasureError,
@@ -12,6 +16,7 @@ from revtone import (
     radial_symbol,
 )
 from revtone.measures import (
+    _CROSSING_BISECTIONS,
     ConvergenceReport,
     EmpiricalMeasure,
     LimitMeasure,
@@ -29,6 +34,8 @@ import oracles
 
 ONE = radial_symbol(lambda r: np.ones_like(r), name="one")
 SQUARED = angular_symbol(lambda s: np.asarray(s) ** 2, name="s^2")
+ARCSINE = LimitMeasure(density=oracles.arcsine_density,
+                       cdf=np.vectorize(oracles.arcsine_cdf), mass_constant=np.pi)
 
 
 def _staircase(atoms):
@@ -138,6 +145,16 @@ def test_limit_mu_ellipsoid_normalized(ell13_ev):
     assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("ev_name", ["sphere_ev", "ell13_ev"])
+def test_limit_cdfs_take_arrays(request, ev_name):
+    ev = request.getfixturevalue(ev_name)
+    grid = np.linspace(-1.0, 1.0, 41)
+    for lim in (limit_measure_mu(ev), limit_measure_nu(ev, ONE)):
+        scalar = np.array([lim.cdf(float(c)) for c in grid])
+        assert np.array_equal(lim.cdf(grid), scalar)
+        assert np.array_equal(lim.cdf(grid.reshape(41, 1)), scalar.reshape(41, 1))
+
+
 def test_limit_nu_unit_symbol_uniform(sphere_ev):
     lim = limit_measure_nu(sphere_ev, ONE)
     for c in (-0.9, -0.3, 0.0, 0.4, 0.8):
@@ -183,7 +200,7 @@ def test_ks_quantile_atoms(sphere_ev):
 
 def test_w1_identical_staircase_is_zero(sphere, sphere_ev):
     mu = empirical_mu(joint_slice(sphere, sphere_ev, 3, 1000))
-    lim = LimitMeasure(density=lambda c: 0.0, cdf=_staircase(mu.atoms),
+    lim = LimitMeasure(density=lambda c: 0.0, cdf=np.vectorize(_staircase(mu.atoms)),
                        mass_constant=1.0)
     assert wasserstein1(mu, lim) == 0.0
 
@@ -191,7 +208,7 @@ def test_w1_identical_staircase_is_zero(sphere, sphere_ev):
 def test_w1_separated_atoms(sphere_ev):
     emp = EmpiricalMeasure(atoms=[(0.0, 1.0)], total_mass_raw=1.0)
     step = LimitMeasure(density=lambda c: 0.0,
-                        cdf=lambda c: 1.0 if c >= 1.0 else 0.0,
+                        cdf=np.vectorize(lambda c: 1.0 if c >= 1.0 else 0.0),
                         mass_constant=1.0)
     assert wasserstein1(emp, step) == pytest.approx(1.0, abs=1e-12)
 
@@ -205,9 +222,53 @@ def test_w1_three_atom_anchor(sphere, sphere_ev):
 def test_w1_reflection_invariance(sphere, sphere_ev):
     mu = empirical_mu(joint_slice(sphere, sphere_ev, 6, 1000))
     reflected = sorted((-c, w) for c, w in mu.atoms)
-    lim = LimitMeasure(density=lambda c: 0.0, cdf=_staircase(reflected),
+    lim = LimitMeasure(density=lambda c: 0.0, cdf=np.vectorize(_staircase(reflected)),
                        mass_constant=1.0)
     assert wasserstein1(mu, lim) == 0.0
+
+
+def test_distances_cdf_call_budget(sphere, sphere_ev):
+    lim = limit_measure_mu(sphere_ev)
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return lim.cdf(c)
+
+    counting = dataclasses.replace(lim, cdf=counted)
+    mu = empirical_mu(joint_slice(sphere, sphere_ev, 50, 2000))
+    assert wasserstein1(mu, counting) == wasserstein1(mu, lim)
+    assert len(calls) <= _CROSSING_BISECTIONS + 3
+    calls.clear()
+    assert ks_distance(mu, counting) == ks_distance(mu, lim)
+    assert len(calls) == 1
+
+
+def _ks_vs_arcsine(atoms):
+    worst = below = 0.0
+    for c, w in atoms:
+        target = oracles.arcsine_cdf(c)
+        worst = max(worst, abs(below - target), abs(below + w - target))
+        below += w
+    return worst
+
+
+_POSITIONS = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                       st.floats(-1.0, 1.0))
+
+
+@given(st.lists(st.tuples(_POSITIONS, st.floats(0.01, 1.0)), min_size=1, max_size=30))
+@example([(0.0, 1.0)])
+@example([(-1.0, 1.0)])
+@example([(1.0, 1.0)])
+@example([(-1.0, 0.5), (1.0, 0.5)])
+@example([(0.25, 0.2), (-1.0, 0.1), (0.25, 0.3), (1.0, 0.2), (-1.0, 0.2)])
+def test_distances_vs_exact_arcsine(raw):
+    total = sum(w for _, w in raw)
+    atoms = sorted((c, w / total) for c, w in raw)
+    emp = EmpiricalMeasure(atoms=atoms, total_mass_raw=1.0)
+    assert abs(wasserstein1(emp, ARCSINE) - oracles.arcsine_w1(atoms)) <= 1e-5
+    assert abs(ks_distance(emp, ARCSINE) - _ks_vs_arcsine(atoms)) <= 1e-14
 
 
 def test_nu_distances_bounded_by_atom_gap(sphere, sphere_ev):
