@@ -16,12 +16,15 @@ The radicand E^2 - c^2/a(r)^2 vanishes linearly at the turning points.
 Near them it is evaluated from a two-term Taylor model of a anchored at
 the solved turning point, which avoids the catastrophic cancellation a
 direct subtraction would suffer once a(r) rounds to |c|/E.
+
+The energy inversion runs to float resolution, with no tolerance to set.
+Turning points, limit series and symbol checks are memoized in the
+evaluator that computed them, so they are freed along with it.
 """
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -39,31 +42,30 @@ from .quadrature import map_to_interval, tanh_sinh_rule
 from .surface import SurfaceProfile, find_root
 
 MIN_QUAD_NODES = 64
-# Residual floor used when quadrature-limited accuracy is required, as in
-# the cached density series where endpoint cancellation amplifies any
-# slack in the energy inversion.  The step-size stop below ends the
-# iteration once quadrature noise dominates.
-_TIGHT_TOL = 1e-15
+_EPS4 = 4.0 * np.finfo(float).eps
+# relative momentum step of the finite-difference diagnostic di2_drho_fd
+_FD_STEP = 1e-6
+# sup-norm change between successive fits that ends a series build
+_SERIES_TOL = 1e-10
 
 _THETA_SAMPLES = 128
 
 
 @dataclass(frozen=True, eq=False)
 class ActionEvaluator:
-    """Profile plus the numerical parameters of the action quadratures.
+    """Profile plus the node count of the action quadratures.
 
     Attributes
     ----------
     profile : the meridian profile
     quad_nodes : tanh-sinh node count, at least 64
-    fd_step : relative step for finite-difference diagnostics
-    newton_tol : residual tolerance of the energy inversion
+
+    Every value memoized for this profile (turning points, limit series,
+    symbol checks) lives in `_cache`, read and filled through `_cached`.
     """
 
     profile: SurfaceProfile
     quad_nodes: int = 256
-    fd_step: float = 1e-6
-    newton_tol: float = 1e-11
     _cache: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
@@ -71,10 +73,21 @@ class ActionEvaluator:
         if int(self.quad_nodes) != self.quad_nodes or self.quad_nodes < MIN_QUAD_NODES:
             raise InvalidParameterError(
                 f"quad_nodes must be an integer >= {MIN_QUAD_NODES}, got {self.quad_nodes}")
-        if not (0.0 < self.fd_step < 0.1):
-            raise InvalidParameterError(f"fd_step must be in (0, 0.1), got {self.fd_step}")
-        if not (0.0 < self.newton_tol <= 1e-6):
-            raise InvalidParameterError(f"newton_tol must be in (0, 1e-6], got {self.newton_tol}")
+
+
+def _cached(ev: ActionEvaluator, key, build: Callable):
+    """ev._cache[key], computed by build() on the first request.
+
+    The lock guards only the dict, so concurrent first requests may both
+    build; the first stored value wins and every caller gets it.
+    """
+    with ev._lock:
+        hit = ev._cache.get(key)
+    if hit is None:
+        value = build()
+        with ev._lock:
+            hit = ev._cache.setdefault(key, value)
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +135,7 @@ def phase_space_symbol(sigma: Callable, name: str = "") -> SymbolFn:
 # ---------------------------------------------------------------------------
 # turning points and the stable radicand
 
-@lru_cache(maxsize=8192)
-def _turning_points_cached(p: SurfaceProfile, ca: float):
+def _solve_turning_points(p: SurfaceProfile, ca: float) -> tuple[float, float]:
     def f(r):
         # a vanishes at the poles by contract; rounding there must not hide a root
         return float(p.a(r)) - ca if 0.0 < r < p.L else -ca
@@ -148,7 +160,7 @@ def turning_points(ev: ActionEvaluator, c: float, E: float) -> tuple[float, floa
     if ca >= ev.profile.a_r0:
         raise DegenerateTorusError(
             f"|c|/E = {ca:.6g} >= a(r0) = {ev.profile.a_r0:.6g}: no oscillation interval")
-    return _turning_points_cached(ev.profile, ca)
+    return _cached(ev, ("turning_points", ca), lambda: _solve_turning_points(ev.profile, ca))
 
 
 class _Radicand:
@@ -245,13 +257,13 @@ def dI2_dc(ev: ActionEvaluator, c: float, E: float) -> float:
     return _integrate_radial(ev, c, E, g) + float(np.sign(c))
 
 
-def energy_K(ev: ActionEvaluator, c: float, I2: float, tol: float | None = None) -> float:
+def energy_K(ev: ActionEvaluator, c: float, I2: float) -> float:
     """Invert I2(c, .) in E by bracketed Newton iteration.
 
-    Monotonicity of the action in E makes the bracketing safe; iteration
-    stops once the action residual drops below tol (default: the
-    evaluator's newton_tol) or a step no longer moves E, and raises
-    ConvergenceError if neither happens within 100 steps.
+    Monotonicity of the action in E makes the bracketing safe.  The
+    iteration runs to float resolution: it stops once the action residual
+    is within 4 eps * I2 or a step moves E by at most 4 eps * E, and
+    raises ConvergenceError if neither happens within 100 steps.
     """
     if not np.isfinite(I2) or I2 <= 0.0:
         raise InvalidParameterError(f"action must be positive, got {I2}")
@@ -263,7 +275,6 @@ def energy_K(ev: ActionEvaluator, c: float, I2: float, tol: float | None = None)
         return np.pi * I2 / p.L
     if abs(c) == I2:
         return abs(c) / p.a_r0
-    tol = ev.newton_tol if tol is None else tol
 
     lo = abs(c) / p.a_r0 * (1.0 + 1e-14)
     hi = max(lo * 1.0000001, np.pi * I2 / p.L)
@@ -277,7 +288,7 @@ def energy_K(ev: ActionEvaluator, c: float, I2: float, tol: float | None = None)
     E = min(max(np.pi * I2 / p.L, lo), hi)
     for _ in range(100):
         f = action_I2(ev, c, E) - I2
-        if abs(f) <= tol:
+        if abs(f) <= _EPS4 * I2:
             return E
         if f > 0.0:
             hi = E
@@ -287,10 +298,11 @@ def energy_K(ev: ActionEvaluator, c: float, I2: float, tol: float | None = None)
         E_new = E - step
         if not (lo < E_new < hi):
             E_new = 0.5 * (lo + hi)
-        if abs(E_new - E) <= 4.0 * np.finfo(float).eps * E:
+        if abs(E_new - E) <= _EPS4 * E:
             return E_new
         E = E_new
-    raise ConvergenceError(f"energy_K({c}, {I2}) not converged: residual {f:.3e} > {tol:.3e}")
+    raise ConvergenceError(
+        f"energy_K({c}, {I2}) not converged: residual {f:.3e} > {_EPS4 * I2:.3e}")
 
 
 def frequencies(ev: ActionEvaluator, c: float) -> tuple[float, float]:
@@ -312,7 +324,7 @@ def frequencies(ev: ActionEvaluator, c: float) -> tuple[float, float]:
     return -dc / dE, 1.0 / dE
 
 
-def limit_density_unnorm(ev: ActionEvaluator, c: float, _tol: float | None = None) -> float:
+def limit_density_unnorm(ev: ActionEvaluator, c: float) -> float:
     """Unnormalized limit density omega2 / sqrt(1 - c^2 / (K^2 a(r0)^2)).
 
     Defined on the open interval only; the inverse-square-root blow-up
@@ -320,13 +332,9 @@ def limit_density_unnorm(ev: ActionEvaluator, c: float, _tol: float | None = Non
     """
     if abs(c) >= 1.0:
         raise OutsideOpenIntervalError(f"density needs |c| < 1, got {c}")
-    a0 = ev.profile.a_r0
-    if c == 0.0:
-        E = energy_K(ev, 0.0, 1.0)
-        return (1.0 / dI2_dE(ev, 0.0, E))
-    E = energy_K(ev, c, 1.0, tol=_tol)
+    E = energy_K(ev, c, 1.0)
     omega2 = 1.0 / dI2_dE(ev, c, E)
-    u = abs(c) / (E * a0)
+    u = abs(c) / (E * ev.profile.a_r0)
     if u >= 1.0:
         raise OutsideOpenIntervalError(f"c = {c} maps onto the equatorial circle")
     return omega2 / np.sqrt((1.0 - u) * (1.0 + u))
@@ -351,7 +359,7 @@ def di2_drho_fd(ev: ActionEvaluator, c: float) -> float:
     rho = equator_momentum(ev, c)
     if rho <= 0.0:
         raise DegenerateTorusError(f"no equator-transverse momentum at c = {c}")
-    h = ev.fd_step * rho
+    h = _FD_STEP * rho
     ca2 = (c / a0) ** 2
     E_plus = np.sqrt((rho + h) ** 2 + ca2)
     E_minus = np.sqrt((rho - h) ** 2 + ca2)
@@ -361,7 +369,7 @@ def di2_drho_fd(ev: ActionEvaluator, c: float) -> float:
 # ---------------------------------------------------------------------------
 # torus averages
 
-def torus_average(ev: ActionEvaluator, sym: SymbolFn, c: float, _tol: float | None = None) -> float:
+def torus_average(ev: ActionEvaluator, sym: SymbolFn, c: float) -> float:
     """Average of a symbol over the Liouville torus with I2 = 1.
 
     The invariant radial measure is proportional to E/rho(r) dr; the
@@ -370,7 +378,7 @@ def torus_average(ev: ActionEvaluator, sym: SymbolFn, c: float, _tol: float | No
     """
     if abs(c) >= 1.0:
         raise DegenerateTorusError(f"torus average needs |c| < 1, got c = {c}")
-    E = energy_K(ev, c, 1.0, tol=_tol)
+    E = energy_K(ev, c, 1.0)
 
     if sym.kind == "angular_ratio":
         return float(sym.ratio_part(c / E))
@@ -384,7 +392,7 @@ def torus_average(ev: ActionEvaluator, sym: SymbolFn, c: float, _tol: float | No
 
         return omega2 * _integrate_radial(ev, c, E, g)
 
-    _check_homogeneous(ev, sym, c, E)
+    _cached(ev, ("homogeneous", sym), lambda: _check_homogeneous(sym, ev.profile.L, c, E))
     theta = 2.0 * np.pi * np.arange(_THETA_SAMPLES) / _THETA_SAMPLES
     sigma = sym.full_part
     total = 0.0
@@ -398,13 +406,8 @@ def torus_average(ev: ActionEvaluator, sym: SymbolFn, c: float, _tol: float | No
     return omega2 * 0.5 * total
 
 
-def _check_homogeneous(ev: ActionEvaluator, sym: SymbolFn, c: float, E: float):
-    key = ("homog", id(sym))
-    with ev._lock:
-        if ev._cache.get(key) is sym.full_part:
-            return
-    p = ev.profile
-    r = np.linspace(0.35 * p.L, 0.65 * p.L, 7)
+def _check_homogeneous(sym: SymbolFn, L: float, c: float, E: float) -> bool:
+    r = np.linspace(0.35 * L, 0.65 * L, 7)
     theta = np.linspace(0.0, 2.0 * np.pi, 5)[:-1]
     rho = 0.7 * E
     base = np.asarray(sym.full_part(r[:, None], theta[None, :], rho, c), float)
@@ -414,8 +417,7 @@ def _check_homogeneous(ev: ActionEvaluator, sym: SymbolFn, c: float, E: float):
         if float(np.max(np.abs(scaled - base))) > 1e-10 * scale:
             raise InvalidParameterError(
                 "phase_space symbol is not homogeneous of degree 0 in (rho, eta)")
-    with ev._lock:
-        ev._cache[key] = sym.full_part
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +441,7 @@ class _SinSeries:
         return (np.pi / 2.0) * (_cheb.chebval(u, self._anti) - self._lo)
 
 
-def _build_sin_series(f, tol: float = 1e-10) -> _SinSeries:
+def _build_sin_series(f) -> _SinSeries:
     """Adaptive Chebyshev fit of f(sin t) cos t, degrees 64..512."""
 
     def g(u):
@@ -455,33 +457,21 @@ def _build_sin_series(f, tol: float = 1e-10) -> _SinSeries:
         vals = _cheb.chebval(probe, coeffs)
         if prev_vals is not None:
             scale = max(1.0, float(np.max(np.abs(vals))))
-            if float(np.max(np.abs(vals - prev_vals))) <= tol * scale:
+            if float(np.max(np.abs(vals - prev_vals))) <= _SERIES_TOL * scale:
                 return _SinSeries(coeffs)
         prev_coeffs, prev_vals = coeffs, vals
     return _SinSeries(prev_coeffs if prev_coeffs is not None else coeffs)
 
 
 def _mu_series(ev: ActionEvaluator) -> _SinSeries:
-    with ev._lock:
-        hit = ev._cache.get("mu_series")
-    if hit is not None:
-        return hit
-    series = _build_sin_series(lambda c: limit_density_unnorm(ev, c, _tol=_TIGHT_TOL))
-    with ev._lock:
-        ev._cache.setdefault("mu_series", series)
-        return ev._cache["mu_series"]
+    return _cached(ev, "mu_series",
+                   lambda: _build_sin_series(lambda c: limit_density_unnorm(ev, c)))
 
 
 def _nu_series(ev: ActionEvaluator, sym: SymbolFn) -> _SinSeries:
-    key = ("nu_series", id(sym))
-    with ev._lock:
-        hit = ev._cache.get(key)
-    if hit is not None and hit[0] is sym:
-        return hit[1]
-    series = _build_sin_series(lambda c: torus_average(ev, sym, c, _tol=_TIGHT_TOL))
-    with ev._lock:
-        ev._cache.setdefault(key, (sym, series))
-        return ev._cache[key][1]
+    # SymbolFn is eq=False: the key holds the symbol itself, compared by identity
+    return _cached(ev, ("nu_series", sym),
+                   lambda: _build_sin_series(lambda c: torus_average(ev, sym, c)))
 
 
 def normalization_M(ev: ActionEvaluator) -> float:

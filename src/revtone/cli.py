@@ -107,11 +107,11 @@ def cmd_density(cfg: _config.RunConfig) -> int:
     ev = _config.build_evaluator(cfg, profile)
     n = cfg.density_n
     mass = _actions.normalization_M(ev)
+    cs = [-1.0 + 2.0 * k / n for k in range(1, n)]
     rows = []
-    for k in range(1, n):
-        c = -1.0 + 2.0 * k / n
+    for c, cdf in zip(cs, _actions.limit_cdf(ev, np.array(cs))):
         unnorm = _actions.limit_density_unnorm(ev, c)
-        rows.append((c, unnorm, unnorm / mass, _actions.limit_cdf(ev, c)))
+        rows.append((c, unnorm, unnorm / mass, cdf))
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(os.path.join(cfg.out_dir, "density.csv"),
                ["c", "density_unnorm", "density_norm", "cdf"], rows)

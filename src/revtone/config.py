@@ -33,8 +33,6 @@ class ProfileConfig:
 @dataclass(frozen=True)
 class ActionsConfig:
     quad_nodes: int = 256
-    fd_step: float = 1e-6
-    newton_tol: float = 1e-11
 
 
 @dataclass(frozen=True)
@@ -72,15 +70,13 @@ def _parse_int(raw: str, line: int, col: int, key: str, lo: int, hi: int | None 
     return val
 
 
-def _parse_float(raw: str, line: int, col: int, key: str, lo: float, hi: float,
-                 lo_open: bool = True, hi_open: bool = True) -> float:
+def _parse_float(raw: str, line: int, col: int, key: str, lo: float, hi: float) -> float:
+    """A number in the half-open range (lo, hi]."""
     try:
         val = float(raw)
     except ValueError:
         raise ConfigError(f"{key} expects a number, got {raw!r}", line=line, col=col)
-    ok_lo = val > lo if lo_open else val >= lo
-    ok_hi = val < hi if hi_open else val <= hi
-    if not (ok_lo and ok_hi):
+    if not (lo < val <= hi):
         raise ConfigError(f"{key} out of range, got {val}", line=line, col=col)
     return val
 
@@ -135,8 +131,7 @@ def parse_config(text: str) -> RunConfig:
                 profile["kind"] = _parse_choice(raw, lineno, val_col, full, PROFILE_KINDS)
                 kind_line = lineno
             elif key == "aspect":
-                profile["aspect"] = _parse_float(raw, lineno, val_col, full, 0.0, 1000.0,
-                                                 hi_open=False)
+                profile["aspect"] = _parse_float(raw, lineno, val_col, full, 0.0, 1000.0)
             elif key == "table_path":
                 profile["table_path"] = raw
             else:
@@ -145,11 +140,6 @@ def parse_config(text: str) -> RunConfig:
             if key == "quad_nodes":
                 actions["quad_nodes"] = _parse_int(raw, lineno, val_col, full,
                                                    _actions.MIN_QUAD_NODES)
-            elif key == "fd_step":
-                actions["fd_step"] = _parse_float(raw, lineno, val_col, full, 0.0, 0.1)
-            elif key == "newton_tol":
-                actions["newton_tol"] = _parse_float(raw, lineno, val_col, full, 0.0, 1e-6,
-                                                     hi_open=False)
             else:
                 raise ConfigError(f"unknown key {full!r}", line=lineno, col=key_col)
         elif section == "spectral":
@@ -228,9 +218,7 @@ def build_profile(cfg: RunConfig):
 
 
 def build_evaluator(cfg: RunConfig, profile) -> _actions.ActionEvaluator:
-    a = cfg.actions
-    return _actions.ActionEvaluator(profile, quad_nodes=a.quad_nodes, fd_step=a.fd_step,
-                                    newton_tol=a.newton_tol)
+    return _actions.ActionEvaluator(profile, quad_nodes=cfg.actions.quad_nodes)
 
 
 def build_symbol(cfg: RunConfig) -> _actions.SymbolFn | None:

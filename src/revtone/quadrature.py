@@ -66,11 +66,3 @@ def gauss_legendre_rule(n: int):
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
-
-
-def gauss_legendre(f, lo: float, hi: float, n: int = 64) -> float:
-    """Fixed-order Gauss-Legendre integral of a vectorized callable."""
-    x, w = gauss_legendre_rule(n)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    return half * float(np.dot(w, f(mid + half * x)))

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,12 +41,6 @@ import oracles
 def test_evaluator_rejects_bad_parameters(sphere):
     with pytest.raises(InvalidParameterError):
         ActionEvaluator(sphere, quad_nodes=32)
-    with pytest.raises(InvalidParameterError):
-        ActionEvaluator(sphere, fd_step=0.0)
-    with pytest.raises(InvalidParameterError):
-        ActionEvaluator(sphere, fd_step=0.5)
-    with pytest.raises(InvalidParameterError):
-        ActionEvaluator(sphere, newton_tol=1e-3)
 
 
 def test_symbol_constructors():
@@ -83,6 +80,18 @@ def test_turning_points_resolved_to_rounding(aspect):
             assert abs(float(p.a(r)) - ca) <= bound
             # and the root is bracketed: a - ca changes sign 1e-12 L either side
             assert sign * (float(p.a(r - step)) - ca) < 0.0 < sign * (float(p.a(r + step)) - ca)
+
+
+def test_turning_point_cache_frees_profile_with_evaluator():
+    # memoized turning points live in the evaluator, not in a module-global
+    # cache that would keep the profile alive
+    p = make_ellipsoid(1.3)
+    ev = ActionEvaluator(p)
+    turning_points(ev, 0.5, 1.0)
+    ref = weakref.ref(p)
+    del p, ev
+    gc.collect()
+    assert ref() is None
 
 
 def test_turning_points_degenerate_at_threshold(sphere_ev):
@@ -162,6 +171,16 @@ def test_energy_inverse_consistency(sphere_ev, ell13_ev):
             for I2 in (1.0, 2.5):
                 E = energy_K(ev, c, I2)
                 assert action_I2(ev, c, E) == pytest.approx(I2, abs=1e-10)
+
+
+@pytest.mark.parametrize("I2", [1.0, 25.5, 100.5])
+def test_energy_inversion_reaches_float_resolution(ell13_ev, I2):
+    # the inversion has no tolerance knob: it runs until the action
+    # residual is at the rounding level of I2
+    for q in (0.0, 0.25, -0.6, 0.9, 0.99):
+        c = q * I2
+        E = energy_K(ell13_ev, c, I2)
+        assert abs(action_I2(ell13_ev, c, E) - I2) <= 4.0 * np.finfo(float).eps * I2
 
 
 def test_energy_homogeneity(ell13_ev):

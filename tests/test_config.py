@@ -11,8 +11,6 @@ profile.kind = ellipsoid
 profile.aspect = 1.3
 
 actions.quad_nodes = 512
-actions.fd_step = 1e-7
-actions.newton_tol = 1e-12
 
 spectral.grid_size = 2000
 
@@ -31,8 +29,6 @@ def test_defaults():
     cfg = parse_config("profile.kind = round_sphere\n")
     assert cfg.profile.kind == "round_sphere"
     assert cfg.actions.quad_nodes == 256
-    assert cfg.actions.fd_step == pytest.approx(1e-6)
-    assert cfg.actions.newton_tol == pytest.approx(1e-11)
     assert cfg.spectral.grid_size == 4000
     assert cfg.command is None
     assert cfg.ells == ()
@@ -60,10 +56,17 @@ def test_unknown_key_rejected_with_position():
     assert "line 2" in msg
 
 
-def test_removed_interp_key_rejected():
-    # spectral.interp had the single legal value "cubic" and is gone
+@pytest.mark.parametrize("line", [
+    "spectral.interp = cubic",
+    "actions.fd_step = 1e-7",
+    "actions.newton_tol = 1e-12",
+])
+def test_removed_interp_key_rejected(line):
+    # knobs that had a single value in use are gone: spectral.interp
+    # (only "cubic"), actions.fd_step (read by no command) and
+    # actions.newton_tol (the energy inversion runs to float resolution)
     with pytest.raises(ConfigError) as err:
-        parse_config("profile.kind = round_sphere\nspectral.interp = cubic\n")
+        parse_config("profile.kind = round_sphere\n" + line + "\n")
     assert "unknown key" in str(err.value) and "line 2" in str(err.value)
 
 
@@ -79,8 +82,6 @@ def test_malformed_line_rejected():
 
 @pytest.mark.parametrize("line", [
     "actions.quad_nodes = 32",
-    "actions.fd_step = 0.5",
-    "actions.newton_tol = 1e-3",
     "spectral.grid_size = 4",
     "profile.aspect = -1",
     "profile.aspect = 0",
