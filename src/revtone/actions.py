@@ -39,13 +39,13 @@ from .errors import (
     SignedMeasureError,
 )
 from .quadrature import map_to_interval, tanh_sinh_rule
-from .surface import SurfaceProfile, find_root
+from .surface import SurfaceProfile, _chop, _lobatto_coefficients, find_root
 
 MIN_QUAD_NODES = 64
 _EPS4 = 4.0 * np.finfo(float).eps
 # relative momentum step of the finite-difference diagnostic di2_drho_fd
 _FD_STEP = 1e-6
-# sup-norm change between successive fits that ends a series build
+# relative coefficient plateau that ends a series build
 _SERIES_TOL = 1e-10
 
 _THETA_SAMPLES = 128
@@ -199,17 +199,21 @@ class _Radicand:
         return F
 
 
-def _integrate_radial(ev: ActionEvaluator, c: float, E: float, g) -> float:
-    """(1/pi) * integral of g(r, F(r)) over the oscillation interval."""
+def _integrate_radial(ev: ActionEvaluator, c: float, E: float, g):
+    """(1/pi) * integral of g(r, F(r)) over the oscillation interval; a tuple
+    of integrands from g gives a tuple of integrals from one radial pass."""
     x, w, sigma = tanh_sinh_rule(ev.quad_nodes)
     if c == 0.0:
         r, _, _, half = map_to_interval(0.0, ev.profile.L, x, sigma)
         F = np.full_like(r, E * E)
-        return half * float(np.dot(w, g(r, F))) / np.pi
-    r1, r2 = turning_points(ev, c, E)
-    r, d1, d2, half = map_to_interval(r1, r2, x, sigma)
-    F = _Radicand(ev.profile, c, E, r1, r2)(r, d1, d2)
-    return half * float(np.dot(w, g(r, F))) / np.pi
+    else:
+        r1, r2 = turning_points(ev, c, E)
+        r, d1, d2, half = map_to_interval(r1, r2, x, sigma)
+        F = _Radicand(ev.profile, c, E, r1, r2)(r, d1, d2)
+    vals = g(r, F)
+    if isinstance(vals, tuple):
+        return tuple(half * float(np.dot(w, v)) / np.pi for v in vals)
+    return half * float(np.dot(w, vals)) / np.pi
 
 
 def action_I2(ev: ActionEvaluator, c: float, E: float) -> float:
@@ -222,11 +226,7 @@ def action_I2(ev: ActionEvaluator, c: float, E: float) -> float:
             f"|c| = {abs(c):.6g} exceeds E*a(r0) = {E * ev.profile.a_r0:.6g}")
     if ca == ev.profile.a_r0:
         return abs(c)
-
-    def g(r, F):
-        return np.sqrt(np.maximum(F, 0.0))
-
-    return _integrate_radial(ev, c, E, g) + abs(c)
+    return _action_and_slope(ev, c, E)[0]
 
 
 def _inv_sqrt_weight(F):
@@ -238,11 +238,17 @@ def _inv_sqrt_weight(F):
 
 def dI2_dE(ev: ActionEvaluator, c: float, E: float) -> float:
     """Partial derivative of the action integral in E; always positive."""
+    return _action_and_slope(ev, c, E)[1]
+
+
+def _action_and_slope(ev: ActionEvaluator, c: float, E: float) -> tuple[float, float]:
+    """(action_I2, dI2_dE) at (c, E) from one radial pass, inside the moment image."""
 
     def g(r, F):
-        return E * _inv_sqrt_weight(F)
+        return np.sqrt(np.maximum(F, 0.0)), E * _inv_sqrt_weight(F)
 
-    return _integrate_radial(ev, c, E, g)
+    action, slope = _integrate_radial(ev, c, E, g)
+    return action + abs(c), slope
 
 
 def dI2_dc(ev: ActionEvaluator, c: float, E: float) -> float:
@@ -287,14 +293,15 @@ def energy_K(ev: ActionEvaluator, c: float, I2: float) -> float:
 
     E = min(max(np.pi * I2 / p.L, lo), hi)
     for _ in range(100):
-        f = action_I2(ev, c, E) - I2
+        action, slope = _action_and_slope(ev, c, E)
+        f = action - I2
         if abs(f) <= _EPS4 * I2:
             return E
         if f > 0.0:
             hi = E
         else:
             lo = E
-        step = f / max(dI2_dE(ev, c, E), 1e-300)
+        step = f / max(slope, 1e-300)
         E_new = E - step
         if not (lo < E_new < hi):
             E_new = 0.5 * (lo + hi)
@@ -424,15 +431,16 @@ def _check_homogeneous(sym: SymbolFn, L: float, c: float, E: float) -> bool:
 # densities integrated in the arcsine variable
 
 class _SinSeries:
-    """Chebyshev model of t -> f(sin t) * cos t on [-pi/2, pi/2].
+    """Chebyshev model of g(u) = f(c) sqrt(1 - c^2), c = sin(pi u / 2), on [-1, 1].
 
-    Stores the coefficients and the antiderivative, so cumulative
-    integrals of f in the original variable c are closed-form.
-    """
+    Its antiderivative makes cumulative integrals of f in c closed-form.  `tail`
+    is the largest coefficient cut at the plateau or, without one (`converged`
+    False), the largest in the upper half of the fit."""
 
-    def __init__(self, coeffs: np.ndarray):
-        self.coeffs = coeffs
-        self._anti = _cheb.chebint(coeffs)
+    def __init__(self, coeffs: np.ndarray, keep: int, converged: bool):
+        self.coeffs, self.degree, self.converged = coeffs[:keep], keep - 1, converged
+        self.tail = float(np.max(np.abs(coeffs[keep if converged else len(coeffs) // 2:])))
+        self._anti = _cheb.chebint(self.coeffs)
         self._lo = float(_cheb.chebval(-1.0, self._anti))
         self.total = (np.pi / 2.0) * (float(_cheb.chebval(1.0, self._anti)) - self._lo)
 
@@ -441,37 +449,43 @@ class _SinSeries:
         return (np.pi / 2.0) * (_cheb.chebval(u, self._anti) - self._lo)
 
 
-def _build_sin_series(f) -> _SinSeries:
-    """Adaptive Chebyshev fit of f(sin t) cos t, degrees 64..512."""
-
-    def g(u):
-        u = np.atleast_1d(np.asarray(u, float))
-        t = 0.5 * np.pi * u
-        return np.array([f(float(np.sin(ti))) * float(np.cos(ti)) for ti in t])
-
-    probe = np.linspace(-0.999, 0.999, 501)
-    prev_coeffs = None
-    prev_vals = None
-    for deg in (64, 128, 256, 512):
-        coeffs = _cheb.chebinterpolate(g, deg)
-        vals = _cheb.chebval(probe, coeffs)
-        if prev_vals is not None:
-            scale = max(1.0, float(np.max(np.abs(vals))))
-            if float(np.max(np.abs(vals - prev_vals))) <= _SERIES_TOL * scale:
-                return _SinSeries(coeffs)
-        prev_coeffs, prev_vals = coeffs, vals
-    return _SinSeries(prev_coeffs if prev_coeffs is not None else coeffs)
+def _build_sin_series(f, end: float, even: bool = False) -> _SinSeries:
+    """Fit of g(u) = f(c) sqrt((1 - c)(1 + c)) on nested Lobatto points, N = 16,
+    32, ..., 512, up to the first N with a coefficient plateau at _SERIES_TOL.
+    g(+-1) = end is not sampled, nor u < 0 if even.  The weight takes the
+    rounded c, to cancel the blow-up of f at the point where f was taken."""
+    g = np.full(513, np.nan)
+    g[[0, 512]] = end
+    for n in (16, 32, 64, 128, 256, 512):
+        idx = np.arange(0, 513, 512 // n)
+        for j in idx[np.isnan(g[idx])]:
+            # u_j = cos(pi j / 512) as a sine: exact at u = 0 and odd in u
+            c = float(np.sin(0.5 * np.pi * np.sin(np.pi * (256 - j) / 512)))
+            g[j] = g[512 - j] if even and j > 256 else f(c) * np.sqrt((1.0 - c) * (1.0 + c))
+        coeffs = _lobatto_coefficients(g[idx])
+        keep, converged = _chop(coeffs, _SERIES_TOL)
+        if converged:
+            break
+    return _SinSeries(coeffs, keep, converged)
 
 
-def _mu_series(ev: ActionEvaluator) -> _SinSeries:
-    return _cached(ev, "mu_series",
-                   lambda: _build_sin_series(lambda c: limit_density_unnorm(ev, c)))
+def _mu_end(p: SurfaceProfile) -> float:
+    # density * sqrt(1 - c^2) as |c| -> 1, from the harmonic oscillation about r0
+    if not float(p.a2(p.r0)) < 0.0:
+        raise DegenerateTorusError(f"a''(r0) = {float(p.a2(p.r0)):.6g} >= 0: degenerate equator")
+    return (-float(p.a2(p.r0))) ** 0.25 / p.a_r0 ** 0.75
+
+
+def mu_series(ev: ActionEvaluator) -> _SinSeries:
+    """The limit density's series, cached in ev, with its degree, tail and convergence."""
+    return _cached(ev, "mu_series", lambda: _build_sin_series(
+        lambda c: limit_density_unnorm(ev, c), _mu_end(ev.profile), even=True))
 
 
 def _nu_series(ev: ActionEvaluator, sym: SymbolFn) -> _SinSeries:
-    # SymbolFn is eq=False: the key holds the symbol itself, compared by identity
+    # keyed by the SymbolFn itself (eq=False: by identity); bounded, so g(+-1) = 0
     return _cached(ev, ("nu_series", sym),
-                   lambda: _build_sin_series(lambda c: torus_average(ev, sym, c)))
+                   lambda: _build_sin_series(lambda c: torus_average(ev, sym, c), 0.0))
 
 
 def normalization_M(ev: ActionEvaluator) -> float:
@@ -480,7 +494,7 @@ def normalization_M(ev: ActionEvaluator) -> float:
     Integrated after the substitution c = sin t, which absorbs the
     endpoint blow-up; pi exactly on the round sphere.
     """
-    return _mu_series(ev).total
+    return mu_series(ev).total
 
 
 def limit_cdf(ev: ActionEvaluator, c: float | np.ndarray) -> float | np.ndarray:
@@ -489,7 +503,7 @@ def limit_cdf(ev: ActionEvaluator, c: float | np.ndarray) -> float | np.ndarray:
     if np.any(outside):
         raise OutsideOpenIntervalError(
             f"cdf argument must lie in [-1, 1], got {np.asarray(c)[outside][0]}")
-    series = _mu_series(ev)
+    series = mu_series(ev)
     return np.clip(series.cumulative(c) / series.total, 0.0, 1.0)
 
 

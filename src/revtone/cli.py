@@ -107,11 +107,15 @@ def cmd_density(cfg: _config.RunConfig) -> int:
     ev = _config.build_evaluator(cfg, profile)
     n = cfg.density_n
     mass = _actions.normalization_M(ev)
+    series = _actions.mu_series(ev)
+    if not series.converged:
+        print(f"density: warning: no plateau in the density series, tail {series.tail:.3e}",
+              file=sys.stderr)
     cs = [-1.0 + 2.0 * k / n for k in range(1, n)]
-    rows = []
-    for c, cdf in zip(cs, _actions.limit_cdf(ev, np.array(cs))):
-        unnorm = _actions.limit_density_unnorm(ev, c)
-        rows.append((c, unnorm, unnorm / mass, cdf))
+    # the density depends on |c| alone, bit for bit
+    unnorm = {a: _actions.limit_density_unnorm(ev, a) for a in sorted(set(map(abs, cs)))}
+    rows = [(c, unnorm[abs(c)], unnorm[abs(c)] / mass, cdf)
+            for c, cdf in zip(cs, _actions.limit_cdf(ev, np.array(cs)))]
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(os.path.join(cfg.out_dir, "density.csv"),
                ["c", "density_unnorm", "density_norm", "cdf"], rows)

@@ -196,30 +196,38 @@ def make_round_sphere() -> SurfaceProfile:
                           L=float(np.pi), r0=float(np.pi / 2), a_r0=1.0, name="round_sphere")
 
 
-def _chop(coeffs: np.ndarray) -> int:
-    """Number of leading coefficients to keep by the plateau rule of Aurentz
-    & Trefethen, "Chopping a Chebyshev series" (ACM TOMS 43(4), 2017), at
-    tolerance eps; len(coeffs) if no plateau of rounding noise shows."""
-    n, tol = len(coeffs), np.finfo(float).eps
+def _lobatto_coefficients(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients through values at cos(pi j / N), j = 0..N, by a DCT-I."""
+    coeffs = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / (len(values) - 1)
+    coeffs[[0, -1]] *= 0.5
+    return coeffs
+
+
+def _chop(coeffs: np.ndarray, tol: float = np.finfo(float).eps) -> tuple[int, bool]:
+    """(number of leading coefficients to keep, whether a plateau showed) by
+    the rule of Aurentz & Trefethen, "Chopping a Chebyshev series" (ACM TOMS
+    43(4), 2017), at relative tolerance tol; without a plateau every
+    coefficient is kept."""
+    n = len(coeffs)
     env = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
     env = env / env[0]
     # first j (1-based) whose envelope is followed by a plateau
     for j in range(2, n + 1):
         j2 = round(1.25 * j + 5)
         if j2 > n:
-            return n
+            return n, False
         e1, e2 = env[j - 1], env[j2 - 1]
         if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - np.log(e1) / np.log(tol)):
             break
     if env[j - 2] == 0.0:
-        return j - 1
+        return j - 1, True
     # cut where the envelope, tilted to favour short series, is lowest
     j3 = int(np.count_nonzero(env >= tol ** (7.0 / 6.0)))
     if j3 < j2:
         j2 = j3 + 1
         env[j2 - 1] = tol ** (7.0 / 6.0)
     tilted = np.log10(env[:j2]) + np.linspace(0.0, -np.log10(tol) / 3.0, j2)
-    return max(int(np.argmin(tilted)), 1)
+    return max(int(np.argmin(tilted)), 1), True
 
 
 class _EllipsoidMeridian:
@@ -230,8 +238,9 @@ class _EllipsoidMeridian:
     inverse of r(t) = integral of s, is sampled on n_nodes Chebyshev-Lobatto
     points, turned into a Chebyshev series by a DCT-I and cut at the plateau
     of rounding noise in its coefficients: 42 terms at aspect 1.3, about 160
-    at 0.5 and 5.  Outside about [0.3, 14] no plateau appears and all
-    n_nodes terms are kept.  a, a', a'' follow from closed forms in t.
+    at 0.5 and 5.  Outside about [0.3, 14] no plateau appears: all n_nodes
+    terms are kept and `converged` is False.  a, a', a'' follow from closed
+    forms in t.
     """
 
     def __init__(self, aspect: float, n_nodes: int = 513):
@@ -241,11 +250,9 @@ class _EllipsoidMeridian:
         self.r_equator = self._arclength(np.pi / 2)
         j = np.arange(n_nodes)
         r_nodes = 0.5 * self.L * (1.0 - np.cos(np.pi * j / (n_nodes - 1)))
-        # DCT-I of the samples, ordered from x = 1 down, via their even extension
-        f = self._invert_nodes(r_nodes)[::-1]
-        coeffs = np.fft.rfft(np.concatenate([f, f[-2:0:-1]])).real / (n_nodes - 1)
-        coeffs[[0, -1]] *= 0.5
-        self.coeffs = coeffs[:_chop(coeffs)]
+        coeffs = _lobatto_coefficients(self._invert_nodes(r_nodes)[::-1])
+        keep, self.converged = _chop(coeffs)
+        self.coeffs = coeffs[:keep]
 
     def speed(self, t):
         ct, st = np.cos(t), np.sin(t)

@@ -1,6 +1,6 @@
 """Session fixtures.  Profile construction and evaluator caches are the
-expensive parts (the ellipsoid density series takes ~10 s to build),
-so every test shares one instance per profile."""
+expensive parts (spectral slices, limit series, turning points), so
+every test shares one instance per profile."""
 from __future__ import annotations
 
 import pytest

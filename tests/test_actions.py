@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -31,7 +32,7 @@ from revtone import (
 )
 from revtone import actions
 from revtone.actions import equator_momentum
-from revtone.surface import make_ellipsoid
+from revtone.surface import make_ellipsoid, make_round_sphere
 
 import oracles
 
@@ -128,6 +129,16 @@ def test_dI2_dE_matches_finite_difference(ell13_ev):
     assert val == pytest.approx(fd, rel=1e-6)
 
 
+def test_one_radial_pass_gives_the_bits_of_two(ell13_ev):
+    # action_I2 and dI2_dE share one pass; each matches its own single pass
+    for c, E in ((0.0, 1.0), (0.3, 1.0), (-0.7, 2.5)):
+        action = actions._integrate_radial(
+            ell13_ev, c, E, lambda r, F: np.sqrt(np.maximum(F, 0.0))) + abs(c)
+        slope = actions._integrate_radial(
+            ell13_ev, c, E, lambda r, F: E * actions._inv_sqrt_weight(F))
+        assert (action_I2(ell13_ev, c, E), dI2_dE(ell13_ev, c, E)) == (action, slope)
+
+
 def test_dI2_dE_sphere_is_one(sphere_ev):
     for c, E in [(0.0, 1.0), (0.5, 1.0), (-0.8, 2.0), (0.3, 0.5)]:
         assert dI2_dE(sphere_ev, c, E) == pytest.approx(1.0, abs=1e-12)
@@ -160,7 +171,7 @@ def test_energy_threshold(sphere_ev, ell13_ev):
 def test_energy_raises_when_newton_runs_out(sphere_ev, monkeypatch):
     # an action that stays above target keeps every Newton step small and
     # inside the bracket, so only the iteration cap can end the loop
-    monkeypatch.setattr(actions, "action_I2", lambda ev, c, E: 1.0 + 1e-6)
+    monkeypatch.setattr(actions, "_action_and_slope", lambda ev, c, E: (1.0 + 1e-6, 1.0))
     with pytest.raises(ConvergenceError):
         energy_K(sphere_ev, 0.5, 1.0)
 
@@ -250,6 +261,56 @@ def test_normalization_ellipsoid_node_doubling(ell13, ell13_ev):
     M_512 = normalization_M(ActionEvaluator(ell13, quad_nodes=512))
     assert M_256 > 0.0
     assert M_512 == pytest.approx(M_256, abs=1e-8 * max(1.0, M_256))
+
+
+@pytest.mark.parametrize("aspect", [None, 0.5, 1.3, 5.0])
+def test_series_endpoint_is_the_density_limit(aspect):
+    # the series is never sampled at |c| = 1; it takes the closed-form limit
+    p = make_round_sphere() if aspect is None else make_ellipsoid(aspect)
+    c = 1.0 - 1e-6
+    near = limit_density_unnorm(ActionEvaluator(p), c) * np.sqrt((1.0 - c) * (1.0 + c))
+    assert actions._mu_end(p) == pytest.approx(near, rel=1e-5)
+
+
+def test_series_rejects_a_flat_equator(sphere):
+    flat = dataclasses.replace(sphere, a2=lambda r: 0.0 * np.asarray(r, float))
+    with pytest.raises(DegenerateTorusError):
+        normalization_M(ActionEvaluator(flat))
+
+
+def test_mu_series_stops_early(ell13, monkeypatch):
+    calls = []
+    density = actions.limit_density_unnorm
+    monkeypatch.setattr(actions, "limit_density_unnorm",
+                        lambda ev, c: calls.append(c) or density(ev, c))
+    ev = ActionEvaluator(ell13)
+    normalization_M(ev)
+    assert len(calls) <= 33
+    assert actions.mu_series(ev).converged
+
+
+@pytest.mark.parametrize("aspect, converged", [(0.5, True), (2.0, True), (10.0, False)])
+def test_mu_series_records_its_plateau(aspect, converged):
+    series = actions.mu_series(ActionEvaluator(make_ellipsoid(aspect)))
+    scale = float(np.max(np.abs(series.coeffs)))
+    assert series.converged is converged
+    if converged:
+        assert series.degree < 512
+        assert 0.0 < series.tail <= 1e-10 * scale
+    else:
+        # the full 512-point fit is kept, and its upper half is far above the plateau
+        assert series.degree == 512
+        assert series.tail > 1e-8 * scale
+
+
+def test_normalization_matches_gauss_legendre_in_t(ell13_ev):
+    # an independent 100-node rule in t = arcsin c; like the series, it
+    # weights f(c) by sqrt((1 - c)(1 + c)) of the rounded c, not by cos t
+    x, w = np.polynomial.legendre.leggauss(100)
+    c = np.sin(0.5 * np.pi * x)
+    f = np.array([limit_density_unnorm(ell13_ev, float(ci)) for ci in c])
+    ref = 0.5 * np.pi * float(np.dot(w, f * np.sqrt((1.0 - c) * (1.0 + c))))
+    assert normalization_M(ell13_ev) == pytest.approx(ref, rel=1e-12)
 
 
 def test_limit_cdf_sphere(sphere_ev):
@@ -359,6 +420,9 @@ def test_liouville_state_values(sphere_ev):
     assert liouville_state(sphere_ev, one) == pytest.approx(2.0, abs=1e-9)
     chi2 = angular_symbol(lambda s: s * s, name="s^2")
     assert liouville_state(sphere_ev, chi2) == pytest.approx(2.0 / 3.0, abs=1e-9)
+    # the torus average of cos(r)^2 is (1 - c^2) / 2
+    cos2 = radial_symbol(lambda r: np.cos(r) ** 2, name="cos(r)^2")
+    assert liouville_state(sphere_ev, cos2) == pytest.approx(2.0 / 3.0, abs=1e-12)
     bump = radial_symbol(lambda r: 1.0 + np.sin(r), name="1+sin r")
     assert liouville_state(sphere_ev, bump) > 0.0
 

@@ -1,3 +1,4 @@
+import copy
 import csv
 import filecmp
 import json
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from revtone import ActionEvaluator, joint_slice, make_round_sphere
-from revtone import cli
+from revtone import actions, cli
 from revtone.cli import legendre_equator_norm, main
 
 import oracles
@@ -104,6 +105,44 @@ def test_density_reruns_bit_identical(tmp_path):
 
 
 # --- spectrum --------------------------------------------------------------
+
+def test_density_evaluates_each_abs_c_once(tmp_path, monkeypatch):
+    calls = []
+    density = actions.limit_density_unnorm
+    monkeypatch.setattr(actions, "limit_density_unnorm",
+                        lambda ev, c: calls.append(c) or density(ev, c))
+    actions.normalization_M(ActionEvaluator(make_round_sphere()))
+    series_calls = len(calls)
+    cfg = _write(tmp_path / "run.cfg",
+                 "profile.kind = round_sphere\nrun.command = density\n"
+                 f"run.out_dir = {tmp_path}\ndensity.n = 200\n")
+    assert main(["--config", cfg]) == 0
+    # 199 grid points, but -1 + 2k/n is not always the exact negative of -1 + 2(n-k)/n
+    _, rows = _read_csv(tmp_path / "density.csv")
+    distinct = {abs(float(row[0])) for row in rows}
+    assert len(distinct) == 140
+    assert len(calls) - 2 * series_calls == len(distinct)
+
+
+def test_density_warns_once_when_series_has_no_plateau(tmp_path, capsys, monkeypatch):
+    text = "profile.kind = round_sphere\nrun.command = density\ndensity.n = 20\n"
+    cfg = _write(tmp_path / "run.cfg", text)
+    assert main(["--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().err == ""
+    series = actions.mu_series
+
+    def unconverged(ev):
+        out = copy.copy(series(ev))
+        out.converged = False
+        return out
+
+    monkeypatch.setattr(actions, "mu_series", unconverged)
+    assert main(["--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "no plateau" in err[0]
+    assert filecmp.cmp(tmp_path / "a" / "density.csv", tmp_path / "b" / "density.csv",
+                       shallow=False)
+
 
 def test_spectrum_slice_files(tmp_path):
     cfg = _write(tmp_path / "run.cfg",

@@ -65,6 +65,14 @@ def test_ellipsoid_series_is_chopped(aspect, max_degree):
     assert len(_EllipsoidMeridian(aspect).coeffs) - 1 <= max_degree
 
 
+@pytest.mark.parametrize("aspect, converged",
+                         [(0.2, False), (0.5, True), (1.3, True), (5.0, True), (20.0, False)])
+def test_ellipsoid_meridian_records_its_plateau(aspect, converged):
+    m = _EllipsoidMeridian(aspect)
+    assert m.converged is converged
+    assert (len(m.coeffs) < 513) is converged
+
+
 def test_find_root_needs_a_sign_change():
     assert find_root(lambda x: x * x - 2.0, lambda x: 2.0 * x, 0.0, 2.0) == pytest.approx(
         np.sqrt(2.0), abs=4e-16)
