@@ -9,8 +9,10 @@ points where a(r) = |c|/E.  The second action is
 over the oscillation interval; it is homogeneous of degree 1, strictly
 increasing in E, and on the round sphere equals E identically.  The
 energy function K(c, I2) inverts it, and frequencies are the partial
-derivatives of K.  Everything downstream (limit densities, torus
-averages of symbols) reduces to these quadratures.
+derivatives of K.  By homogeneity K(c, I2) = I2 K1(|c| / I2); each
+evaluator fits K1(s) = K(s, 1) on [0, 1] once as a Chebyshev series, which
+frequencies, limit densities, torus averages and EBK residuals read in
+place of point-wise inversions.  energy_K stays point-wise, as the oracle.
 
 The radicand E^2 - c^2/a(r)^2 vanishes linearly at the turning points.
 Near them it is evaluated from a two-term Taylor model of a anchored at
@@ -18,12 +20,11 @@ the solved turning point, which avoids the catastrophic cancellation a
 direct subtraction would suffer once a(r) rounds to |c|/E.
 
 The energy inversion runs to float resolution, with no tolerance to set.
-Turning points, limit series and symbol checks are memoized in the
-evaluator that computed them, so they are freed along with it.
+Turning points, series and symbol checks are memoized in the evaluator
+that computed them, so they are freed along with it.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,8 +46,9 @@ MIN_QUAD_NODES = 64
 _EPS4 = 4.0 * np.finfo(float).eps
 # relative momentum step of the finite-difference diagnostic di2_drho_fd
 _FD_STEP = 1e-6
-# relative coefficient plateau that ends a series build
+# relative coefficient plateaus that end a limit-series and the K1 build
 _SERIES_TOL = 1e-10
+_K1_TOL = 1e-14
 
 _THETA_SAMPLES = 128
 
@@ -60,14 +62,13 @@ class ActionEvaluator:
     profile : the meridian profile
     quad_nodes : tanh-sinh node count, at least 64
 
-    Every value memoized for this profile (turning points, limit series,
-    symbol checks) lives in `_cache`, read and filled through `_cached`.
+    Every value memoized for this profile (turning points, series, symbol
+    checks) lives in `_cache`, read and filled through `_cached`.
     """
 
     profile: SurfaceProfile
     quad_nodes: int = 256
     _cache: dict = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def __post_init__(self):
         if int(self.quad_nodes) != self.quad_nodes or self.quad_nodes < MIN_QUAD_NODES:
@@ -76,17 +77,10 @@ class ActionEvaluator:
 
 
 def _cached(ev: ActionEvaluator, key, build: Callable):
-    """ev._cache[key], computed by build() on the first request.
-
-    The lock guards only the dict, so concurrent first requests may both
-    build; the first stored value wins and every caller gets it.
-    """
-    with ev._lock:
-        hit = ev._cache.get(key)
+    """ev._cache[key], computed by build() on the first request."""
+    hit = ev._cache.get(key)
     if hit is None:
-        value = build()
-        with ev._lock:
-            hit = ev._cache.setdefault(key, value)
+        hit = ev._cache[key] = build()
     return hit
 
 
@@ -186,16 +180,11 @@ class _Radicand:
         a = np.asarray(self.p.a(r), float)
         with np.errstate(invalid="ignore", divide="ignore"):
             F = (a - ca) * (a + ca) * (E / a) ** 2
-        near1 = d1 < self.w_switch
-        near2 = d2 < self.w_switch
-        if np.any(near1):
-            a1_, a2_ = self.s1
-            s = d1[near1] * (a1_ + 0.5 * a2_ * d1[near1])
-            F[near1] = s * (2.0 * ca + s) * (E / (ca + s)) ** 2
-        if np.any(near2):
-            a1_, a2_ = self.s2
-            s = d2[near2] * (-a1_ + 0.5 * a2_ * d2[near2])
-            F[near2] = s * (2.0 * ca + s) * (E / (ca + s)) ** 2
+        for d, (a1_, a2_), sign in ((d1, self.s1, 1.0), (d2, self.s2, -1.0)):
+            near = d < self.w_switch
+            if np.any(near):
+                s = d[near] * (sign * a1_ + 0.5 * a2_ * d[near])
+                F[near] = s * (2.0 * ca + s) * (E / (ca + s)) ** 2
         return F
 
 
@@ -312,6 +301,59 @@ def energy_K(ev: ActionEvaluator, c: float, I2: float) -> float:
         f"energy_K({c}, {I2}) not converged: residual {f:.3e} > {_EPS4 * I2:.3e}")
 
 
+# ---------------------------------------------------------------------------
+# Chebyshev fits on nested Lobatto points; the unit-torus energy K1
+
+class _ChebFit:
+    """Chebyshev fit through sample(j), the value at x_j = cos(pi j / 512), on nested
+    Lobatto points N = 16, 32, ..., 512 (all samples reused), up to the first N with
+    a coefficient plateau at relative tol; x = 1 and -1 take `ends`, x < 0 is not
+    sampled if even.  `tail` is the largest coefficient cut or, with no plateau
+    (`converged` False, the fit kept whole), the largest in its upper half."""
+
+    def __init__(self, sample, ends: tuple, tol: float, even: bool = False):
+        g = np.full(513, np.nan)
+        g[[0, 512]] = ends
+        for n in (16, 32, 64, 128, 256, 512):
+            idx = np.arange(0, 513, 512 // n)
+            for j in idx[np.isnan(g[idx])]:
+                g[j] = g[512 - j] if even and j > 256 else sample(j)
+            coeffs = _lobatto_coefficients(g[idx])
+            keep, self.converged = _chop(coeffs, tol)
+            if self.converged:
+                break
+        self.coeffs, self.degree = coeffs[:keep], keep - 1
+        self.tail = float(np.max(np.abs(coeffs[keep if self.converged else len(coeffs) // 2:])))
+
+
+class _EnergySeries(_ChebFit):
+    """K1(s) = energy_K(s, 1) in x = 2 s - 1, ends K1(0) = pi / L, K1(1) = 1 / a(r0)."""
+
+    def __init__(self, ev: ActionEvaluator):
+        p = ev.profile
+        super().__init__(lambda j: energy_K(ev, float(np.cos(np.pi * j / 1024) ** 2), 1.0),
+                         (1.0 / p.a_r0, np.pi / p.L), _K1_TOL)
+        self.slope = 2.0 * _cheb.chebder(self.coeffs)
+
+
+def k1_series(ev: ActionEvaluator) -> _EnergySeries:
+    """K1 cached in ev, with its degree, tail and convergence."""
+    return _cached(ev, "k1_series", lambda: _EnergySeries(ev))
+
+
+def _unit_torus(ev: ActionEvaluator, s: float) -> tuple[float, float, float]:
+    """(K1, K1', omega2 = K1 - s K1') at s = |c| < 1: from the K1 series, or from
+    the point-wise inversion if the series reached no plateau."""
+    series = k1_series(ev)
+    if series.converged:
+        x = 2.0 * s - 1.0
+        K, slope = float(_cheb.chebval(x, series.coeffs)), float(_cheb.chebval(x, series.slope))
+        return K, slope, K - s * slope
+    E = energy_K(ev, s, 1.0)
+    dE = dI2_dE(ev, s, E)
+    return E, -dI2_dc(ev, s, E) / dE, 1.0 / dE
+
+
 def frequencies(ev: ActionEvaluator, c: float) -> tuple[float, float]:
     """(omega1, omega2) on the unit-action torus I2 = 1.
 
@@ -321,14 +363,11 @@ def frequencies(ev: ActionEvaluator, c: float) -> tuple[float, float]:
     """
     if abs(c) > 1.0:
         raise OutsideMomentImageError(f"|c| = {abs(c):.6g} exceeds I2 = 1")
-    a0 = ev.profile.a_r0
     if abs(c) == 1.0:
-        val = 1.0 / (a0 * a0)
-        return float(np.sign(c)) * val, val
-    E = energy_K(ev, c, 1.0)
-    dE = dI2_dE(ev, c, E)
-    dc = dI2_dc(ev, c, E)
-    return -dc / dE, 1.0 / dE
+        a0 = ev.profile.a_r0
+        return float(np.sign(c)) / (a0 * a0), 1.0 / (a0 * a0)
+    _, slope, omega2 = _unit_torus(ev, abs(c))
+    return float(np.sign(c)) * slope, omega2
 
 
 def limit_density_unnorm(ev: ActionEvaluator, c: float) -> float:
@@ -339,8 +378,7 @@ def limit_density_unnorm(ev: ActionEvaluator, c: float) -> float:
     """
     if abs(c) >= 1.0:
         raise OutsideOpenIntervalError(f"density needs |c| < 1, got {c}")
-    E = energy_K(ev, c, 1.0)
-    omega2 = 1.0 / dI2_dE(ev, c, E)
+    E, _, omega2 = _unit_torus(ev, abs(c))
     u = abs(c) / (E * ev.profile.a_r0)
     if u >= 1.0:
         raise OutsideOpenIntervalError(f"c = {c} maps onto the equatorial circle")
@@ -385,7 +423,7 @@ def torus_average(ev: ActionEvaluator, sym: SymbolFn, c: float) -> float:
     """
     if abs(c) >= 1.0:
         raise DegenerateTorusError(f"torus average needs |c| < 1, got c = {c}")
-    E = energy_K(ev, c, 1.0)
+    E = _unit_torus(ev, abs(c))[0]
 
     if sym.kind == "angular_ratio":
         return float(sym.ratio_part(c / E))
@@ -430,16 +468,18 @@ def _check_homogeneous(sym: SymbolFn, L: float, c: float, E: float) -> bool:
 # ---------------------------------------------------------------------------
 # densities integrated in the arcsine variable
 
-class _SinSeries:
-    """Chebyshev model of g(u) = f(c) sqrt(1 - c^2), c = sin(pi u / 2), on [-1, 1].
+class _SinSeries(_ChebFit):
+    """Fit of g(u) = f(c) sqrt((1 - c)(1 + c)), c = sin(pi u / 2), with g(+-1) = end;
+    its antiderivative makes cumulative integrals of f in c closed-form.  The
+    weight takes the rounded c, to cancel the blow-up of f at that point."""
 
-    Its antiderivative makes cumulative integrals of f in c closed-form.  `tail`
-    is the largest coefficient cut at the plateau or, without one (`converged`
-    False), the largest in the upper half of the fit."""
+    def __init__(self, f, end: float, even: bool = False):
+        def sample(j):
+            # u_j = cos(pi j / 512) as a sine: exact at u = 0 and odd in u
+            c = float(np.sin(0.5 * np.pi * np.sin(np.pi * (256 - j) / 512)))
+            return f(c) * np.sqrt((1.0 - c) * (1.0 + c))
 
-    def __init__(self, coeffs: np.ndarray, keep: int, converged: bool):
-        self.coeffs, self.degree, self.converged = coeffs[:keep], keep - 1, converged
-        self.tail = float(np.max(np.abs(coeffs[keep if converged else len(coeffs) // 2:])))
+        super().__init__(sample, (end, end), _SERIES_TOL, even)
         self._anti = _cheb.chebint(self.coeffs)
         self._lo = float(_cheb.chebval(-1.0, self._anti))
         self.total = (np.pi / 2.0) * (float(_cheb.chebval(1.0, self._anti)) - self._lo)
@@ -447,26 +487,6 @@ class _SinSeries:
     def cumulative(self, c: float | np.ndarray) -> float | np.ndarray:
         u = np.arcsin(np.clip(c, -1.0, 1.0)) / (np.pi / 2.0)
         return (np.pi / 2.0) * (_cheb.chebval(u, self._anti) - self._lo)
-
-
-def _build_sin_series(f, end: float, even: bool = False) -> _SinSeries:
-    """Fit of g(u) = f(c) sqrt((1 - c)(1 + c)) on nested Lobatto points, N = 16,
-    32, ..., 512, up to the first N with a coefficient plateau at _SERIES_TOL.
-    g(+-1) = end is not sampled, nor u < 0 if even.  The weight takes the
-    rounded c, to cancel the blow-up of f at the point where f was taken."""
-    g = np.full(513, np.nan)
-    g[[0, 512]] = end
-    for n in (16, 32, 64, 128, 256, 512):
-        idx = np.arange(0, 513, 512 // n)
-        for j in idx[np.isnan(g[idx])]:
-            # u_j = cos(pi j / 512) as a sine: exact at u = 0 and odd in u
-            c = float(np.sin(0.5 * np.pi * np.sin(np.pi * (256 - j) / 512)))
-            g[j] = g[512 - j] if even and j > 256 else f(c) * np.sqrt((1.0 - c) * (1.0 + c))
-        coeffs = _lobatto_coefficients(g[idx])
-        keep, converged = _chop(coeffs, _SERIES_TOL)
-        if converged:
-            break
-    return _SinSeries(coeffs, keep, converged)
 
 
 def _mu_end(p: SurfaceProfile) -> float:
@@ -478,14 +498,14 @@ def _mu_end(p: SurfaceProfile) -> float:
 
 def mu_series(ev: ActionEvaluator) -> _SinSeries:
     """The limit density's series, cached in ev, with its degree, tail and convergence."""
-    return _cached(ev, "mu_series", lambda: _build_sin_series(
+    return _cached(ev, "mu_series", lambda: _SinSeries(
         lambda c: limit_density_unnorm(ev, c), _mu_end(ev.profile), even=True))
 
 
 def _nu_series(ev: ActionEvaluator, sym: SymbolFn) -> _SinSeries:
     # keyed by the SymbolFn itself (eq=False: by identity); bounded, so g(+-1) = 0
     return _cached(ev, ("nu_series", sym),
-                   lambda: _build_sin_series(lambda c: torus_average(ev, sym, c), 0.0))
+                   lambda: _SinSeries(lambda c: torus_average(ev, sym, c), 0.0))
 
 
 def normalization_M(ev: ActionEvaluator) -> float:

@@ -102,20 +102,23 @@ def cmd_validate(cfg: _config.RunConfig) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
+def _warn_without_plateau(command: str, name: str, series):
+    if not series.converged:
+        print(f"{command}: warning: no plateau in the {name} series, tail {series.tail:.3e}",
+              file=sys.stderr)
+
+
 def cmd_density(cfg: _config.RunConfig) -> int:
     profile = _config.build_profile(cfg)
     ev = _config.build_evaluator(cfg, profile)
     n = cfg.density_n
+    _warn_without_plateau("density", "energy K1", _actions.k1_series(ev))
     mass = _actions.normalization_M(ev)
-    series = _actions.mu_series(ev)
-    if not series.converged:
-        print(f"density: warning: no plateau in the density series, tail {series.tail:.3e}",
-              file=sys.stderr)
+    _warn_without_plateau("density", "density", _actions.mu_series(ev))
     cs = [-1.0 + 2.0 * k / n for k in range(1, n)]
-    # the density depends on |c| alone, bit for bit
-    unnorm = {a: _actions.limit_density_unnorm(ev, a) for a in sorted(set(map(abs, cs)))}
-    rows = [(c, unnorm[abs(c)], unnorm[abs(c)] / mass, cdf)
-            for c, cdf in zip(cs, _actions.limit_cdf(ev, np.array(cs)))]
+    unnorm = [_actions.limit_density_unnorm(ev, c) for c in cs]
+    rows = [(c, f, f / mass, cdf)
+            for c, f, cdf in zip(cs, unnorm, _actions.limit_cdf(ev, np.array(cs)))]
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(os.path.join(cfg.out_dir, "density.csv"),
                ["c", "density_unnorm", "density_norm", "cdf"], rows)
@@ -128,6 +131,7 @@ def cmd_spectrum(cfg: _config.RunConfig) -> int:
         raise ConfigError("run.ells is required for the spectrum command")
     profile = _config.build_profile(cfg)
     ev = _config.build_evaluator(cfg, profile)
+    _warn_without_plateau("spectrum", "energy K1", _actions.k1_series(ev))
     os.makedirs(cfg.out_dir, exist_ok=True)
     failures = {}
     for ell in cfg.ells:

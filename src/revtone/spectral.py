@@ -24,7 +24,6 @@ from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import actions as _actions
 from .errors import InvalidParameterError, LabelingError, ResolutionError
@@ -109,6 +108,12 @@ def _count_nodes(u: np.ndarray) -> int:
 def _fix_sign(u: np.ndarray) -> np.ndarray:
     idx = int(np.argmax(np.abs(u) > 0.01 * np.max(np.abs(u))))
     return u if u[idx] > 0 else -u
+
+
+def eigh_tridiagonal(d, e, **kwargs):
+    """scipy.linalg.eigh_tridiagonal, imported on the first solve, not with revtone."""
+    from scipy.linalg import eigh_tridiagonal as solve
+    return solve(d, e, **kwargs)
 
 
 def _solve_indices(g: _Grid, m: int, idx_lo: int, idx_hi: int):
@@ -227,5 +232,6 @@ def matrix_element_angular(mode: RadialMode, chi) -> float:
 
 
 def ebk_residual(mode: RadialMode, ev: _actions.ActionEvaluator) -> float:
-    """lambda minus the half-integer-shifted semiclassical prediction."""
-    return mode.lam - _actions.energy_K(ev, float(mode.m), mode.ell + 0.5)
+    """lambda minus the semiclassical K(m, ell + 1/2) = (ell + 1/2) K1(|m| / (ell + 1/2))."""
+    action = mode.ell + 0.5
+    return mode.lam - action * _actions._unit_torus(ev, abs(mode.m) / action)[0]

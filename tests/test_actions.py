@@ -32,6 +32,7 @@ from revtone import (
 )
 from revtone import actions
 from revtone.actions import equator_momentum
+from revtone.spectral import RadialMode, ebk_residual
 from revtone.surface import make_ellipsoid, make_round_sphere
 
 import oracles
@@ -335,6 +336,76 @@ def test_limit_cdf_monotone(ell13_ev):
     assert vals[0] == pytest.approx(0.0, abs=1e-8)
     assert vals[-1] == pytest.approx(1.0, abs=1e-8)
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+# --- the unit-torus energy series K1 ---------------------------------------
+
+def _mode(m, ell, lam):
+    return RadialMode(m=m, n=ell - abs(m), ell=ell, lam=lam, r=None, u=None, u_at_r0=0.0)
+
+
+def test_energy_homogeneity_behind_k1(ell13_ev):
+    # K(c, I2) = I2 K1(|c| / I2): the identity the series rests on
+    rng = np.random.default_rng(7)
+    for I2, q in zip(rng.uniform(0.5, 150.0, 12), rng.uniform(-0.99, 0.99, 12)):
+        c = q * I2
+        unit = I2 * energy_K(ell13_ev, c / I2, 1.0)
+        assert abs(energy_K(ell13_ev, c, I2) - unit) <= 1e-14 * unit
+
+
+@pytest.mark.parametrize("aspect", [0.5, 1.3, 5.0])
+def test_k1_series_matches_the_pointwise_oracle(aspect, ell13_ev):
+    ev = ell13_ev if aspect == 1.3 else ActionEvaluator(make_ellipsoid(aspect))
+    a0 = ev.profile.a_r0
+    rng = np.random.default_rng(11)
+    for c in rng.uniform(-1.0, 1.0, 40):
+        s = abs(c)
+        E = energy_K(ev, s, 1.0)
+        dE, dc = dI2_dE(ev, c, E), dI2_dc(ev, c, E)
+        assert actions._unit_torus(ev, s)[0] == pytest.approx(E, rel=1e-13, abs=0.0)
+        u = s / (E * a0)
+        density = (1.0 / dE) / np.sqrt((1.0 - u) * (1.0 + u))
+        assert limit_density_unnorm(ev, c) == pytest.approx(density, rel=1e-10, abs=0.0)
+        w1, w2 = frequencies(ev, c)
+        assert w2 == pytest.approx(1.0 / dE, rel=1e-11, abs=0.0)
+        # below |c| = 1/4 the oracle's dI2_dc cancels sign(c) against its integral
+        # and keeps only about 1e-12 / |omega1| of its digits (4.9e-10 omega2 here
+        # at aspect 5, where a finite difference of energy_K sides with the series)
+        assert abs(w1 + dc / dE) <= (1e-11 * abs(w1) if s >= 0.25 else 1e-9 * w2)
+    for m in range(-100, 101, 20):
+        mode = _mode(m, 100, 100.0)
+        pointwise = mode.lam - energy_K(ev, float(m), 100.5)
+        assert abs(ebk_residual(mode, ev) - pointwise) <= 1e-12
+
+
+def test_k1_series_converges_from_few_inversions(ell13, monkeypatch):
+    calls = []
+    energy = actions.energy_K
+    monkeypatch.setattr(actions, "energy_K",
+                        lambda ev, c, I2: calls.append(c) or energy(ev, c, I2))
+    series = actions.k1_series(ActionEvaluator(ell13))
+    assert series.converged and series.degree < 32
+    assert 0.0 <= series.tail <= 1e-14 * float(np.max(np.abs(series.coeffs)))
+    assert len(calls) <= 33
+
+
+def test_k1_without_plateau_answers_pointwise(ell13, monkeypatch):
+    # no plateau for K1 (and only for K1): every value is the point-wise one
+    chop = actions._chop
+    monkeypatch.setattr(actions, "_chop", lambda coeffs, tol: (
+        (len(coeffs), False) if tol == actions._K1_TOL else chop(coeffs, tol)))
+    ev = ActionEvaluator(ell13, quad_nodes=64)
+    assert not actions.k1_series(ev).converged
+    chi = angular_symbol(lambda x: x)
+    for c in (0.0, 0.3, -0.55, 0.97):
+        E = energy_K(ev, c, 1.0)
+        dE, dc = dI2_dE(ev, c, E), dI2_dc(ev, c, E)
+        u = abs(c) / (E * ell13.a_r0)
+        assert frequencies(ev, c) == (-dc / dE, 1.0 / dE)
+        assert limit_density_unnorm(ev, c) == (1.0 / dE) / np.sqrt((1.0 - u) * (1.0 + u))
+        assert torus_average(ev, chi, c) == c / E
+    mode = _mode(-7, 20, 20.0)
+    assert ebk_residual(mode, ev) == mode.lam - 20.5 * energy_K(ev, 7 / 20.5, 1.0)
 
 
 # --- torus averages --------------------------------------------------------

@@ -106,22 +106,17 @@ def test_density_reruns_bit_identical(tmp_path):
 
 # --- spectrum --------------------------------------------------------------
 
-def test_density_evaluates_each_abs_c_once(tmp_path, monkeypatch):
+def test_density_inverts_the_energy_only_to_build_k1(tmp_path, monkeypatch):
+    # every density, and every sample of the density series, is a K1 lookup
     calls = []
-    density = actions.limit_density_unnorm
-    monkeypatch.setattr(actions, "limit_density_unnorm",
-                        lambda ev, c: calls.append(c) or density(ev, c))
-    actions.normalization_M(ActionEvaluator(make_round_sphere()))
-    series_calls = len(calls)
+    energy = actions.energy_K
+    monkeypatch.setattr(actions, "energy_K",
+                        lambda ev, c, I2: calls.append(c) or energy(ev, c, I2))
     cfg = _write(tmp_path / "run.cfg",
-                 "profile.kind = round_sphere\nrun.command = density\n"
+                 "profile.kind = ellipsoid\nprofile.aspect = 1.3\nrun.command = density\n"
                  f"run.out_dir = {tmp_path}\ndensity.n = 200\n")
     assert main(["--config", cfg]) == 0
-    # 199 grid points, but -1 + 2k/n is not always the exact negative of -1 + 2(n-k)/n
-    _, rows = _read_csv(tmp_path / "density.csv")
-    distinct = {abs(float(row[0])) for row in rows}
-    assert len(distinct) == 140
-    assert len(calls) - 2 * series_calls == len(distinct)
+    assert 0 < len(calls) <= 33
 
 
 def test_density_warns_once_when_series_has_no_plateau(tmp_path, capsys, monkeypatch):
@@ -170,6 +165,22 @@ def test_spectrum_slice_files(tmp_path):
     lams = {mode.m: mode.lam for mode in sl.modes}
     for r in rows10:
         assert float(r[3]) == lams[int(r[1])]
+
+
+@pytest.mark.parametrize("command", ["density", "spectrum"])
+def test_warns_once_when_k1_has_no_plateau(tmp_path, capsys, monkeypatch, command):
+    text = (f"profile.kind = round_sphere\nrun.command = {command}\ndensity.n = 20\n"
+            "spectral.grid_size = 500\nrun.ells = 1, 2\n")
+    cfg = _write(tmp_path / "run.cfg", text)
+    assert main(["--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().err == ""
+    chop = actions._chop
+    monkeypatch.setattr(actions, "_chop", lambda coeffs, tol: (
+        (len(coeffs), False) if tol == actions._K1_TOL else chop(coeffs, tol)))
+    assert main(["--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"{command}: warning: no plateau in the energy")
+    assert sorted(os.listdir(tmp_path / "a")) == sorted(os.listdir(tmp_path / "b"))
 
 
 def test_spectrum_partial_failure(tmp_path):

@@ -1,8 +1,13 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import revtone
+from revtone import actions
 from revtone import (
     InvalidParameterError,
     ResolutionError,
@@ -218,6 +223,27 @@ def test_ebk_residual_sphere(sphere, sphere_ev):
     modes100 = radial_modes(sphere, 0, 100, 4000)
     res100 = ebk_residual(modes100[100], sphere_ev)
     assert res100 == pytest.approx(np.sqrt(10100.0) - 100.5, abs=1e-4)
+
+
+def test_ebk_residual_reads_k1_without_inversions(ell13_ev, ell13_slices, monkeypatch):
+    actions.k1_series(ell13_ev)
+    calls = []
+    energy = actions.energy_K
+    monkeypatch.setattr(actions, "energy_K",
+                        lambda ev, c, I2: calls.append(c) or energy(ev, c, I2))
+    residuals = [ebk_residual(mode, ell13_ev) for mode in ell13_slices[25].modes]
+    assert calls == [] and max(map(abs, residuals)) <= 0.05
+
+
+def test_import_leaves_scipy_linalg_to_the_first_solve():
+    src = os.path.dirname(os.path.dirname(revtone.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, revtone\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "revtone.radial_modes(revtone.make_round_sphere(), 0, 1, 500)\n"
+            "assert 'scipy.linalg' in sys.modules\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_ebk_residual_shrinks_on_ellipsoid(ell13, ell13_ev):
