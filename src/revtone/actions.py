@@ -10,9 +10,10 @@ over the oscillation interval; it is homogeneous of degree 1, strictly
 increasing in E, and on the round sphere equals E identically.  The
 energy function K(c, I2) inverts it, and frequencies are the partial
 derivatives of K.  By homogeneity K(c, I2) = I2 K1(|c| / I2); each
-evaluator fits K1(s) = K(s, 1) on [0, 1] once as a Chebyshev series, which
-frequencies, limit densities, torus averages and EBK residuals read in
-place of point-wise inversions.  energy_K stays point-wise, as the oracle.
+evaluator fits K1(s) = K(s, 1) on [0, 1] once, which frequencies, limit
+densities, torus averages and EBK residuals read in place of point-wise
+inversions (energy_K stays point-wise, as the oracle).  K1 and the limit
+series of the density and torus averages are surface._ChebFit fits.
 
 The radicand E^2 - c^2/a(r)^2 vanishes linearly at the turning points.
 Near them it is evaluated from a two-term Taylor model of a anchored at
@@ -40,7 +41,7 @@ from .errors import (
     SignedMeasureError,
 )
 from .quadrature import map_to_interval, tanh_sinh_rule
-from .surface import SurfaceProfile, _chop, _lobatto_coefficients, find_root
+from .surface import SurfaceProfile, _ChebFit, find_root
 
 MIN_QUAD_NODES = 64
 _EPS4 = 4.0 * np.finfo(float).eps
@@ -302,29 +303,7 @@ def energy_K(ev: ActionEvaluator, c: float, I2: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Chebyshev fits on nested Lobatto points; the unit-torus energy K1
-
-class _ChebFit:
-    """Chebyshev fit through sample(j), the value at x_j = cos(pi j / 512), on nested
-    Lobatto points N = 16, 32, ..., 512 (all samples reused), up to the first N with
-    a coefficient plateau at relative tol; x = 1 and -1 take `ends`, x < 0 is not
-    sampled if even.  `tail` is the largest coefficient cut or, with no plateau
-    (`converged` False, the fit kept whole), the largest in its upper half."""
-
-    def __init__(self, sample, ends: tuple, tol: float, even: bool = False):
-        g = np.full(513, np.nan)
-        g[[0, 512]] = ends
-        for n in (16, 32, 64, 128, 256, 512):
-            idx = np.arange(0, 513, 512 // n)
-            for j in idx[np.isnan(g[idx])]:
-                g[j] = g[512 - j] if even and j > 256 else sample(j)
-            coeffs = _lobatto_coefficients(g[idx])
-            keep, self.converged = _chop(coeffs, tol)
-            if self.converged:
-                break
-        self.coeffs, self.degree = coeffs[:keep], keep - 1
-        self.tail = float(np.max(np.abs(coeffs[keep if self.converged else len(coeffs) // 2:])))
-
+# the unit-torus energy K1
 
 class _EnergySeries(_ChebFit):
     """K1(s) = energy_K(s, 1) in x = 2 s - 1, ends K1(0) = pi / L, K1(1) = 1 / a(r0)."""
@@ -502,10 +481,11 @@ def mu_series(ev: ActionEvaluator) -> _SinSeries:
         lambda c: limit_density_unnorm(ev, c), _mu_end(ev.profile), even=True))
 
 
-def _nu_series(ev: ActionEvaluator, sym: SymbolFn) -> _SinSeries:
-    # keyed by the SymbolFn itself (eq=False: by identity); bounded, so g(+-1) = 0
-    return _cached(ev, ("nu_series", sym),
-                   lambda: _SinSeries(lambda c: torus_average(ev, sym, c), 0.0))
+def nu_series(ev: ActionEvaluator, sym: SymbolFn) -> _SinSeries:
+    """The torus averages' series, cached in ev by the SymbolFn's identity; bounded, so
+    g(+-1) = 0.  A radial average depends on c only through |c|: c >= 0 is sampled."""
+    return _cached(ev, ("nu_series", sym), lambda: _SinSeries(
+        lambda c: torus_average(ev, sym, c), 0.0, even=sym.kind == "radial_mult"))
 
 
 def normalization_M(ev: ActionEvaluator) -> float:
@@ -533,7 +513,7 @@ def liouville_state(ev: ActionEvaluator, sym: SymbolFn) -> float:
     This is the total Liouville weight the convention assigns to the
     observable; for sym = 1 it equals 2.
     """
-    return _nu_series(ev, sym).total
+    return nu_series(ev, sym).total
 
 
 def nu_mass_and_cdf(ev: ActionEvaluator, sym: SymbolFn):
@@ -543,7 +523,7 @@ def nu_mass_and_cdf(ev: ActionEvaluator, sym: SymbolFn):
     cumulative function, elementwise over arrays and not clipped to
     [0, 1].  A vanishing omega admits no normalization.
     """
-    series = _nu_series(ev, sym)
+    series = nu_series(ev, sym)
     omega = series.total
     if abs(omega) < 1e-12:
         raise SignedMeasureError(

@@ -162,6 +162,10 @@ def cmd_converge(cfg: _config.RunConfig) -> int:
     sym = _config.build_symbol(cfg)
     report = _measures.convergence_sweep(profile, ev, list(cfg.ells), sym,
                                          grid_size=cfg.spectral.grid_size)
+    _warn_without_plateau("converge", "energy K1", _actions.k1_series(ev))
+    _warn_without_plateau("converge", "density", _actions.mu_series(ev))
+    if sym is not None:
+        _warn_without_plateau("converge", "nu", _actions.nu_series(ev, sym))
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_json(os.path.join(cfg.out_dir, "converge.json"), report.as_dict())
     cols = ["ell", "M_ell", "M_ell_over_ell", "ks_mu", "w1_mu", "ks_nu", "w1_nu"]

@@ -114,16 +114,16 @@ def _sign_changes(values: np.ndarray) -> list[int]:
     return nz[:-1][np.sign(values[nz[:-1]]) != np.sign(values[nz[1:]])].tolist()
 
 
-def validate_profile(p: SurfaceProfile, samples: int = N_VALIDATION_SAMPLES) -> ValidationReport:
+def validate_profile(p: SurfaceProfile) -> ValidationReport:
     """Check the structural invariants of a convex profile.
 
-    Runs sampled checks on a uniform grid of `samples` points plus exact
-    checks at the poles and the recorded equator.  Each check reports the
-    residual actually measured so failures are diagnosable.
+    Runs sampled checks on a uniform grid of N_VALIDATION_SAMPLES points
+    plus exact checks at the poles and the recorded equator.  Each check
+    reports the residual actually measured so failures are diagnosable.
     """
     L = p.L
     zero_tol = ZERO_TOL_FACTOR * L
-    r_grid = np.linspace(0.0, L, samples)
+    r_grid = np.linspace(0.0, L, N_VALIDATION_SAMPLES)
     interior = r_grid[1:-1]
     a_int = np.asarray(p.a(interior), float)
     a1_grid = np.asarray(p.a1(r_grid), float)
@@ -203,7 +203,7 @@ def _lobatto_coefficients(values: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _chop(coeffs: np.ndarray, tol: float = np.finfo(float).eps) -> tuple[int, bool]:
+def _chop(coeffs: np.ndarray, tol: float) -> tuple[int, bool]:
     """(number of leading coefficients to keep, whether a plateau showed) by
     the rule of Aurentz & Trefethen, "Chopping a Chebyshev series" (ACM TOMS
     43(4), 2017), at relative tolerance tol; without a plateau every
@@ -230,29 +230,47 @@ def _chop(coeffs: np.ndarray, tol: float = np.finfo(float).eps) -> tuple[int, bo
     return max(int(np.argmin(tilted)), 1), True
 
 
-class _EllipsoidMeridian:
+class _ChebFit:
+    """Chebyshev fit through sample(j), the value at x_j = cos(pi j / 512), on nested
+    Lobatto points N = 16, 32, ..., 512 (all samples reused), up to the first N with
+    a coefficient plateau at relative tol; x = 1 and -1 take `ends`, x < 0 is not
+    sampled if even.  `tail` is the largest coefficient cut or, with no plateau
+    (`converged` False, the fit kept whole), the largest in its upper half."""
+
+    def __init__(self, sample, ends: tuple, tol: float, even: bool = False):
+        g = np.full(513, np.nan)
+        g[[0, 512]] = ends
+        for n in (16, 32, 64, 128, 256, 512):
+            idx = np.arange(0, 513, 512 // n)
+            for j in idx[np.isnan(g[idx])]:
+                g[j] = g[512 - j] if even and j > 256 else sample(j)
+            coeffs = _lobatto_coefficients(g[idx])
+            keep, self.converged = _chop(coeffs, tol)
+            if self.converged:
+                break
+        self.coeffs, self.degree = coeffs[:keep], keep - 1
+        self.tail = float(np.max(np.abs(coeffs[keep if self.converged else len(coeffs) // 2:])))
+
+
+class _EllipsoidMeridian(_ChebFit):
     """Arclength reparametrization of the meridian of x^2 + y^2 + z^2/q^2 = 1.
 
     With the ellipse parameter t in [0, pi] the distance from the axis is
     sin t and the speed is s(t) = sqrt(cos^2 t + q^2 sin^2 t).  t(r), the
-    inverse of r(t) = integral of s, is sampled on n_nodes Chebyshev-Lobatto
-    points, turned into a Chebyshev series by a DCT-I and cut at the plateau
-    of rounding noise in its coefficients: 42 terms at aspect 1.3, about 160
-    at 0.5 and 5.  Outside about [0.3, 14] no plateau appears: all n_nodes
-    terms are kept and `converged` is False.  a, a', a'' follow from closed
-    forms in t.
+    inverse of r(t) = integral of s, is a `_ChebFit` in x = 2 r / L - 1 with
+    ends t(L) = pi, t(0) = 0, stopped at the plateau of rounding noise: at
+    aspect 1.3 it takes 63 root solves and keeps 42 terms, at 0.5 and 5
+    255 solves and about 160 terms.  Outside about [0.3, 14] no plateau
+    appears: all 513 terms are kept and `converged` is False.  a, a', a''
+    follow from closed forms in t.
     """
 
-    def __init__(self, aspect: float, n_nodes: int = 513):
+    def __init__(self, aspect: float):
         self.q = float(aspect)
         self._gl = gauss_legendre_rule(96)
         self.L = self._arclength(np.pi)
         self.r_equator = self._arclength(np.pi / 2)
-        j = np.arange(n_nodes)
-        r_nodes = 0.5 * self.L * (1.0 - np.cos(np.pi * j / (n_nodes - 1)))
-        coeffs = _lobatto_coefficients(self._invert_nodes(r_nodes)[::-1])
-        keep, self.converged = _chop(coeffs)
-        self.coeffs = coeffs[:keep]
+        super().__init__(self._t_at_node, (np.pi, 0.0), np.finfo(float).eps)
 
     def speed(self, t):
         ct, st = np.cos(t), np.sin(t)
@@ -263,14 +281,12 @@ class _EllipsoidMeridian:
         half = 0.5 * t
         return half * float(np.dot(w, self.speed(half * (x + 1.0))))
 
-    def _invert_nodes(self, r_nodes: np.ndarray) -> np.ndarray:
-        # r(t) rises with slope speed >= min(1, q), which bounds the next root
-        slope = min(1.0, self.q)
-        t = [0.0]
-        for r_prev, r in zip(r_nodes[:-1], r_nodes[1:]):
-            hi = min(t[-1] + 2.0 * (r - r_prev) / slope, np.pi)
-            t.append(find_root(lambda s: self._arclength(s) - r, self.speed, t[-1], hi))
-        return np.array(t)
+    def _t_at_node(self, j: int) -> float:
+        # r(t) has slope in [min(1, q), max(1, q)]; widened to stay a bracket at q = 1
+        r = 0.5 * self.L * (1.0 + np.cos(np.pi * j / 512))
+        lo = r / max(1.0, self.q) * (1.0 - 1e-8)
+        hi = min(r / min(1.0, self.q) * (1.0 + 1e-8), np.pi)
+        return find_root(lambda s: self._arclength(s) - r, self.speed, lo, hi)
 
     def t_of_r(self, r):
         x = (2.0 / self.L) * np.asarray(r, float) - 1.0

@@ -30,7 +30,7 @@ from revtone import (
     torus_average,
     turning_points,
 )
-from revtone import actions
+from revtone import actions, surface
 from revtone.actions import equator_momentum
 from revtone.spectral import RadialMode, ebk_residual
 from revtone.surface import make_ellipsoid, make_round_sphere
@@ -391,8 +391,8 @@ def test_k1_series_converges_from_few_inversions(ell13, monkeypatch):
 
 def test_k1_without_plateau_answers_pointwise(ell13, monkeypatch):
     # no plateau for K1 (and only for K1): every value is the point-wise one
-    chop = actions._chop
-    monkeypatch.setattr(actions, "_chop", lambda coeffs, tol: (
+    chop = surface._chop
+    monkeypatch.setattr(surface, "_chop", lambda coeffs, tol: (
         (len(coeffs), False) if tol == actions._K1_TOL else chop(coeffs, tol)))
     ev = ActionEvaluator(ell13, quad_nodes=64)
     assert not actions.k1_series(ev).converged
@@ -496,6 +496,22 @@ def test_liouville_state_values(sphere_ev):
     assert liouville_state(sphere_ev, cos2) == pytest.approx(2.0 / 3.0, abs=1e-12)
     bump = radial_symbol(lambda r: 1.0 + np.sin(r), name="1+sin r")
     assert liouville_state(sphere_ev, bump) > 0.0
+
+
+def test_radial_nu_series_samples_half_the_interval(sphere, monkeypatch):
+    # a radial average depends on c only through |c|: mirrored samples are
+    # bit-equal, so the even build equals the full one coefficient for coefficient
+    ev = ActionEvaluator(sphere)
+    sym = radial_symbol(np.sin, name="sin r")
+    calls = []
+    average = actions.torus_average
+    monkeypatch.setattr(actions, "torus_average",
+                        lambda ev, sym, c: calls.append(c) or average(ev, sym, c))
+    even = actions.nu_series(ev, sym)
+    assert len(calls) == 256 and min(calls) >= 0.0
+    full = actions._SinSeries(lambda c: actions.torus_average(ev, sym, c), 0.0, even=False)
+    assert len(calls) == 256 + 511
+    assert np.array_equal(even.coeffs, full.coeffs)
 
 
 # --- the equator derivative identity ---------------------------------------

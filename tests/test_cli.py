@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from revtone import ActionEvaluator, joint_slice, make_round_sphere
-from revtone import actions, cli
+from revtone import actions, cli, surface
 from revtone.cli import legendre_equator_norm, main
 
 import oracles
@@ -174,8 +174,8 @@ def test_warns_once_when_k1_has_no_plateau(tmp_path, capsys, monkeypatch, comman
     cfg = _write(tmp_path / "run.cfg", text)
     assert main(["--config", cfg, "--out", str(tmp_path / "a")]) == 0
     assert capsys.readouterr().err == ""
-    chop = actions._chop
-    monkeypatch.setattr(actions, "_chop", lambda coeffs, tol: (
+    chop = surface._chop
+    monkeypatch.setattr(surface, "_chop", lambda coeffs, tol: (
         (len(coeffs), False) if tol == actions._K1_TOL else chop(coeffs, tol)))
     assert main(["--config", cfg, "--out", str(tmp_path / "b")]) == 0
     err = capsys.readouterr().err.splitlines()
@@ -226,6 +226,26 @@ def test_converge_outputs(tmp_path):
     assert [int(r[0]) for r in rows] == [10, 20, 40]
     for csv_row, json_row in zip(rows, rep["rows"]):
         assert float(csv_row[4]) == json_row["w1_mu"]
+
+
+def test_converge_warns_once_per_series_without_plateau(tmp_path, capsys, monkeypatch):
+    # the ellipsoid's cos r torus averages reach no plateau; K1 and the density do
+    text = ("profile.kind = ellipsoid\nprofile.aspect = 1.3\nspectral.grid_size = 500\n"
+            "run.command = converge\nrun.ells = 5, 10\n"
+            "symbol.kind = radial_mult\nsymbol.expr = cos(r)\n")
+    cfg = _write(tmp_path / "run.cfg", text)
+    code = main(["--config", cfg, "--out", str(tmp_path / "a")])
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("converge: warning: no plateau in the nu series")
+    monkeypatch.setattr(cli, "_warn_without_plateau", lambda *args: None)
+    assert main(["--config", cfg, "--out", str(tmp_path / "b")]) == code == 0
+    for name in ("converge.csv", "converge.json"):
+        assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False)
+    monkeypatch.undo()
+    sphere = _write(tmp_path / "sphere.cfg",
+                    text.replace("ellipsoid", "round_sphere").replace("cos(r)", "cos(r)^2"))
+    assert main(["--config", sphere, "--out", str(tmp_path / "c")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_converge_requires_ells(tmp_path, capsys):

@@ -13,6 +13,7 @@ from revtone import (
     make_round_sphere,
     validate_profile,
 )
+from revtone import surface
 from revtone.surface import _EllipsoidMeridian, find_root
 
 import oracles
@@ -61,7 +62,7 @@ def test_ellipsoid_meridian_matches_arclength_oracle(aspect):
 
 @pytest.mark.parametrize("aspect, max_degree", [(0.5, 200), (1.3, 64), (5.0, 200)])
 def test_ellipsoid_series_is_chopped(aspect, max_degree):
-    # 513 Lobatto samples; the plateau rule keeps far fewer terms
+    # up to 513 Lobatto samples; the plateau rule keeps far fewer terms
     assert len(_EllipsoidMeridian(aspect).coeffs) - 1 <= max_degree
 
 
@@ -71,6 +72,17 @@ def test_ellipsoid_meridian_records_its_plateau(aspect, converged):
     m = _EllipsoidMeridian(aspect)
     assert m.converged is converged
     assert (len(m.coeffs) < 513) is converged
+
+
+def test_ellipsoid_meridian_stops_at_its_plateau(monkeypatch):
+    # one root solve per sampled Lobatto node, nested up to the first plateau
+    solves = []
+    root = surface.find_root
+    monkeypatch.setattr(surface, "find_root", lambda *args: solves.append(1) or root(*args))
+    m = _EllipsoidMeridian(1.3)
+    assert m.converged and len(solves) <= 65
+    assert m.degree == len(m.coeffs) - 1
+    assert 0.0 <= m.tail <= 4.0 * np.finfo(float).eps * float(np.max(np.abs(m.coeffs)))
 
 
 def test_find_root_needs_a_sign_change():
