@@ -256,10 +256,15 @@ def dI2_dc(ev: ActionEvaluator, c: float, E: float) -> float:
 def energy_K(ev: ActionEvaluator, c: float, I2: float) -> float:
     """Invert I2(c, .) in E by bracketed Newton iteration.
 
-    Monotonicity of the action in E makes the bracketing safe.  The
-    iteration runs to float resolution: it stops once the action residual
-    is within 4 eps * I2 or a step moves E by at most 4 eps * E, and
-    raises ConvergenceError if neither happens within 100 steps.
+    The bracket starts open upward, from the larger of pi I2 / L and a
+    point just above |c|/a(r0); the first iterate whose action exceeds I2
+    closes it.  A Newton step that
+    leaves the bracket doubles E while it is open and bisects once it is
+    closed; monotonicity of the action in E makes this safe.  Each iterate
+    is one radial pass for the action and its slope.  The iteration runs
+    to float resolution: it stops once the action residual is within
+    4 eps * I2 or a step moves E by at most 4 eps * E, and raises
+    ConvergenceError if neither happens within 100 steps.
     """
     if not np.isfinite(I2) or I2 <= 0.0:
         raise InvalidParameterError(f"action must be positive, got {I2}")
@@ -272,16 +277,8 @@ def energy_K(ev: ActionEvaluator, c: float, I2: float) -> float:
     if abs(c) == I2:
         return abs(c) / p.a_r0
 
-    lo = abs(c) / p.a_r0 * (1.0 + 1e-14)
-    hi = max(lo * 1.0000001, np.pi * I2 / p.L)
-    for _ in range(200):
-        if action_I2(ev, c, hi) > I2:
-            break
-        hi *= 2.0
-    else:
-        raise OutsideMomentImageError(f"failed to bracket energy for (c, I2) = ({c}, {I2})")
-
-    E = min(max(np.pi * I2 / p.L, lo), hi)
+    lo, hi = abs(c) / p.a_r0 * (1.0 + 1e-14), np.inf
+    E = max(lo * 1.0000001, np.pi * I2 / p.L)
     for _ in range(100):
         action, slope = _action_and_slope(ev, c, E)
         f = action - I2
@@ -291,10 +288,9 @@ def energy_K(ev: ActionEvaluator, c: float, I2: float) -> float:
             hi = E
         else:
             lo = E
-        step = f / max(slope, 1e-300)
-        E_new = E - step
+        E_new = E - f / max(slope, 1e-300)
         if not (lo < E_new < hi):
-            E_new = 0.5 * (lo + hi)
+            E_new = 0.5 * (lo + hi) if hi < np.inf else 2.0 * E
         if abs(E_new - E) <= _EPS4 * E:
             return E_new
         E = E_new
@@ -396,9 +392,11 @@ def di2_drho_fd(ev: ActionEvaluator, c: float) -> float:
 def torus_average(ev: ActionEvaluator, sym: SymbolFn, c: float) -> float:
     """Average of a symbol over the Liouville torus with I2 = 1.
 
-    The invariant radial measure is proportional to E/rho(r) dr; the
-    prefactor omega2/pi normalizes it because (1/pi) * integral E/rho dr
-    is exactly dI2/dE.
+    The invariant radial measure is proportional to dr / rho(r).  One
+    radial pass integrates the symbol against it together with the
+    measure itself, and the average is their ratio, so the constant
+    symbol averages to exactly 1.  A phase-space symbol is averaged over
+    the angle and both signs of rho inside that pass.
     """
     if abs(c) >= 1.0:
         raise DegenerateTorusError(f"torus average needs |c| < 1, got c = {c}")
@@ -407,27 +405,24 @@ def torus_average(ev: ActionEvaluator, sym: SymbolFn, c: float) -> float:
     if sym.kind == "angular_ratio":
         return float(sym.ratio_part(c / E))
 
-    omega2 = 1.0 / dI2_dE(ev, c, E)
     if sym.kind == "radial_mult":
-        b = sym.radial_part
+        def symbol(r, rho):
+            return np.asarray(sym.radial_part(r), float)
+    else:
+        _cached(ev, ("homogeneous", sym), lambda: _check_homogeneous(sym, ev.profile.L, c, E))
+        theta = 2.0 * np.pi * np.arange(_THETA_SAMPLES)[None, :] / _THETA_SAMPLES
 
-        def g(r, F):
-            return np.asarray(b(r), float) * E * _inv_sqrt_weight(F)
+        def symbol(r, rho):
+            up, down = (np.asarray(sym.full_part(r[:, None], theta, sign * rho[:, None], c),
+                                   float) for sign in (1.0, -1.0))
+            return 0.5 * (np.mean(up, axis=1) + np.mean(down, axis=1))
 
-        return omega2 * _integrate_radial(ev, c, E, g)
+    def g(r, F):
+        weight = _inv_sqrt_weight(F)
+        return symbol(r, np.sqrt(np.maximum(F, 0.0))) * weight, weight
 
-    _cached(ev, ("homogeneous", sym), lambda: _check_homogeneous(sym, ev.profile.L, c, E))
-    theta = 2.0 * np.pi * np.arange(_THETA_SAMPLES) / _THETA_SAMPLES
-    sigma = sym.full_part
-    total = 0.0
-    for sign in (1.0, -1.0):
-        def g(r, F, sign=sign):
-            rho = np.sqrt(np.maximum(F, 0.0))
-            vals = np.asarray(sigma(r[:, None], theta[None, :], sign * rho[:, None], c), float)
-            return np.mean(vals, axis=1) * E * _inv_sqrt_weight(F)
-
-        total += _integrate_radial(ev, c, E, g)
-    return omega2 * 0.5 * total
+    total, mass = _integrate_radial(ev, c, E, g)
+    return total / mass
 
 
 def _check_homogeneous(sym: SymbolFn, L: float, c: float, E: float) -> bool:

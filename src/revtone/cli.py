@@ -136,7 +136,7 @@ def cmd_spectrum(cfg: _config.RunConfig) -> int:
     failures = {}
     for ell in cfg.ells:
         try:
-            slice_ = _spectral.joint_slice(profile, ev, ell, cfg.spectral.grid_size)
+            slice_ = _spectral.joint_slice(profile, ell, cfg.spectral.grid_size)
             rows = []
             for mode in slice_.modes:
                 rows.append((mode.ell, mode.m, mode.n, mode.lam,
@@ -157,10 +157,9 @@ def cmd_spectrum(cfg: _config.RunConfig) -> int:
 def cmd_converge(cfg: _config.RunConfig) -> int:
     if not cfg.ells:
         raise ConfigError("run.ells is required for the converge command")
-    profile = _config.build_profile(cfg)
-    ev = _config.build_evaluator(cfg, profile)
+    ev = _config.build_evaluator(cfg, _config.build_profile(cfg))
     sym = _config.build_symbol(cfg)
-    report = _measures.convergence_sweep(profile, ev, list(cfg.ells), sym,
+    report = _measures.convergence_sweep(ev, list(cfg.ells), sym,
                                          grid_size=cfg.spectral.grid_size)
     _warn_without_plateau("converge", "energy K1", _actions.k1_series(ev))
     _warn_without_plateau("converge", "density", _actions.mu_series(ev))
@@ -208,7 +207,7 @@ def _sphere_checks(cfg: _config.RunConfig):
 
     def get_slice(ell):
         if ell not in slices:
-            slices[ell] = _spectral.joint_slice(profile, ev, ell, grid)
+            slices[ell] = _spectral.joint_slice(profile, ell, grid)
         return slices[ell]
 
     def check_action_identity():

@@ -9,7 +9,7 @@ before any computation starts.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import actions as _actions
 from . import expr as _expr
@@ -108,9 +108,9 @@ def _parse_ells(raw: str, line: int, col: int) -> tuple:
 
 def parse_config(text: str) -> RunConfig:
     """Parse config text into a RunConfig, rejecting anything unknown."""
-    cfg = RunConfig()
-    # keys absent from the text keep the dataclass defaults
-    profile, actions, spectral, symbol, run, density = {}, {}, {}, {}, {}, {}
+    # keys absent from the text keep the dataclass defaults; `run` holds
+    # the top-level RunConfig fields (run.* keys and density.n)
+    profile, actions, spectral, symbol, run = {}, {}, {}, {}, {}
     kind_line = 0
 
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -168,7 +168,7 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"unknown key {full!r}", line=lineno, col=key_col)
         elif section == "density":
             if key == "n":
-                density["n"] = _parse_int(raw, lineno, val_col, full, 8)
+                run["density_n"] = _parse_int(raw, lineno, val_col, full, 8)
             else:
                 raise ConfigError(f"unknown key {full!r}", line=lineno, col=key_col)
         else:
@@ -188,15 +188,8 @@ def parse_config(text: str) -> RunConfig:
         sym_cfg = SymbolConfig(kind=symbol["kind"], expr=symbol.get("expr"),
                                table_path=symbol.get("table_path"))
 
-    return replace(cfg,
-                   profile=ProfileConfig(**profile),
-                   actions=ActionsConfig(**actions),
-                   spectral=SpectralConfig(**spectral),
-                   command=run.get("command"),
-                   ells=run.get("ells", ()),
-                   symbol=sym_cfg,
-                   out_dir=run.get("out_dir", "out"),
-                   density_n=density.get("n", 2000))
+    return RunConfig(profile=ProfileConfig(**profile), actions=ActionsConfig(**actions),
+                     spectral=SpectralConfig(**spectral), symbol=sym_cfg, **run)
 
 
 def load_config(path: str) -> RunConfig:

@@ -28,7 +28,6 @@ from .errors import (
     UnsupportedQuantizationError,
 )
 from .quadrature import gauss_legendre_rule
-from .surface import SurfaceProfile
 
 _CROSSING_BISECTIONS = 80
 _SEGMENT_GL_NODES = 32
@@ -226,8 +225,8 @@ def _fit_decay(ells, w1s) -> dict | None:
     return {"w1_exponent": float(slope), "w1_r2": r2}
 
 
-def _sweep_row(p, ev, ell, sym, grid_size, lim_mu, lim_nu):
-    slice_ = _spectral.joint_slice(p, ev, ell, grid_size)
+def _sweep_row(ev, ell, sym, grid_size, lim_mu, lim_nu):
+    slice_ = _spectral.joint_slice(ev.profile, ell, grid_size)
     mu = empirical_mu(slice_)
     row = {
         "ell": ell,
@@ -246,10 +245,11 @@ def _sweep_row(p, ev, ell, sym, grid_size, lim_mu, lim_nu):
     return row
 
 
-def convergence_sweep(p: SurfaceProfile, ev: _actions.ActionEvaluator, ells: list,
+def convergence_sweep(ev: _actions.ActionEvaluator, ells: list,
                       sym: _actions.SymbolFn | None = None,
                       grid_size: int = 4000) -> ConvergenceReport:
-    """Distances of the empirical measures to their limits over ells.
+    """Distances of the empirical measures to their limits over ells, on
+    the evaluator's profile.
 
     Rows for failing ells carry an `error` field and the sweep
     continues; fits use the surviving rows.
@@ -263,7 +263,7 @@ def convergence_sweep(p: SurfaceProfile, ev: _actions.ActionEvaluator, ells: lis
     rows = []
     for ell in ells:
         try:
-            rows.append(_sweep_row(p, ev, ell, sym, grid_size, lim_mu, lim_nu))
+            rows.append(_sweep_row(ev, ell, sym, grid_size, lim_mu, lim_nu))
         except RevtoneError as exc:
             rows.append({"ell": ell, "error": f"{type(exc).__name__}: {exc}"})
 
@@ -271,5 +271,5 @@ def convergence_sweep(p: SurfaceProfile, ev: _actions.ActionEvaluator, ells: lis
     fit = _fit_decay(ells, w1) or {"w1_exponent": float("nan"), "w1_r2": float("nan")}
     even = [(l, v) for l, v in zip(ells, w1) if l % 2 == 0]
     fit_even = _fit_decay([l for l, _ in even], [v for _, v in even]) if len(even) >= 2 else None
-    return ConvergenceReport(profile=p.name, ells=ells, rows=rows, fit=fit,
+    return ConvergenceReport(profile=ev.profile.name, ells=ells, rows=rows, fit=fit,
                              fit_even=fit_even)

@@ -184,8 +184,7 @@ def radial_modes(p: SurfaceProfile, m: int, n_max: int, grid_size: int) -> list:
     return _assemble(p, *_grids(p, grid_size), int(m), 0, n_max)
 
 
-def joint_slice(p: SurfaceProfile, ev: _actions.ActionEvaluator, ell: int,
-                grid_size: int) -> JointSlice:
+def joint_slice(p: SurfaceProfile, ell: int, grid_size: int) -> JointSlice:
     """The full multiplet at label ell: modes with n = ell - |m|, |m| <= ell.
 
     The radial operator depends on m^2 only, so negative m reuses the

@@ -37,7 +37,7 @@ def ell13_ev(ell13):
 @pytest.fixture(scope="session")
 def ell13_slices(ell13, ell13_ev):
     """Ellipsoid multiplets shared by the convergence checks."""
-    return {ell: joint_slice(ell13, ell13_ev, ell, grid_size=4000)
+    return {ell: joint_slice(ell13, ell, grid_size=4000)
             for ell in (25, 50, 100)}
 
 

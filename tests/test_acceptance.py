@@ -100,7 +100,7 @@ def test_04_sphere_eigenvalue_ladder(acceptance_log, sphere, sphere_ev):
     worst = 0.0
     for ell in range(1, 31):
         target = ell * (ell + 1.0)
-        for mode in joint_slice(sphere, sphere_ev, ell, 8000).modes:
+        for mode in joint_slice(sphere, ell, 8000).modes:
             worst = max(worst, abs(mode.lam ** 2 - target) / target)
     dt = time.perf_counter() - t0
     ok = worst <= 1e-6 and ground <= 1e-6 and dt <= 60.0
@@ -111,7 +111,7 @@ def test_04_sphere_eigenvalue_ladder(acceptance_log, sphere, sphere_ev):
 def test_05_equator_norms_vs_legendre(acceptance_log, sphere, sphere_ev):
     worst = 0.0
     for ell in range(1, 21):
-        sl = joint_slice(sphere, sphere_ev, ell, 4000)
+        sl = joint_slice(sphere, ell, 4000)
         for m, value in sl.restricted_norms.items():
             worst = max(worst, abs(value - oracles.equator_norm(ell, m)))
     ok = worst <= 1e-5
@@ -132,7 +132,7 @@ def test_06_sphere_w1_decay_and_solver_agreement(acceptance_log, sphere, sphere_
 
     max_gap = 0.0
     for ell in (25, 50, 100):
-        mu = empirical_mu(joint_slice(sphere, sphere_ev, ell, 4000))
+        mu = empirical_mu(joint_slice(sphere, ell, 4000))
         max_gap = max(max_gap, abs(wasserstein1(mu, lim) - w1_oracle[ell]))
     dt = time.perf_counter() - t0
     ok = decreasing and w1_oracle[400] <= 0.02 and max_gap <= 1e-4 and dt <= 600.0
@@ -159,7 +159,7 @@ def test_07_ellipsoid_w1_decay_and_endpoint_frequency(acceptance_log, ell13_ev,
 def test_08_symbol_measure_convergence(acceptance_log, sphere, sphere_ev,
                                        ell13_ev, ell13_slices):
     squared = angular_symbol(lambda s: np.asarray(s) ** 2, name="s^2")
-    nu200 = empirical_nu(joint_slice(sphere, sphere_ev, 200, 4000), squared)
+    nu200 = empirical_nu(joint_slice(sphere, 200, 4000), squared)
     w1_sphere = wasserstein1(nu200, limit_measure_nu(sphere_ev, squared))
 
     cos_r = radial_symbol(np.cos, name="cos r")
@@ -219,14 +219,14 @@ def test_09_property_battery(acceptance_log, sphere, sphere_ev, ell13,
         return int(np.sum(signs[:-1] * signs[1:] < 0))
 
     counted = all(nodes(mode.u) == mode.n
-                  for sl in (joint_slice(sphere, sphere_ev, 12, 2000),
+                  for sl in (joint_slice(sphere, 12, 2000),
                              ell13_slices[25])
                   for mode in sl.modes)
     checks.append(("node counts", counted))
 
     # m reflection symmetry
     sym_ok = True
-    for sl in (joint_slice(sphere, sphere_ev, 12, 2000), ell13_slices[50]):
+    for sl in (joint_slice(sphere, 12, 2000), ell13_slices[50]):
         lams = {mode.m: mode.lam for mode in sl.modes}
         for m in range(1, sl.ell + 1):
             sym_ok &= abs(lams[m] - lams[-m]) <= 1e-12
@@ -234,8 +234,8 @@ def test_09_property_battery(acceptance_log, sphere, sphere_ev, ell13,
     checks.append(("m reflection 1e-12", sym_ok))
 
     # bit-identical reruns
-    a = joint_slice(sphere, sphere_ev, 9, 1000)
-    b = joint_slice(sphere, sphere_ev, 9, 1000)
+    a = joint_slice(sphere, 9, 1000)
+    b = joint_slice(sphere, 9, 1000)
     identical = all(ma.lam == mb.lam and np.array_equal(ma.u, mb.u)
                     for ma, mb in zip(a.modes, b.modes))
     identical &= action_I2(sphere_ev, 0.4, 1.3) == action_I2(sphere_ev, 0.4, 1.3)

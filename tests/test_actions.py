@@ -177,6 +177,38 @@ def test_energy_raises_when_newton_runs_out(sphere_ev, monkeypatch):
         energy_K(sphere_ev, 0.5, 1.0)
 
 
+def _count_passes(monkeypatch) -> list:
+    # (c, E) of every radial pass, recorded on the module attribute
+    passes = []
+    integrate = actions._integrate_radial
+    monkeypatch.setattr(actions, "_integrate_radial",
+                        lambda ev, c, E, g: passes.append((c, E)) or integrate(ev, c, E, g))
+    return passes
+
+
+def test_energy_inversion_makes_one_pass_per_iterate(ell13, sphere, monkeypatch):
+    # the bracket opens inside the Newton loop, so building K1 integrates
+    # each iterate once; on the sphere the first iterate is the root
+    passes = _count_passes(monkeypatch)
+    per_inversion = []
+    energy = actions.energy_K
+
+    def inversion(ev, c, I2):
+        start = len(passes)
+        E = energy(ev, c, I2)
+        per_inversion.append(passes[start:])
+        return E
+
+    monkeypatch.setattr(actions, "energy_K", inversion)
+    for p, bound in ((ell13, 120), (sphere, 15)):
+        passes.clear()
+        per_inversion.clear()
+        actions.k1_series(ActionEvaluator(p))
+        assert len(passes) <= bound
+        assert all(len(set(points)) == len(points) for points in per_inversion)
+    assert len(passes) == len(per_inversion) == 15
+
+
 def test_energy_inverse_consistency(sphere_ev, ell13_ev):
     for ev in (sphere_ev, ell13_ev):
         for c in (0.0, 0.25, -0.6, 0.9):
@@ -415,6 +447,27 @@ def test_torus_average_normalization(sphere_ev, ell13_ev):
     for ev in (sphere_ev, ell13_ev):
         for c in (0.0, 0.3, -0.7, 0.95):
             assert torus_average(ev, one, c) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_torus_average_takes_one_pass(sphere, ell13_ev, monkeypatch):
+    # weight and symbol share one radial pass, both momentum signs included
+    one = radial_symbol(lambda r: np.ones_like(np.asarray(r, float)), name="1")
+    one_ps = phase_space_symbol(lambda r, th, rho, eta: np.ones(np.broadcast(r, th, rho).shape))
+    cos_r = radial_symbol(np.cos, name="cos r")
+    odd_ps = phase_space_symbol(lambda r, th, rho, eta: np.cos(r) * rho / np.hypot(rho, eta))
+    passes = _count_passes(monkeypatch)
+    for ev in (ActionEvaluator(sphere), ell13_ev):
+        actions.k1_series(ev)
+        for c in (0.0, 0.3, -0.7):
+            for sym in (one, one_ps, cos_r, odd_ps):
+                passes.clear()
+                average = torus_average(ev, sym, c)
+                assert len(passes) == 1
+                if sym in (one, one_ps):
+                    assert average == 1.0
+    passes.clear()
+    actions.nu_series(ell13_ev, cos_r)
+    assert len(passes) == 256
 
 
 def test_torus_average_angular_ratio(sphere_ev):

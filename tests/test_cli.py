@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from revtone import ActionEvaluator, joint_slice, make_round_sphere
+from revtone import joint_slice, make_round_sphere
 from revtone import actions, cli, surface
 from revtone.cli import legendre_equator_norm, main
 
@@ -161,7 +161,7 @@ def test_spectrum_slice_files(tmp_path):
 
     # written floats round-trip to the solver output exactly
     p = make_round_sphere()
-    sl = joint_slice(p, ActionEvaluator(p), 10, 2000)
+    sl = joint_slice(p, 10, 2000)
     lams = {mode.m: mode.lam for mode in sl.modes}
     for r in rows10:
         assert float(r[3]) == lams[int(r[1])]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from revtone import ConfigError, parse_config
-from revtone.config import build_evaluator, build_profile, build_symbol
+from revtone.config import RunConfig, build_evaluator, build_profile, build_symbol
 
 
 FULL = """
@@ -34,6 +34,7 @@ def test_defaults():
     assert cfg.ells == ()
     assert cfg.out_dir == "out"
     assert cfg.density_n == 2000
+    assert parse_config("") == RunConfig()
 
 
 def test_full_config_parses():

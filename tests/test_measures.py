@@ -47,7 +47,7 @@ def _staircase(atoms):
 # --- empirical measures ----------------------------------------------------
 
 def test_mu_three_atoms(sphere, sphere_ev):
-    mu = empirical_mu(joint_slice(sphere, sphere_ev, 1, 2000))
+    mu = empirical_mu(joint_slice(sphere, 1, 2000))
     assert mu.total_mass_raw == pytest.approx(1.5, abs=1e-6)
     assert [c for c, _ in mu.atoms] == [-1.0, 0.0, 1.0]
     weights = dict(mu.atoms)
@@ -57,14 +57,14 @@ def test_mu_three_atoms(sphere, sphere_ev):
 
 
 def test_mu_central_weight_ell2(sphere, sphere_ev):
-    mu = empirical_mu(joint_slice(sphere, sphere_ev, 2, 2000))
+    mu = empirical_mu(joint_slice(sphere, 2, 2000))
     weights = dict(mu.atoms)
     assert weights[0.0] == pytest.approx(
         oracles.EXACT_EQUATOR_NORMS[(2, 0)] / mu.total_mass_raw, abs=1e-6)
 
 
 def test_mu_symmetric_and_normalized(sphere, sphere_ev, ell13_slices):
-    for mu in (empirical_mu(joint_slice(sphere, sphere_ev, 5, 1000)),
+    for mu in (empirical_mu(joint_slice(sphere, 5, 1000)),
                empirical_mu(ell13_slices[25])):
         weights = dict(mu.atoms)
         for c, w in mu.atoms:
@@ -80,14 +80,14 @@ def test_mu_rejects_dead_slice(sphere):
 
 
 def test_nu_uniform_for_unit_symbol(sphere, sphere_ev):
-    nu = empirical_nu(joint_slice(sphere, sphere_ev, 10, 2000), ONE)
+    nu = empirical_nu(joint_slice(sphere, 10, 2000), ONE)
     assert not nu.signed
     assert np.max(np.abs(nu.weights - 1.0 / 21.0)) <= 1e-8
     assert float(np.sum(nu.weights)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_nu_angular_squared_ell1(sphere, sphere_ev):
-    nu = empirical_nu(joint_slice(sphere, sphere_ev, 1, 2000), SQUARED)
+    nu = empirical_nu(joint_slice(sphere, 1, 2000), SQUARED)
     weights = dict(nu.atoms)
     assert weights[-1.0] == pytest.approx(0.5, abs=1e-6)
     assert weights[0.0] == 0.0
@@ -103,7 +103,7 @@ def test_nu_positive_symbol_positive_weights(ell13_slices):
 
 def test_nu_odd_angular_symbol_is_signed(sphere, sphere_ev):
     odd = angular_symbol(lambda s: np.asarray(s) + 0.0, name="s")
-    nu = empirical_nu(joint_slice(sphere, sphere_ev, 4, 1000), odd)
+    nu = empirical_nu(joint_slice(sphere, 4, 1000), odd)
     assert nu.signed
     assert abs(nu.total_mass_raw) <= 1e-15
     lim = limit_measure_mu(sphere_ev)
@@ -115,7 +115,7 @@ def test_nu_odd_angular_symbol_is_signed(sphere, sphere_ev):
 
 def test_nu_rejects_phase_space_symbol(sphere, sphere_ev, phase_symbol):
     with pytest.raises(UnsupportedQuantizationError):
-        empirical_nu(joint_slice(sphere, sphere_ev, 2, 1000), phase_symbol)
+        empirical_nu(joint_slice(sphere, 2, 1000), phase_symbol)
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +199,7 @@ def test_ks_quantile_atoms(sphere_ev):
 
 
 def test_w1_identical_staircase_is_zero(sphere, sphere_ev):
-    mu = empirical_mu(joint_slice(sphere, sphere_ev, 3, 1000))
+    mu = empirical_mu(joint_slice(sphere, 3, 1000))
     lim = LimitMeasure(density=lambda c: 0.0, cdf=np.vectorize(_staircase(mu.atoms)),
                        mass_constant=1.0)
     assert wasserstein1(mu, lim) == 0.0
@@ -214,13 +214,13 @@ def test_w1_separated_atoms(sphere_ev):
 
 
 def test_w1_three_atom_anchor(sphere, sphere_ev):
-    mu = empirical_mu(joint_slice(sphere, sphere_ev, 1, 2000))
+    mu = empirical_mu(joint_slice(sphere, 1, 2000))
     w1 = wasserstein1(mu, limit_measure_mu(sphere_ev))
     assert w1 == pytest.approx(oracles.W1_SPHERE_ELL1_VS_ARCSINE, abs=1e-5)
 
 
 def test_w1_reflection_invariance(sphere, sphere_ev):
-    mu = empirical_mu(joint_slice(sphere, sphere_ev, 6, 1000))
+    mu = empirical_mu(joint_slice(sphere, 6, 1000))
     reflected = sorted((-c, w) for c, w in mu.atoms)
     lim = LimitMeasure(density=lambda c: 0.0, cdf=np.vectorize(_staircase(reflected)),
                        mass_constant=1.0)
@@ -236,7 +236,7 @@ def test_distances_cdf_call_budget(sphere, sphere_ev):
         return lim.cdf(c)
 
     counting = dataclasses.replace(lim, cdf=counted)
-    mu = empirical_mu(joint_slice(sphere, sphere_ev, 50, 2000))
+    mu = empirical_mu(joint_slice(sphere, 50, 2000))
     assert wasserstein1(mu, counting) == wasserstein1(mu, lim)
     assert len(calls) <= _CROSSING_BISECTIONS + 3
     calls.clear()
@@ -272,14 +272,14 @@ def test_distances_vs_exact_arcsine(raw):
 
 
 def test_nu_distances_bounded_by_atom_gap(sphere, sphere_ev):
-    nu = empirical_nu(joint_slice(sphere, sphere_ev, 10, 2000), ONE)
+    nu = empirical_nu(joint_slice(sphere, 10, 2000), ONE)
     lim = limit_measure_nu(sphere_ev, ONE)
     assert ks_distance(nu, lim) <= 1.0 / 21.0 + 1e-9
     assert wasserstein1(nu, lim) <= 1.0 / 21.0 + 1e-9
 
 
 def test_trace_identity_two_routes(sphere, sphere_ev):
-    sl = joint_slice(sphere, sphere_ev, 10, 2000)
+    sl = joint_slice(sphere, 10, 2000)
     nu = empirical_nu(sl, SQUARED)
 
     def f(c):
@@ -297,7 +297,7 @@ def test_polynomial_moments_tighten_under_doubling(sphere, sphere_ev):
     # fourth moment of the arcsine law is 3/8
     dist = {}
     for ell in (10, 20, 40, 80):
-        mu = empirical_mu(joint_slice(sphere, sphere_ev, ell, 2000))
+        mu = empirical_mu(joint_slice(sphere, ell, 2000))
         dist[ell] = abs(float(np.sum(mu.weights * mu.positions ** 4)) - 0.375)
     for ell in (10, 20, 40):
         assert dist[2 * ell] <= 1.05 * dist[ell]
@@ -306,7 +306,7 @@ def test_polynomial_moments_tighten_under_doubling(sphere, sphere_ev):
 # --- convergence sweeps ----------------------------------------------------
 
 def test_sweep_report_schema(sphere, sphere_ev):
-    rep = convergence_sweep(sphere, sphere_ev, [10, 20, 40], sym=ONE,
+    rep = convergence_sweep(sphere_ev, [10, 20, 40], sym=ONE,
                             grid_size=2000)
     assert isinstance(rep, ConvergenceReport)
     assert rep.profile == sphere.name
@@ -326,13 +326,13 @@ def test_sweep_report_schema(sphere, sphere_ev):
 
 
 def test_sweep_mass_grows_linearly(sphere, sphere_ev):
-    rep = convergence_sweep(sphere, sphere_ev, [50, 100], grid_size=2000)
+    rep = convergence_sweep(sphere_ev, [50, 100], grid_size=2000)
     m50, m100 = (row["M_ell"] for row in rep.rows)
     assert m100 / m50 == pytest.approx(2.0, rel=0.10)
 
 
 def test_sweep_continues_past_failures(sphere, sphere_ev):
-    rep = convergence_sweep(sphere, sphere_ev, [10, 20, 110], grid_size=500)
+    rep = convergence_sweep(sphere_ev, [10, 20, 110], grid_size=500)
     by_ell = {row["ell"]: row for row in rep.rows}
     assert "error" in by_ell[110] and "ResolutionError" in by_ell[110]["error"]
     assert "error" not in by_ell[10] and "error" not in by_ell[20]
@@ -341,18 +341,18 @@ def test_sweep_continues_past_failures(sphere, sphere_ev):
 
 def test_sweep_requires_ascending_ells(sphere, sphere_ev):
     with pytest.raises(InvalidParameterError):
-        convergence_sweep(sphere, sphere_ev, [20, 10], grid_size=1000)
+        convergence_sweep(sphere_ev, [20, 10], grid_size=1000)
     with pytest.raises(InvalidParameterError):
-        convergence_sweep(sphere, sphere_ev, [10, 10], grid_size=1000)
+        convergence_sweep(sphere_ev, [10, 10], grid_size=1000)
 
 
 def test_sweep_no_even_subsequence(sphere, sphere_ev):
-    rep = convergence_sweep(sphere, sphere_ev, [11, 21], grid_size=1000)
+    rep = convergence_sweep(sphere_ev, [11, 21], grid_size=1000)
     assert rep.fit_even is None
     assert "fit_even" not in rep.as_dict()
 
 
 def test_sweep_deterministic(sphere, sphere_ev):
-    a = convergence_sweep(sphere, sphere_ev, [5, 10], sym=ONE, grid_size=1000)
-    b = convergence_sweep(sphere, sphere_ev, [5, 10], sym=ONE, grid_size=1000)
+    a = convergence_sweep(sphere_ev, [5, 10], sym=ONE, grid_size=1000)
+    b = convergence_sweep(sphere_ev, [5, 10], sym=ONE, grid_size=1000)
     assert a.as_dict() == b.as_dict()

@@ -96,7 +96,7 @@ def test_resolution_guard_fires(sphere):
 # --- joint slices ----------------------------------------------------------
 
 def test_sphere_ell1_multiplet(sphere, sphere_ev):
-    sl = joint_slice(sphere, sphere_ev, 1, 2000)
+    sl = joint_slice(sphere, 1, 2000)
     assert sl.ell == 1 and len(sl.modes) == 3
     assert sorted(mode.m for mode in sl.modes) == [-1, 0, 1]
     for mode in sl.modes:
@@ -108,7 +108,7 @@ def test_sphere_ell1_multiplet(sphere, sphere_ev):
 
 
 def test_sphere_ell10_degenerate(sphere, sphere_ev):
-    sl = joint_slice(sphere, sphere_ev, 10, 4000)
+    sl = joint_slice(sphere, 10, 4000)
     assert len(sl.modes) == 21
     for mode in sl.modes:
         assert mode.lam ** 2 == pytest.approx(110.0, rel=1e-6)
@@ -125,7 +125,7 @@ def test_ellipsoid_multiplet_splits(ell13_slices):
 
 def test_joint_slice_requires_positive_ell(sphere, sphere_ev):
     with pytest.raises(InvalidParameterError):
-        joint_slice(sphere, sphere_ev, 0, 2000)
+        joint_slice(sphere, 0, 2000)
 
 
 def test_joint_slice_samples_profile_once_per_grid(sphere, sphere_ev):
@@ -137,14 +137,14 @@ def test_joint_slice_samples_profile_once_per_grid(sphere, sphere_ev):
             calls.append(np.size(r))
         return sphere.a(r)
 
-    slice_ = joint_slice(dataclasses.replace(sphere, a=a), sphere_ev, 25, 4000)
+    slice_ = joint_slice(dataclasses.replace(sphere, a=a), 25, 4000)
     assert len(slice_.modes) == 51
     assert sorted(calls) == [1999, 2000, 3999, 4000]
 
 
 def test_joint_slice_deterministic(sphere, sphere_ev):
-    a = joint_slice(sphere, sphere_ev, 6, 1000)
-    b = joint_slice(sphere, sphere_ev, 6, 1000)
+    a = joint_slice(sphere, 6, 1000)
+    b = joint_slice(sphere, 6, 1000)
     for ma, mb in zip(a.modes, b.modes):
         assert ma.lam == mb.lam
         assert np.array_equal(ma.u, mb.u)
@@ -154,8 +154,8 @@ def test_joint_slice_deterministic(sphere, sphere_ev):
 # --- restricted norms and matrix elements ----------------------------------
 
 def test_restricted_norm_closed_forms(sphere, sphere_ev):
-    sl1 = joint_slice(sphere, sphere_ev, 1, 4000)
-    sl2 = joint_slice(sphere, sphere_ev, 2, 4000)
+    sl1 = joint_slice(sphere, 1, 4000)
+    sl2 = joint_slice(sphere, 2, 4000)
     assert sl1.restricted_norms[0] == pytest.approx(
         oracles.EXACT_EQUATOR_NORMS[(1, 0)], abs=1e-8)
     assert sl1.restricted_norms[1] == pytest.approx(
@@ -168,7 +168,7 @@ def test_restricted_norm_closed_forms(sphere, sphere_ev):
 
 def test_restricted_norm_parity_zeros(sphere, sphere_ev):
     # u is odd about the equator when ell - |m| is odd
-    sl = joint_slice(sphere, sphere_ev, 7, 2000)
+    sl = joint_slice(sphere, 7, 2000)
     for mode in sl.modes:
         if (sl.ell - abs(mode.m)) % 2 == 1:
             assert restricted_norm(mode, sphere) <= 1e-12
@@ -177,13 +177,13 @@ def test_restricted_norm_parity_zeros(sphere, sphere_ev):
 def test_weyl_mass_doubles(sphere, sphere_ev):
     mass = {}
     for ell in (50, 100):
-        sl = joint_slice(sphere, sphere_ev, ell, 2000)
+        sl = joint_slice(sphere, ell, 2000)
         mass[ell] = sum(sl.restricted_norms.values())
     assert mass[100] / mass[50] == pytest.approx(2.0, rel=0.10)
 
 
 def test_matrix_element_radial_basics(sphere, sphere_ev):
-    sl = joint_slice(sphere, sphere_ev, 1, 2000)
+    sl = joint_slice(sphere, 1, 2000)
     zonal = next(mode for mode in sl.modes if mode.m == 0)
     assert matrix_element_radial(zonal, lambda r: np.ones_like(r), sphere) \
         == pytest.approx(1.0, abs=1e-8)
@@ -194,7 +194,7 @@ def test_matrix_element_radial_basics(sphere, sphere_ev):
 def test_gaussian_beam_avoids_polar_bump(sphere, sphere_ev):
     # mass of the m = ell mode concentrates at the equator, so a bump
     # supported near the pole sees almost none of it
-    sl = joint_slice(sphere, sphere_ev, 20, 2000)
+    sl = joint_slice(sphere, 20, 2000)
     beam = next(mode for mode in sl.modes if mode.m == 20)
 
     def bump(r):
@@ -204,7 +204,7 @@ def test_gaussian_beam_avoids_polar_bump(sphere, sphere_ev):
 
 
 def test_matrix_element_angular_values(sphere, sphere_ev):
-    sl = joint_slice(sphere, sphere_ev, 10, 4000)
+    sl = joint_slice(sphere, 10, 4000)
     beam = next(mode for mode in sl.modes if mode.m == 10)
     zonal = next(mode for mode in sl.modes if mode.m == 0)
     assert matrix_element_angular(beam, lambda s: s) \
