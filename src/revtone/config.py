@@ -1,10 +1,10 @@
 """Run configuration: flat `section.key = value` text with range checks.
 
 Lines are `section.key = value`, `#` starts a comment, blank lines are
-skipped.  Unknown sections or keys are rejected, and every numeric
-value is range-checked at parse time with the line and column of the
-offending token, so a config either loads completely or fails loudly
-before any computation starts.
+skipped.  The keys are those of `_KEYS`, and any other is rejected as
+unknown.  Every value is parsed and range-checked as it is read, with
+the line and column of the offending token, so a config either loads
+completely or fails loudly before any computation starts.
 """
 from __future__ import annotations
 
@@ -31,11 +31,6 @@ class ProfileConfig:
 
 
 @dataclass(frozen=True)
-class ActionsConfig:
-    quad_nodes: int = 256
-
-
-@dataclass(frozen=True)
 class SpectralConfig:
     grid_size: int = 4000
 
@@ -50,7 +45,6 @@ class SymbolConfig:
 @dataclass(frozen=True)
 class RunConfig:
     profile: ProfileConfig = field(default_factory=ProfileConfig)
-    actions: ActionsConfig = field(default_factory=ActionsConfig)
     spectral: SpectralConfig = field(default_factory=SpectralConfig)
     command: str | None = None
     ells: tuple = ()
@@ -59,60 +53,58 @@ class RunConfig:
     density_n: int = 2000
 
 
-def _parse_int(raw: str, line: int, col: int, key: str, lo: int, hi: int | None = None) -> int:
-    try:
+def _int_at_least(lo: int):
+    def parse(raw: str) -> int:
         val = int(raw)
-    except ValueError:
-        raise ConfigError(f"{key} expects an integer, got {raw!r}", line=line, col=col)
-    if val < lo or (hi is not None and val > hi):
-        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise ConfigError(f"{key} must be {bound}, got {val}", line=line, col=col)
+        if val < lo:
+            raise ValueError(f"must be >= {lo}, got {val}")
+        return val
+    return parse
+
+
+def _aspect(raw: str) -> float:
+    val = float(raw)
+    if not 0.0 < val <= 1000.0:
+        raise ValueError(f"must be in (0, 1000], got {val}")
     return val
 
 
-def _parse_float(raw: str, line: int, col: int, key: str, lo: float, hi: float) -> float:
-    """A number in the half-open range (lo, hi]."""
-    try:
-        val = float(raw)
-    except ValueError:
-        raise ConfigError(f"{key} expects a number, got {raw!r}", line=line, col=col)
-    if not (lo < val <= hi):
-        raise ConfigError(f"{key} out of range, got {val}", line=line, col=col)
-    return val
+def _choice(choices):
+    def parse(raw: str) -> str:
+        if raw not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}; got {raw!r}")
+        return raw
+    return parse
 
 
-def _parse_choice(raw: str, line: int, col: int, key: str, choices) -> str:
-    if raw not in choices:
-        raise ConfigError(f"{key} must be one of {', '.join(choices)}; got {raw!r}",
-                          line=line, col=col)
-    return raw
+def _ells(raw: str) -> tuple:
+    ells = tuple(int(p) for p in raw.split(",") if p.strip())
+    if not ells or ells[0] < 1 or any(b <= a for a, b in zip(ells, ells[1:])):
+        raise ValueError(f"expects a strictly ascending list of integers >= 1, got {raw!r}")
+    return ells
 
 
-def _parse_ells(raw: str, line: int, col: int) -> tuple:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError("run.ells expects a comma-separated integer list", line=line, col=col)
-    ells = []
-    for p in parts:
-        try:
-            v = int(p)
-        except ValueError:
-            raise ConfigError(f"run.ells entry {p!r} is not an integer", line=line, col=col)
-        if v < 1:
-            raise ConfigError(f"run.ells entries must be >= 1, got {v}", line=line, col=col)
-        ells.append(v)
-    if any(b <= a for a, b in zip(ells, ells[1:])):
-        raise ConfigError("run.ells must be strictly ascending", line=line, col=col)
-    return tuple(ells)
+# `section.key` -> (block, field, value parser raising ValueError); the `run`
+# block holds the top-level RunConfig fields
+_KEYS = {
+    "profile.kind": ("profile", "kind", _choice(PROFILE_KINDS)),
+    "profile.aspect": ("profile", "aspect", _aspect),
+    "profile.table_path": ("profile", "table_path", str),
+    "spectral.grid_size": ("spectral", "grid_size", _int_at_least(8)),
+    "symbol.kind": ("symbol", "kind", _choice(SYMBOL_KINDS)),
+    "symbol.expr": ("symbol", "expr", str),
+    "symbol.table_path": ("symbol", "table_path", str),
+    "run.command": ("run", "command", _choice(COMMANDS)),
+    "run.ells": ("run", "ells", _ells),
+    "run.out_dir": ("run", "out_dir", str),
+    "density.n": ("run", "density_n", _int_at_least(8)),
+}
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse config text into a RunConfig, rejecting anything unknown."""
-    # keys absent from the text keep the dataclass defaults; `run` holds
-    # the top-level RunConfig fields (run.* keys and density.n)
-    profile, actions, spectral, symbol, run = {}, {}, {}, {}, {}
-    kind_line = 0
-
+    # keys absent from the text keep the dataclass defaults
+    blocks = {"profile": {}, "spectral": {}, "symbol": {}, "run": {}}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         stripped = rawline.split("#", 1)[0]
         if not stripped.strip():
@@ -121,75 +113,26 @@ def parse_config(text: str) -> RunConfig:
         if m is None:
             raise ConfigError("expected 'section.key = value'", line=lineno,
                               col=len(stripped) - len(stripped.lstrip()) + 1)
-        section, key, raw = m.group(1), m.group(2), m.group(3)
-        key_col = m.start(1) + 1
-        val_col = (m.start(3) + 1) if raw else m.end(0) + 1
-        full = f"{section}.{key}"
+        full, raw = f"{m.group(1)}.{m.group(2)}", m.group(3)
+        if full not in _KEYS:
+            raise ConfigError(f"unknown key {full!r}", line=lineno, col=m.start(1) + 1)
+        block, name, parse = _KEYS[full]
+        try:
+            blocks[block][name] = parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{full}: {exc}", line=lineno,
+                              col=(m.start(3) + 1) if raw else m.end(0) + 1) from None
 
-        if section == "profile":
-            if key == "kind":
-                profile["kind"] = _parse_choice(raw, lineno, val_col, full, PROFILE_KINDS)
-                kind_line = lineno
-            elif key == "aspect":
-                profile["aspect"] = _parse_float(raw, lineno, val_col, full, 0.0, 1000.0)
-            elif key == "table_path":
-                profile["table_path"] = raw
-            else:
-                raise ConfigError(f"unknown key {full!r}", line=lineno, col=key_col)
-        elif section == "actions":
-            if key == "quad_nodes":
-                actions["quad_nodes"] = _parse_int(raw, lineno, val_col, full,
-                                                   _actions.MIN_QUAD_NODES)
-            else:
-                raise ConfigError(f"unknown key {full!r}", line=lineno, col=key_col)
-        elif section == "spectral":
-            if key == "grid_size":
-                spectral["grid_size"] = _parse_int(raw, lineno, val_col, full, 8)
-            else:
-                raise ConfigError(f"unknown key {full!r}", line=lineno, col=key_col)
-        elif section == "symbol":
-            if key == "kind":
-                symbol["kind"] = _parse_choice(raw, lineno, val_col, full, SYMBOL_KINDS)
-            elif key == "expr":
-                symbol["expr"] = raw
-            elif key == "table_path":
-                symbol["table_path"] = raw
-            else:
-                raise ConfigError(f"unknown key {full!r}", line=lineno, col=key_col)
-            symbol.setdefault("_line", lineno)
-        elif section == "run":
-            if key == "command":
-                run["command"] = _parse_choice(raw, lineno, val_col, full, COMMANDS)
-            elif key == "ells":
-                run["ells"] = _parse_ells(raw, lineno, val_col)
-            elif key == "out_dir":
-                run["out_dir"] = raw
-            else:
-                raise ConfigError(f"unknown key {full!r}", line=lineno, col=key_col)
-        elif section == "density":
-            if key == "n":
-                run["density_n"] = _parse_int(raw, lineno, val_col, full, 8)
-            else:
-                raise ConfigError(f"unknown key {full!r}", line=lineno, col=key_col)
-        else:
-            raise ConfigError(f"unknown section {section!r}", line=lineno, col=key_col)
-
+    profile, symbol = blocks["profile"], blocks["symbol"]
     if profile.get("kind") == "custom_table" and not profile.get("table_path"):
-        raise ConfigError("profile.kind = custom_table needs profile.table_path",
-                          line=kind_line or 1, col=1)
-    sym_cfg = None
-    if symbol:
-        sym_line = symbol.pop("_line", 1)
-        if "kind" not in symbol:
-            raise ConfigError("symbol block needs symbol.kind", line=sym_line, col=1)
-        if bool(symbol.get("expr")) == bool(symbol.get("table_path")):
-            raise ConfigError("symbol needs exactly one of symbol.expr or symbol.table_path",
-                              line=sym_line, col=1)
-        sym_cfg = SymbolConfig(kind=symbol["kind"], expr=symbol.get("expr"),
-                               table_path=symbol.get("table_path"))
-
-    return RunConfig(profile=ProfileConfig(**profile), actions=ActionsConfig(**actions),
-                     spectral=SpectralConfig(**spectral), symbol=sym_cfg, **run)
+        raise ConfigError("profile.kind = custom_table needs profile.table_path")
+    if symbol and "kind" not in symbol:
+        raise ConfigError("symbol block needs symbol.kind")
+    if symbol and bool(symbol.get("expr")) == bool(symbol.get("table_path")):
+        raise ConfigError("symbol needs exactly one of symbol.expr or symbol.table_path")
+    return RunConfig(profile=ProfileConfig(**profile),
+                     spectral=SpectralConfig(**blocks["spectral"]),
+                     symbol=SymbolConfig(**symbol) if symbol else None, **blocks["run"])
 
 
 def load_config(path: str) -> RunConfig:
@@ -211,7 +154,7 @@ def build_profile(cfg: RunConfig):
 
 
 def build_evaluator(cfg: RunConfig, profile) -> _actions.ActionEvaluator:
-    return _actions.ActionEvaluator(profile, quad_nodes=cfg.actions.quad_nodes)
+    return _actions.ActionEvaluator(profile)
 
 
 def build_symbol(cfg: RunConfig) -> _actions.SymbolFn | None:

@@ -1,18 +1,17 @@
-"""Minimal arithmetic expressions over one variable.
+"""Arithmetic expressions in one variable.
 
-Grammar, parsed by recursive descent with explicit error positions:
+    expr := NUMBER | 'pi' | VAR | FUNC '(' expr ')' | '(' expr ')'
+          | ('+' | '-') expr | expr ('+' | '-' | '*' | '/' | '^') expr
 
-    expr   := term (('+' | '-') term)*
-    term   := unary (('*' | '/') unary)*
-    unary  := ('+' | '-') unary | power
-    power  := atom ('^' unary)?
-    atom   := NUMBER | 'pi' | VAR | FUNC '(' expr ')' | '(' expr ')'
-
-with FUNC one of sin, cos, exp.  Parsing returns a closure evaluating
-the expression with numpy semantics, so array arguments vectorize.
+FUNC is sin, cos or exp; `^` is Python's `**`, binding tighter than unary
+minus and associating right.  Python's `ast` parses the text and one walk
+admits only these nodes, building closures from them: no user text
+reaches eval, exec or compile.  Errors give 1-based positions in the text.
 """
 from __future__ import annotations
 
+import ast
+import operator
 import re
 from typing import Callable
 
@@ -21,128 +20,51 @@ import numpy as np
 from .errors import ExprError
 
 _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
-_TOKEN = re.compile(r"\s*(?:(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-                    r"|([A-Za-z_][A-Za-z_0-9]*)"
-                    r"|(\S))")
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            break
-        num, ident, sym = m.groups()
-        if num is not None:
-            tokens.append(("num", float(num), m.start(1)))
-        elif ident is not None:
-            tokens.append(("ident", ident, m.start(2)))
-        else:
-            tokens.append(("op", sym, m.start(3)))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str, var: str):
-        self.text = text
-        self.var = var
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, message: str, pos: int | None = None):
-        if pos is None:
-            pos = self.peek()[2]
-        raise ExprError(f"{message} at position {pos + 1} in {self.text!r}")
-
-    def parse(self) -> Callable:
-        f = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            self.fail(f"unexpected {val!r}")
-        return f
-
-    def expr(self) -> Callable:
-        f = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.advance()[1]
-            g = self.term()
-            f = (lambda a, b: lambda x: a(x) + b(x))(f, g) if op == "+" else \
-                (lambda a, b: lambda x: a(x) - b(x))(f, g)
-        return f
-
-    def term(self) -> Callable:
-        f = self.unary()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.advance()[1]
-            g = self.unary()
-            f = (lambda a, b: lambda x: a(x) * b(x))(f, g) if op == "*" else \
-                (lambda a, b: lambda x: a(x) / b(x))(f, g)
-        return f
-
-    def unary(self) -> Callable:
-        if self.peek()[:2] == ("op", "-"):
-            self.advance()
-            g = self.unary()
-            return lambda x: -g(x)
-        if self.peek()[:2] == ("op", "+"):
-            self.advance()
-            return self.unary()
-        return self.power()
-
-    def power(self) -> Callable:
-        f = self.atom()
-        if self.peek()[:2] == ("op", "^"):
-            self.advance()
-            g = self.unary()
-            return (lambda a, b: lambda x: a(x) ** b(x))(f, g)
-        return f
-
-    def atom(self) -> Callable:
-        kind, val, pos = self.advance()
-        if kind == "num":
-            return lambda x, v=val: np.full_like(np.asarray(x, float), v) \
-                if np.ndim(x) else v
-        if kind == "ident":
-            if val == "pi":
-                return lambda x: np.full_like(np.asarray(x, float), np.pi) \
-                    if np.ndim(x) else np.pi
-            if val == self.var:
-                return lambda x: np.asarray(x, float) if np.ndim(x) else float(x)
-            if val in _FUNCS:
-                if self.peek()[:2] != ("op", "("):
-                    self.fail(f"{val} needs parentheses")
-                self.advance()
-                arg = self.expr()
-                if self.peek()[:2] != ("op", ")"):
-                    self.fail("expected ')'")
-                self.advance()
-                fn = _FUNCS[val]
-                return lambda x: fn(arg(x))
-            self.fail(f"unknown name {val!r} (variable is {self.var!r})", pos)
-        if (kind, val) == ("op", "("):
-            f = self.expr()
-            if self.peek()[:2] != ("op", ")"):
-                self.fail("expected ')'")
-            self.advance()
-            return f
-        if kind == "end":
-            self.fail("unexpected end of expression", pos)
-        self.fail(f"unexpected {val!r}", pos)
+_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+        ast.Div: operator.truediv, ast.Pow: operator.pow, ast.UAdd: operator.pos,
+        ast.USub: operator.neg}
 
 
 def parse_expr(text: str, var: str) -> Callable:
-    """Compile an expression in the single variable `var` to a callable."""
-    if not text.strip():
-        raise ExprError("empty expression")
-    return _Parser(text, var).parse()
+    """Compile an expression in `var` to a callable; arrays vectorize, scalars stay floats."""
+    lead = len(text) - len(text.lstrip(" \t"))
+    src = text[lead:].replace("^", "**")
+    # origin[k] is the index in text of character k of src, up to k = len(src)
+    origin = [i for i, ch in enumerate(text[lead:] + " ", lead) for _ in range(1 + (ch == "^"))]
+
+    def fail(message: str, pos: int):
+        raise ExprError(f"{message} at position {pos + 1} in {text!r}")
+
+    if bad := re.search(r"\*\*|[^\t -~]", text):
+        fail(f"unexpected {bad.group()!r}", bad.start())
+    try:
+        tree = ast.parse(src, mode="eval")
+    except SyntaxError as exc:
+        fail(exc.msg, origin[min((exc.offset or len(src) + 1) - 1, len(src))])
+
+    def build(node) -> tuple[Callable, bool]:
+        """The closure of an admitted node, and whether it reads the variable."""
+        kind = type(node)
+        if kind is ast.Constant and type(node.value) in (int, float):
+            v = float(str(node.value))  # through str, an int past the float range is inf
+            return (lambda x: v), False
+        if kind is ast.Name and node.id == "pi":
+            return (lambda x: np.pi), False
+        if kind is ast.Name and node.id == var:
+            return (lambda x: np.asarray(x, float) if np.ndim(x) else float(x)), True
+        if kind is ast.BinOp and type(node.op) in _OPS:
+            (f, fv), (g, gv), op = build(node.left), build(node.right), _OPS[type(node.op)]
+            return (lambda x: op(f(x), g(x))), fv or gv
+        if kind is ast.UnaryOp and type(node.op) in _OPS:
+            (f, fv), op = build(node.operand), _OPS[type(node.op)]
+            return (lambda x: op(f(x))), fv
+        if (kind is ast.Call and getattr(node.func, "id", None) in _FUNCS
+                and len(node.args) == 1 and not node.keywords):
+            (f, fv), fn = build(node.args[0]), _FUNCS[node.func.id]
+            return (lambda x: fn(f(x))), fv
+        start = origin[node.col_offset]
+        fail(f"unknown name {node.id!r} (variable is {var!r})" if kind is ast.Name
+             else f"unsupported {text[start:origin[node.end_col_offset]]!r}", start)
+
+    f, reads_var = build(tree.body)
+    return f if reads_var else (lambda x: np.full(np.shape(x), f(x)) if np.ndim(x) else f(x))

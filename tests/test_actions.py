@@ -32,6 +32,7 @@ from revtone import (
 )
 from revtone import actions, surface
 from revtone.actions import equator_momentum
+from revtone.measures import limit_measure_nu
 from revtone.spectral import RadialMode, ebk_residual
 from revtone.surface import make_ellipsoid, make_round_sphere
 
@@ -39,11 +40,6 @@ import oracles
 
 
 # --- construction ----------------------------------------------------------
-
-def test_evaluator_rejects_bad_parameters(sphere):
-    with pytest.raises(InvalidParameterError):
-        ActionEvaluator(sphere, quad_nodes=32)
-
 
 def test_symbol_constructors():
     assert radial_symbol(np.sin).kind == "radial_mult"
@@ -287,11 +283,12 @@ def test_normalization_sphere(sphere_ev):
     assert normalization_M(sphere_ev) == pytest.approx(np.pi, abs=1e-8)
 
 
-def test_normalization_ellipsoid_node_doubling(ell13, ell13_ev):
+def test_normalization_ellipsoid_node_doubling(ell13, ell13_ev, monkeypatch):
     # quadrature-convergence guard: the constant must not move when the
     # node count doubles
     M_256 = normalization_M(ell13_ev)
-    M_512 = normalization_M(ActionEvaluator(ell13, quad_nodes=512))
+    monkeypatch.setattr(actions, "_QUAD_NODES", 512)
+    M_512 = normalization_M(ActionEvaluator(ell13))
     assert M_256 > 0.0
     assert M_512 == pytest.approx(M_256, abs=1e-8 * max(1.0, M_256))
 
@@ -360,6 +357,10 @@ def test_limit_cdf_rejects_any_point_outside(sphere_ev):
         limit_cdf(sphere_ev, np.array([[0.0, -1.5], [0.2, 0.3]]))
     with pytest.raises(OutsideOpenIntervalError):
         limit_cdf(sphere_ev, 1.5)
+    # the nu CDF applies the same check
+    cos2 = radial_symbol(lambda r: np.cos(r) ** 2, name="cos^2")
+    with pytest.raises(OutsideOpenIntervalError):
+        limit_measure_nu(sphere_ev, cos2).cdf([1.5, -3.0])
 
 
 def test_limit_cdf_monotone(ell13_ev):
@@ -426,7 +427,7 @@ def test_k1_without_plateau_answers_pointwise(ell13, monkeypatch):
     chop = surface._chop
     monkeypatch.setattr(surface, "_chop", lambda coeffs, tol: (
         (len(coeffs), False) if tol == actions._K1_TOL else chop(coeffs, tol)))
-    ev = ActionEvaluator(ell13, quad_nodes=64)
+    ev = ActionEvaluator(ell13)
     assert not actions.k1_series(ev).converged
     chi = angular_symbol(lambda x: x)
     for c in (0.0, 0.3, -0.55, 0.97):

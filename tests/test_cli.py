@@ -256,6 +256,17 @@ def test_converge_requires_ells(tmp_path, capsys):
     assert "ells" in capsys.readouterr().err
 
 
+def test_bad_symbol_expression_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path / "run.cfg",
+                 "profile.kind = round_sphere\nrun.command = converge\nrun.ells = 10, 20\n"
+                 f"run.out_dir = {tmp_path}\n"
+                 "symbol.kind = radial_mult\nsymbol.expr = __import__('os')\n")
+    assert main(["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "position" in err and "Traceback" not in err
+    assert not (tmp_path / "converge.json").exists()
+
+
 def test_converge_partial_failure(tmp_path):
     cfg = _write(tmp_path / "run.cfg",
                  "profile.kind = round_sphere\nspectral.grid_size = 500\n"

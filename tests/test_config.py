@@ -10,8 +10,6 @@ FULL = """
 profile.kind = ellipsoid
 profile.aspect = 1.3
 
-actions.quad_nodes = 512
-
 spectral.grid_size = 2000
 
 run.command = converge
@@ -28,7 +26,6 @@ density.n = 500
 def test_defaults():
     cfg = parse_config("profile.kind = round_sphere\n")
     assert cfg.profile.kind == "round_sphere"
-    assert cfg.actions.quad_nodes == 256
     assert cfg.spectral.grid_size == 4000
     assert cfg.command is None
     assert cfg.ells == ()
@@ -41,7 +38,6 @@ def test_full_config_parses():
     cfg = parse_config(FULL)
     assert cfg.profile.kind == "ellipsoid"
     assert cfg.profile.aspect == pytest.approx(1.3)
-    assert cfg.actions.quad_nodes == 512
     assert cfg.spectral.grid_size == 2000
     assert cfg.command == "converge"
     assert cfg.ells == (10, 20, 40)
@@ -61,11 +57,13 @@ def test_unknown_key_rejected_with_position():
     "spectral.interp = cubic",
     "actions.fd_step = 1e-7",
     "actions.newton_tol = 1e-12",
+    "actions.quad_nodes = 32",
 ])
 def test_removed_interp_key_rejected(line):
     # knobs that had a single value in use are gone: spectral.interp
-    # (only "cubic"), actions.fd_step (read by no command) and
-    # actions.newton_tol (the energy inversion runs to float resolution)
+    # (only "cubic"), actions.fd_step (read by no command),
+    # actions.newton_tol (the energy inversion runs to float resolution) and
+    # actions.quad_nodes (every radial pass is converged at 256 nodes)
     with pytest.raises(ConfigError) as err:
         parse_config("profile.kind = round_sphere\n" + line + "\n")
     assert "unknown key" in str(err.value) and "line 2" in str(err.value)
@@ -82,7 +80,6 @@ def test_malformed_line_rejected():
 
 
 @pytest.mark.parametrize("line", [
-    "actions.quad_nodes = 32",
     "spectral.grid_size = 4",
     "profile.aspect = -1",
     "profile.aspect = 0",
@@ -119,11 +116,11 @@ def test_symbol_needs_kind_and_exactly_one_source():
 
 
 def test_build_profile_and_evaluator():
-    cfg = parse_config("profile.kind = round_sphere\nactions.quad_nodes = 128\n")
+    cfg = parse_config("profile.kind = round_sphere\n")
     p = build_profile(cfg)
     assert p.name == "round_sphere"
     ev = build_evaluator(cfg, p)
-    assert ev.quad_nodes == 128
+    assert ev.profile is p
 
 
 def test_build_symbol_kinds():

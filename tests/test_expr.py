@@ -18,6 +18,8 @@ def test_variable_and_constants():
     f = parse_expr("cos(r)^2 + sin(r)^2", "r")
     assert f(0.71) == pytest.approx(1.0, abs=1e-15)
     assert parse_expr("pi", "s")(123.0) == pytest.approx(np.pi)
+    # a constant expression still takes the shape of its argument
+    assert parse_expr("pi", "s")(np.zeros(3)).shape == (3,)
     assert parse_expr("exp(0*s)", "s")(5.0) == pytest.approx(1.0)
 
 
@@ -35,6 +37,10 @@ def test_wrong_variable_rejected_with_position():
     with pytest.raises(ExprError) as err:
         parse_expr("sin(x)", "s")
     assert "position 5" in str(err.value)
+    # positions count in the text as typed, across `^`
+    with pytest.raises(ExprError) as err:
+        parse_expr("r^2 + q", "r")
+    assert "position 7" in str(err.value)
 
 
 def test_unbalanced_parenthesis_rejected():
@@ -44,16 +50,14 @@ def test_unbalanced_parenthesis_rejected():
         parse_expr("(r + 1))", "r")
 
 
-def test_trailing_garbage_rejected():
+@pytest.mark.parametrize("text", [
+    "r + ", "r 2", "tan(r)", "r < 1", "r if r else 1", "r.real", "[r][0]",
+    "sin(r, 2)", "sin(x=r)", "1j", "True", "r // 2", "r % 2", "r**2",
+    "__import__('os')", "lambda: 1",
+])
+def test_outside_the_grammar_rejected(text):
     with pytest.raises(ExprError):
-        parse_expr("r + ", "r")
-    with pytest.raises(ExprError):
-        parse_expr("r 2", "r")
-
-
-def test_unknown_function_rejected():
-    with pytest.raises(ExprError):
-        parse_expr("tan(r)", "r")
+        parse_expr(text, "r")
 
 
 @given(coeffs=st.lists(st.floats(-3, 3), min_size=1, max_size=4),
