@@ -14,7 +14,6 @@ from .actions import (
     di2_drho_fd,
     energy_K,
     frequencies,
-    limit_cdf,
     limit_density_unnorm,
     liouville_state,
     normalization_M,
@@ -75,9 +74,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionEvaluator", "SymbolFn", "action_I2", "angular_symbol", "dI2_dc",
-    "dI2_dE", "di2_drho_fd", "energy_K", "frequencies", "limit_cdf",
-    "limit_density_unnorm", "liouville_state", "normalization_M",
-    "phase_space_symbol", "radial_symbol", "torus_average", "turning_points",
+    "dI2_dE", "di2_drho_fd", "energy_K", "frequencies",
+    "limit_density_unnorm", "liouville_state", "normalization_M", "phase_space_symbol",
+    "radial_symbol", "torus_average", "turning_points",
     "ConfigError", "ConvergenceError", "DegenerateMeasureError", "DegenerateTorusError",
     "ExprError", "InvalidParameterError", "LabelingError", "OutsideMomentImageError",
     "OutsideOpenIntervalError", "RejectedProfileError", "ResolutionError",

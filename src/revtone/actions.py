@@ -38,7 +38,6 @@ from .errors import (
     InvalidParameterError,
     OutsideMomentImageError,
     OutsideOpenIntervalError,
-    SignedMeasureError,
 )
 from .quadrature import map_to_interval, tanh_sinh_rule
 from .surface import SurfaceProfile, _ChebFit, find_root
@@ -82,38 +81,32 @@ _SYMBOL_KINDS = ("radial_mult", "angular_ratio", "phase_space")
 
 @dataclass(frozen=True, eq=False)
 class SymbolFn:
-    """Classical observable in one of three shapes.
+    """Classical observable in one of three shapes; `fn` is its one callable.
 
-    radial_mult:   multiplication by b(r)
-    angular_ratio: function chi of the ratio p_theta / |xi|
-    phase_space:   degree-0 homogeneous sigma(r, theta, rho, eta)
+    radial_mult:   multiplication by b(r); fn(r) = b(r)
+    angular_ratio: function chi of the ratio p_theta / |xi|; fn(s) = chi(s)
+    phase_space:   degree-0 homogeneous sigma; fn(r, theta, rho, eta) = sigma(r, theta, rho, eta)
     """
 
     kind: str
-    radial_part: Callable | None = None
-    ratio_part: Callable | None = None
-    full_part: Callable | None = None
+    fn: Callable
     name: str = ""
 
     def __post_init__(self):
         if self.kind not in _SYMBOL_KINDS:
             raise InvalidParameterError(f"unknown symbol kind {self.kind!r}")
-        needed = {"radial_mult": self.radial_part, "angular_ratio": self.ratio_part,
-                  "phase_space": self.full_part}[self.kind]
-        if needed is None:
-            raise InvalidParameterError(f"symbol kind {self.kind!r} is missing its callable")
 
 
 def radial_symbol(b: Callable, name: str = "") -> SymbolFn:
-    return SymbolFn(kind="radial_mult", radial_part=b, name=name)
+    return SymbolFn("radial_mult", b, name)
 
 
 def angular_symbol(chi: Callable, name: str = "") -> SymbolFn:
-    return SymbolFn(kind="angular_ratio", ratio_part=chi, name=name)
+    return SymbolFn("angular_ratio", chi, name)
 
 
 def phase_space_symbol(sigma: Callable, name: str = "") -> SymbolFn:
-    return SymbolFn(kind="phase_space", full_part=sigma, name=name)
+    return SymbolFn("phase_space", sigma, name)
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +171,9 @@ class _Radicand:
         return F
 
 
-def _integrate_radial(ev: ActionEvaluator, c: float, E: float, g):
-    """(1/pi) * integral of g(r, F(r)) over the oscillation interval; a tuple
-    of integrands from g gives a tuple of integrals from one radial pass."""
+def _integrate_radial(ev: ActionEvaluator, c: float, E: float, g) -> tuple:
+    """(1/pi) * integral of each integrand in the tuple g(r, F(r)) over the
+    oscillation interval, all from one radial pass."""
     x, w, sigma = tanh_sinh_rule(_QUAD_NODES)
     if c == 0.0:
         r, _, _, half = map_to_interval(0.0, ev.profile.L, x, sigma)
@@ -189,10 +182,7 @@ def _integrate_radial(ev: ActionEvaluator, c: float, E: float, g):
         r1, r2 = turning_points(ev, c, E)
         r, d1, d2, half = map_to_interval(r1, r2, x, sigma)
         F = _Radicand(ev.profile, c, E, r1, r2)(r, d1, d2)
-    vals = g(r, F)
-    if isinstance(vals, tuple):
-        return tuple(half * float(np.dot(w, v)) / np.pi for v in vals)
-    return half * float(np.dot(w, vals)) / np.pi
+    return tuple(half * float(np.dot(w, v)) / np.pi for v in g(r, F))
 
 
 def action_I2(ev: ActionEvaluator, c: float, E: float) -> float:
@@ -237,9 +227,9 @@ def dI2_dc(ev: ActionEvaluator, c: float, E: float) -> float:
 
     def g(r, F):
         a = np.asarray(ev.profile.a(r), float)
-        return (-c / (a * a)) * _inv_sqrt_weight(F)
+        return ((-c / (a * a)) * _inv_sqrt_weight(F),)
 
-    return _integrate_radial(ev, c, E, g) + float(np.sign(c))
+    return _integrate_radial(ev, c, E, g)[0] + float(np.sign(c))
 
 
 def energy_K(ev: ActionEvaluator, c: float, I2: float) -> float:
@@ -392,17 +382,17 @@ def torus_average(ev: ActionEvaluator, sym: SymbolFn, c: float) -> float:
     E = _unit_torus(ev, abs(c))[0]
 
     if sym.kind == "angular_ratio":
-        return float(sym.ratio_part(c / E))
+        return float(sym.fn(c / E))
 
     if sym.kind == "radial_mult":
         def symbol(r, rho):
-            return np.asarray(sym.radial_part(r), float)
+            return np.asarray(sym.fn(r), float)
     else:
         _cached(ev, ("homogeneous", sym), lambda: _check_homogeneous(sym, ev.profile.L, c, E))
         theta = 2.0 * np.pi * np.arange(_THETA_SAMPLES)[None, :] / _THETA_SAMPLES
 
         def symbol(r, rho):
-            up, down = (np.asarray(sym.full_part(r[:, None], theta, sign * rho[:, None], c),
+            up, down = (np.asarray(sym.fn(r[:, None], theta, sign * rho[:, None], c),
                                    float) for sign in (1.0, -1.0))
             return 0.5 * (np.mean(up, axis=1) + np.mean(down, axis=1))
 
@@ -418,10 +408,10 @@ def _check_homogeneous(sym: SymbolFn, L: float, c: float, E: float) -> bool:
     r = np.linspace(0.35 * L, 0.65 * L, 7)
     theta = np.linspace(0.0, 2.0 * np.pi, 5)[:-1]
     rho = 0.7 * E
-    base = np.asarray(sym.full_part(r[:, None], theta[None, :], rho, c), float)
+    base = np.asarray(sym.fn(r[:, None], theta[None, :], rho, c), float)
     scale = max(1.0, float(np.max(np.abs(base))))
     for t in (2.0, 5.0):
-        scaled = np.asarray(sym.full_part(r[:, None], theta[None, :], t * rho, t * c), float)
+        scaled = np.asarray(sym.fn(r[:, None], theta[None, :], t * rho, t * c), float)
         if float(np.max(np.abs(scaled - base))) > 1e-10 * scale:
             raise InvalidParameterError(
                 "phase_space symbol is not homogeneous of degree 0 in (rho, eta)")
@@ -433,10 +423,10 @@ def _check_homogeneous(sym: SymbolFn, L: float, c: float, E: float) -> bool:
 
 class _SinSeries(_ChebFit):
     """Fit of g(u) = f(c) sqrt((1 - c)(1 + c)), c = sin(pi u / 2), with g(+-1) = end;
-    its antiderivative makes cumulative integrals of f in c closed-form.  The
+    its antiderivative makes the CDF of f in c closed-form.  The
     weight takes the rounded c, to cancel the blow-up of f at that point."""
 
-    def __init__(self, f, end: float, even: bool = False):
+    def __init__(self, f, end: float, even: bool):
         def sample(j):
             # u_j = cos(pi j / 512) as a sine: exact at u = 0 and odd in u
             c = float(np.sin(0.5 * np.pi * np.sin(np.pi * (256 - j) / 512)))
@@ -447,14 +437,14 @@ class _SinSeries(_ChebFit):
         self._lo = float(_cheb.chebval(-1.0, self._anti))
         self.total = (np.pi / 2.0) * (float(_cheb.chebval(1.0, self._anti)) - self._lo)
 
-    def cumulative(self, c: float | np.ndarray) -> float | np.ndarray:
-        """Integral of f from -1 to c, elementwise over c in [-1, 1]."""
+    def cdf(self, c: float | np.ndarray) -> float | np.ndarray:
+        """Integral of f from -1 to c over its total, elementwise over c in [-1, 1]."""
         outside = np.abs(c) > 1.0
         if np.any(outside):
             raise OutsideOpenIntervalError(
                 f"cdf argument must lie in [-1, 1], got {np.asarray(c)[outside][0]}")
         u = np.arcsin(c) / (np.pi / 2.0)
-        return (np.pi / 2.0) * (_cheb.chebval(u, self._anti) - self._lo)
+        return (np.pi / 2.0) * (_cheb.chebval(u, self._anti) - self._lo) / self.total
 
 
 def _mu_end(p: SurfaceProfile) -> float:
@@ -486,12 +476,6 @@ def normalization_M(ev: ActionEvaluator) -> float:
     return mu_series(ev).total
 
 
-def limit_cdf(ev: ActionEvaluator, c: float | np.ndarray) -> float | np.ndarray:
-    """CDF of the normalized limit density, elementwise over c in [-1, 1]."""
-    series = mu_series(ev)
-    return np.clip(series.cumulative(c) / series.total, 0.0, 1.0)
-
-
 def liouville_state(ev: ActionEvaluator, sym: SymbolFn) -> float:
     """Integral over c in (-1, 1) of the torus averages of sym.
 
@@ -500,21 +484,3 @@ def liouville_state(ev: ActionEvaluator, sym: SymbolFn) -> float:
     """
     return nu_series(ev, sym).total
 
-
-def nu_mass_and_cdf(ev: ActionEvaluator, sym: SymbolFn):
-    """(omega, cdf) pair for the limit measure of a symbol.
-
-    omega is the total torus-average mass; cdf is the normalized
-    cumulative function, elementwise over c in [-1, 1] and not clipped
-    to [0, 1].  A vanishing omega admits no normalization.
-    """
-    series = nu_series(ev, sym)
-    omega = series.total
-    if abs(omega) < 1e-12:
-        raise SignedMeasureError(
-            f"total average {omega:.3e} vanishes; no normalized limit density exists")
-
-    def cdf(c: float | np.ndarray) -> float | np.ndarray:
-        return series.cumulative(c) / omega
-
-    return omega, cdf

@@ -113,12 +113,12 @@ def cmd_density(cfg: _config.RunConfig) -> int:
     ev = _config.build_evaluator(cfg, profile)
     n = cfg.density_n
     _warn_without_plateau("density", "energy K1", _actions.k1_series(ev))
-    mass = _actions.normalization_M(ev)
+    lim = _measures.limit_measure_mu(ev)
+    mass = lim.mass_constant
     _warn_without_plateau("density", "density", _actions.mu_series(ev))
     cs = [-1.0 + 2.0 * k / n for k in range(1, n)]
     unnorm = [_actions.limit_density_unnorm(ev, c) for c in cs]
-    rows = [(c, f, f / mass, cdf)
-            for c, f, cdf in zip(cs, unnorm, _actions.limit_cdf(ev, np.array(cs)))]
+    rows = [(c, f, f / mass, cdf) for c, f, cdf in zip(cs, unnorm, lim.cdf(np.array(cs)))]
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(os.path.join(cfg.out_dir, "density.csv"),
                ["c", "density_unnorm", "density_norm", "cdf"], rows)

@@ -35,13 +35,6 @@ def parse_expr(text: str, var: str) -> Callable:
     def fail(message: str, pos: int):
         raise ExprError(f"{message} at position {pos + 1} in {text!r}")
 
-    if bad := re.search(r"\*\*|[^\t -~]", text):
-        fail(f"unexpected {bad.group()!r}", bad.start())
-    try:
-        tree = ast.parse(src, mode="eval")
-    except SyntaxError as exc:
-        fail(exc.msg, origin[min((exc.offset or len(src) + 1) - 1, len(src))])
-
     def build(node) -> tuple[Callable, bool]:
         """The closure of an admitted node, and whether it reads the variable."""
         kind = type(node)
@@ -66,5 +59,13 @@ def parse_expr(text: str, var: str) -> Callable:
         fail(f"unknown name {node.id!r} (variable is {var!r})" if kind is ast.Name
              else f"unsupported {text[start:origin[node.end_col_offset]]!r}", start)
 
-    f, reads_var = build(tree.body)
+    if bad := re.search(r"\*\*|[^\t -~]", text):
+        fail(f"unexpected {bad.group()!r}", bad.start())
+    try:
+        f, reads_var = build(ast.parse(src, mode="eval").body)
+    except SyntaxError as exc:
+        fail(exc.msg, origin[min((exc.offset or len(src) + 1) - 1, len(src))])
+    except (RecursionError, MemoryError):
+        # the parser and the walk both recurse once per nesting level
+        fail("expression nested too deeply", 0)
     return f if reads_var else (lambda x: np.full(np.shape(x), f(x)) if np.ndim(x) else f(x))

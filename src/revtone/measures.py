@@ -62,7 +62,8 @@ class EmpiricalMeasure:
 
 @dataclass(frozen=True, eq=False)
 class LimitMeasure:
-    """Normalized limit density on (-1, 1), its array-valued CDF and raw mass."""
+    """Normalized limit density on (-1, 1), its CDF (the series' own `cdf`: elementwise,
+    unclipped, exactly 0 at -1 and 1 at 1) and raw mass."""
 
     density: Callable
     cdf: Callable
@@ -91,16 +92,11 @@ def empirical_nu(slice_: _spectral.JointSlice, sym: _actions.SymbolFn) -> Empiri
     if sym.kind == "phase_space":
         raise UnsupportedQuantizationError(
             "phase_space symbols have no matrix-element rule in the separated basis")
-    weights = []
-    ms = []
-    for mode in slice_.modes:
-        ms.append(mode.m)
-        if sym.kind == "radial_mult":
-            weights.append(_spectral.matrix_element_radial(mode, sym.radial_part, slice_.profile))
-        else:
-            weights.append(_spectral.matrix_element_angular(mode, sym.ratio_part))
-    ms = np.array(ms)
-    w = np.array(weights)
+    if sym.kind == "radial_mult":
+        w = [_spectral.matrix_element_radial(mode, sym.fn, slice_.profile) for mode in slice_.modes]
+    else:
+        w = [_spectral.matrix_element_angular(mode, sym.fn) for mode in slice_.modes]
+    ms, w = np.array([mode.m for mode in slice_.modes]), np.array(w)
     total = float(np.sum(w))
     scale = float(np.sum(np.abs(w)))
     if abs(total) <= 1e-12 * max(scale, 1e-300):
@@ -117,18 +113,22 @@ def limit_measure_mu(ev: _actions.ActionEvaluator) -> LimitMeasure:
     def density(c: float) -> float:
         return _actions.limit_density_unnorm(ev, c) / M
 
-    return LimitMeasure(density=density, cdf=lambda c: _actions.limit_cdf(ev, c),
-                        mass_constant=M)
+    return LimitMeasure(density=density, cdf=_actions.mu_series(ev).cdf, mass_constant=M)
 
 
 def limit_measure_nu(ev: _actions.ActionEvaluator, sym: _actions.SymbolFn) -> LimitMeasure:
-    """Weak-* limit of the matrix-element measures: normalized torus averages."""
-    omega, cdf = _actions.nu_mass_and_cdf(ev, sym)
+    """Weak-* limit of the matrix-element measures: normalized torus averages, which
+    a vanishing total average leaves without a normalization."""
+    omega = _actions.liouville_state(ev, sym)
+    if abs(omega) < 1e-12:
+        raise SignedMeasureError(
+            f"total average {omega:.3e} vanishes; no normalized limit density exists")
 
     def density(c: float) -> float:
         return _actions.torus_average(ev, sym, c) / omega
 
-    return LimitMeasure(density=density, cdf=cdf, mass_constant=omega)
+    return LimitMeasure(density=density, cdf=_actions.nu_series(ev, sym).cdf,
+                        mass_constant=omega)
 
 
 def _require_unsigned(emp: EmpiricalMeasure):

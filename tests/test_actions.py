@@ -14,6 +14,7 @@ from revtone import (
     InvalidParameterError,
     OutsideMomentImageError,
     OutsideOpenIntervalError,
+    SymbolFn,
     action_I2,
     angular_symbol,
     dI2_dc,
@@ -21,7 +22,6 @@ from revtone import (
     di2_drho_fd,
     energy_K,
     frequencies,
-    limit_cdf,
     limit_density_unnorm,
     liouville_state,
     normalization_M,
@@ -32,7 +32,7 @@ from revtone import (
 )
 from revtone import actions, surface
 from revtone.actions import equator_momentum
-from revtone.measures import limit_measure_nu
+from revtone.measures import limit_measure_mu, limit_measure_nu
 from revtone.spectral import RadialMode, ebk_residual
 from revtone.surface import make_ellipsoid, make_round_sphere
 
@@ -45,6 +45,8 @@ def test_symbol_constructors():
     assert radial_symbol(np.sin).kind == "radial_mult"
     assert angular_symbol(lambda s: s * s).kind == "angular_ratio"
     assert phase_space_symbol(lambda r, th, rho, eta: 1.0).kind == "phase_space"
+    with pytest.raises(InvalidParameterError):
+        SymbolFn("bogus", np.sin)
 
 
 # --- turning points --------------------------------------------------------
@@ -130,9 +132,9 @@ def test_one_radial_pass_gives_the_bits_of_two(ell13_ev):
     # action_I2 and dI2_dE share one pass; each matches its own single pass
     for c, E in ((0.0, 1.0), (0.3, 1.0), (-0.7, 2.5)):
         action = actions._integrate_radial(
-            ell13_ev, c, E, lambda r, F: np.sqrt(np.maximum(F, 0.0))) + abs(c)
+            ell13_ev, c, E, lambda r, F: (np.sqrt(np.maximum(F, 0.0)),))[0] + abs(c)
         slope = actions._integrate_radial(
-            ell13_ev, c, E, lambda r, F: E * actions._inv_sqrt_weight(F))
+            ell13_ev, c, E, lambda r, F: (E * actions._inv_sqrt_weight(F),))[0]
         assert (action_I2(ell13_ev, c, E), dI2_dE(ell13_ev, c, E)) == (action, slope)
 
 
@@ -344,19 +346,21 @@ def test_normalization_matches_gauss_legendre_in_t(ell13_ev):
 
 
 def test_limit_cdf_sphere(sphere_ev):
-    assert limit_cdf(sphere_ev, 0.0) == pytest.approx(0.5, abs=1e-10)
-    assert limit_cdf(sphere_ev, 0.5) == pytest.approx(2.0 / 3.0, abs=1e-8)
-    assert limit_cdf(sphere_ev, -1.0) == pytest.approx(0.0, abs=1e-8)
-    assert limit_cdf(sphere_ev, 1.0) == pytest.approx(1.0, abs=1e-8)
+    cdf = limit_measure_mu(sphere_ev).cdf
+    assert cdf(0.0) == pytest.approx(0.5, abs=1e-10)
+    assert cdf(0.5) == pytest.approx(2.0 / 3.0, abs=1e-8)
+    assert cdf(-1.0) == pytest.approx(0.0, abs=1e-8)
+    assert cdf(1.0) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_limit_cdf_rejects_any_point_outside(sphere_ev):
+    cdf = limit_measure_mu(sphere_ev).cdf
     with pytest.raises(OutsideOpenIntervalError):
-        limit_cdf(sphere_ev, np.array([0.0, 0.5, 1.0 + 1e-12]))
+        cdf(np.array([0.0, 0.5, 1.0 + 1e-12]))
     with pytest.raises(OutsideOpenIntervalError):
-        limit_cdf(sphere_ev, np.array([[0.0, -1.5], [0.2, 0.3]]))
+        cdf(np.array([[0.0, -1.5], [0.2, 0.3]]))
     with pytest.raises(OutsideOpenIntervalError):
-        limit_cdf(sphere_ev, 1.5)
+        cdf(1.5)
     # the nu CDF applies the same check
     cos2 = radial_symbol(lambda r: np.cos(r) ** 2, name="cos^2")
     with pytest.raises(OutsideOpenIntervalError):
@@ -365,7 +369,8 @@ def test_limit_cdf_rejects_any_point_outside(sphere_ev):
 
 def test_limit_cdf_monotone(ell13_ev):
     grid = np.linspace(-1.0, 1.0, 81)
-    vals = [limit_cdf(ell13_ev, float(c)) for c in grid]
+    cdf = limit_measure_mu(ell13_ev).cdf
+    vals = [cdf(float(c)) for c in grid]
     assert vals[0] == pytest.approx(0.0, abs=1e-8)
     assert vals[-1] == pytest.approx(1.0, abs=1e-8)
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))

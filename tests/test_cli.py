@@ -256,11 +256,14 @@ def test_converge_requires_ells(tmp_path, capsys):
     assert "ells" in capsys.readouterr().err
 
 
-def test_bad_symbol_expression_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("expr", [
+    "__import__('os')", pytest.param("r+" * 5000 + "r", id="deep-sum"),
+])
+def test_bad_symbol_expression_is_config_error(tmp_path, capsys, expr):
     cfg = _write(tmp_path / "run.cfg",
                  "profile.kind = round_sphere\nrun.command = converge\nrun.ells = 10, 20\n"
                  f"run.out_dir = {tmp_path}\n"
-                 "symbol.kind = radial_mult\nsymbol.expr = __import__('os')\n")
+                 f"symbol.kind = radial_mult\nsymbol.expr = {expr}\n")
     assert main(["--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "position" in err and "Traceback" not in err

@@ -127,12 +127,12 @@ def test_build_symbol_kinds():
     radial = parse_config("symbol.kind = radial_mult\nsymbol.expr = sin(r)\n")
     sym = build_symbol(radial)
     assert sym.kind == "radial_mult"
-    assert sym.radial_part(np.pi / 2) == pytest.approx(1.0)
+    assert sym.fn(np.pi / 2) == pytest.approx(1.0)
 
     angular = parse_config("symbol.kind = angular_ratio\nsymbol.expr = s^2\n")
     sym = build_symbol(angular)
     assert sym.kind == "angular_ratio"
-    assert sym.ratio_part(0.5) == pytest.approx(0.25)
+    assert sym.fn(0.5) == pytest.approx(0.25)
 
     assert build_symbol(parse_config("profile.kind = round_sphere\n")) is None
 
@@ -143,7 +143,7 @@ def test_symbol_table_loaded_from_file(tmp_path):
     np.savetxt(path, np.column_stack([xs, xs ** 2]))
     cfg = parse_config(f"symbol.kind = angular_ratio\nsymbol.table_path = {path}\n")
     sym = build_symbol(cfg)
-    assert sym.ratio_part(0.3) == pytest.approx(0.09, abs=1e-4)
+    assert sym.fn(0.3) == pytest.approx(0.09, abs=1e-4)
 
 
 def test_symbol_table_rejects_short_or_unsorted(tmp_path):

@@ -54,6 +54,8 @@ def test_unbalanced_parenthesis_rejected():
     "r + ", "r 2", "tan(r)", "r < 1", "r if r else 1", "r.real", "[r][0]",
     "sin(r, 2)", "sin(x=r)", "1j", "True", "r // 2", "r % 2", "r**2",
     "__import__('os')", "lambda: 1",
+    pytest.param("r+" * 5000 + "r", id="deep-sum"),
+    pytest.param("-" * 10000 + "r", id="deep-minus"),
 ])
 def test_outside_the_grammar_rejected(text):
     with pytest.raises(ExprError):

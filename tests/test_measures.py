@@ -6,12 +6,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from revtone import (
+    ActionEvaluator,
     DegenerateMeasureError,
     InvalidParameterError,
     SignedMeasureError,
     UnsupportedQuantizationError,
     angular_symbol,
     joint_slice,
+    make_ellipsoid,
+    make_round_sphere,
     matrix_element_angular,
     radial_symbol,
 )
@@ -155,6 +158,22 @@ def test_limit_cdfs_take_arrays(request, ev_name):
         assert np.array_equal(lim.cdf(grid.reshape(41, 1)), scalar.reshape(41, 1))
 
 
+@pytest.mark.parametrize("aspect", [None, 0.5, 1.3, 5.0])
+def test_limit_cdfs_stay_in_unit_interval(aspect):
+    # the series' CDF is not clipped: it must end exactly on 0 and 1 by itself
+    ev = ActionEvaluator(make_round_sphere() if aspect is None else make_ellipsoid(aspect))
+    ends = 1.0 - np.logspace(-16, -1, 61)
+    grid = np.unique(np.concatenate((-ends, np.linspace(-1.0, 1.0, 20001), ends)))
+    mu = limit_measure_mu(ev)
+    for lim in (mu, limit_measure_nu(ev, ONE)):
+        assert lim.cdf(-1.0) == 0.0 and lim.cdf(1.0) == 1.0
+        vals = lim.cdf(grid)
+        assert np.all((vals >= 0.0) & (vals <= 1.0))
+    # monotone to the last bit; the nu CDF may step back by an ulp between
+    # neighbouring floats (0.999 and the next one up)
+    assert np.all(np.diff(mu.cdf(grid)) >= 0.0)
+
+
 def test_limit_nu_unit_symbol_uniform(sphere_ev):
     lim = limit_measure_nu(sphere_ev, ONE)
     for c in (-0.9, -0.3, 0.0, 0.4, 0.8):
@@ -286,7 +305,7 @@ def test_trace_identity_two_routes(sphere, sphere_ev):
         return c ** 4 - 0.3 * c + 0.2
 
     via_atoms = float(sum(w * f(c) for c, w in nu.atoms))
-    raw = [(mode.m, matrix_element_angular(mode, SQUARED.ratio_part))
+    raw = [(mode.m, matrix_element_angular(mode, SQUARED.fn))
            for mode in sl.modes]
     total = sum(v for _, v in raw)
     via_trace = float(sum(v * f(m / sl.ell) for m, v in raw) / total)
