@@ -23,6 +23,7 @@ _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
         ast.Div: operator.truediv, ast.Pow: operator.pow, ast.UAdd: operator.pos,
         ast.USub: operator.neg}
+_MAX_DEPTH = 100  # nesting levels; each is one Python frame when the closure runs
 
 
 def parse_expr(text: str, var: str) -> Callable:
@@ -35,9 +36,11 @@ def parse_expr(text: str, var: str) -> Callable:
     def fail(message: str, pos: int):
         raise ExprError(f"{message} at position {pos + 1} in {text!r}")
 
-    def build(node) -> tuple[Callable, bool]:
+    def build(node, depth=0) -> tuple[Callable, bool]:
         """The closure of an admitted node, and whether it reads the variable."""
-        kind = type(node)
+        if depth > _MAX_DEPTH:
+            fail(f"expression nested deeper than {_MAX_DEPTH} levels", origin[node.col_offset])
+        kind, depth = type(node), depth + 1
         if kind is ast.Constant and type(node.value) in (int, float):
             v = float(str(node.value))  # through str, an int past the float range is inf
             return (lambda x: v), False
@@ -46,14 +49,15 @@ def parse_expr(text: str, var: str) -> Callable:
         if kind is ast.Name and node.id == var:
             return (lambda x: np.asarray(x, float) if np.ndim(x) else float(x)), True
         if kind is ast.BinOp and type(node.op) in _OPS:
-            (f, fv), (g, gv), op = build(node.left), build(node.right), _OPS[type(node.op)]
+            (f, fv), (g, gv) = build(node.left, depth), build(node.right, depth)
+            op = _OPS[type(node.op)]
             return (lambda x: op(f(x), g(x))), fv or gv
         if kind is ast.UnaryOp and type(node.op) in _OPS:
-            (f, fv), op = build(node.operand), _OPS[type(node.op)]
+            (f, fv), op = build(node.operand, depth), _OPS[type(node.op)]
             return (lambda x: op(f(x))), fv
         if (kind is ast.Call and getattr(node.func, "id", None) in _FUNCS
                 and len(node.args) == 1 and not node.keywords):
-            (f, fv), fn = build(node.args[0]), _FUNCS[node.func.id]
+            (f, fv), fn = build(node.args[0], depth), _FUNCS[node.func.id]
             return (lambda x: fn(f(x))), fv
         start = origin[node.col_offset]
         fail(f"unknown name {node.id!r} (variable is {var!r})" if kind is ast.Name
@@ -66,6 +70,6 @@ def parse_expr(text: str, var: str) -> Callable:
     except SyntaxError as exc:
         fail(exc.msg, origin[min((exc.offset or len(src) + 1) - 1, len(src))])
     except (RecursionError, MemoryError):
-        # the parser and the walk both recurse once per nesting level
+        # the parser recurses once per nesting level
         fail("expression nested too deeply", 0)
     return f if reads_var else (lambda x: np.full(np.shape(x), f(x)) if np.ndim(x) else f(x))

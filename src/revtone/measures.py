@@ -92,10 +92,8 @@ def empirical_nu(slice_: _spectral.JointSlice, sym: _actions.SymbolFn) -> Empiri
     if sym.kind == "phase_space":
         raise UnsupportedQuantizationError(
             "phase_space symbols have no matrix-element rule in the separated basis")
-    if sym.kind == "radial_mult":
-        w = [_spectral.matrix_element_radial(mode, sym.fn, slice_.profile) for mode in slice_.modes]
-    else:
-        w = [_spectral.matrix_element_angular(mode, sym.fn) for mode in slice_.modes]
+    w = (_spectral.radial_matrix_elements(slice_, sym.fn) if sym.kind == "radial_mult"
+         else [_spectral.matrix_element_angular(mode, sym.fn) for mode in slice_.modes])
     ms, w = np.array([mode.m for mode in slice_.modes]), np.array(w)
     total = float(np.sum(w))
     scale = float(np.sum(np.abs(w)))

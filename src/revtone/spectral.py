@@ -8,9 +8,9 @@ the form e^{i m theta} u(r) / sqrt(2 pi); u solves the radial problem
 with u -> 0 at the poles for m != 0 and zero flux for m = 0.  The
 discretization is a flux-conservative second-order scheme on a uniform
 grid pulled back from the poles by delta = L / (10 * grid_size), written
-as a symmetric tridiagonal pencil with weight a(r) and solved by
-bisection plus inverse iteration for selected indices.  The profile is
-sampled once per grid size, at nodes and half-points, for all m.
+as a symmetric tridiagonal pencil with weight a(r) and solved by seeded
+Rayleigh-quotient iteration; bisection gives the first coarse pairs and the fallback.
+The profile is sampled once per grid size, at nodes and half-points, for all m.
 
 Eigenvalues carry an O(h^2) bias with a smooth coefficient, so every
 headline number (lambda^2 and the equator value u(r0)) is Richardson
@@ -34,6 +34,9 @@ MIN_POINTS_PER_WAVELENGTH = 10.0
 # grid entries below this fraction of the max are treated as pole
 # underflow when counting sign changes
 _NODE_FLOOR = 1e-8
+# Rayleigh-quotient steps stop when the quotient moves by <= _RQI_TOL of itself (4 eps
+# is never met: the m^2/a^2 pole entries make ||T|| ~ 1e9), or bisect after _RQI_STEPS
+_RQI_TOL, _RQI_STEPS = 1e-13, 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +89,7 @@ def _tridiagonal(g: _Grid, m: int):
     pole nodes are dropped and the fluxes through them stay on the diagonal.
     """
     h2 = g.h * g.h
-    r, ar, ah = (g.r, g.a, g.ah) if m == 0 else (g.r[1:-1], g.a[1:-1], g.ah[1:-1])
+    ar, ah = (g.a, g.ah) if m == 0 else (g.a[1:-1], g.ah[1:-1])
     diag = np.zeros_like(ar)
     diag[:-1] += ah / h2
     diag[1:] += ah / h2
@@ -96,7 +99,7 @@ def _tridiagonal(g: _Grid, m: int):
         diag[-1] += g.ah[-1] / h2
     off = -ah / h2
     sq = np.sqrt(ar)
-    return r, diag / ar, off / (sq[:-1] * sq[1:]), ar, sq
+    return diag / ar, off / (sq[:-1] * sq[1:]), ar, sq
 
 
 def _count_nodes(u: np.ndarray) -> int:
@@ -105,7 +108,8 @@ def _count_nodes(u: np.ndarray) -> int:
     return int(np.count_nonzero(s[1:] * s[:-1] < 0))
 
 
-def _fix_sign(u: np.ndarray) -> np.ndarray:
+def _normalized(u: np.ndarray, ar: np.ndarray, h: float) -> np.ndarray:
+    u = u / np.sqrt(np.trapezoid(ar * u * u, dx=h))
     idx = int(np.argmax(np.abs(u) > 0.01 * np.max(np.abs(u))))
     return u if u[idx] > 0 else -u
 
@@ -116,16 +120,34 @@ def eigh_tridiagonal(d, e, **kwargs):
     return solve(d, e, **kwargs)
 
 
-def _solve_indices(g: _Grid, m: int, idx_lo: int, idx_hi: int):
-    """Eigenpairs idx_lo..idx_hi (ascending) on one grid; u normalized."""
-    r, diag, off, ar, sq = _tridiagonal(g, m)
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(idx_lo, idx_hi))
-    modes = []
-    for k in range(vals.shape[0]):
-        u = vecs[:, k] / sq
-        u = _fix_sign(u / np.sqrt(np.trapezoid(ar * u * u, dx=g.h)))
-        modes.append((float(vals[k]), u))
-    return r, modes
+def _solve_indices(g: _Grid, m: int, idx_lo: int, idx_hi: int) -> list:
+    """Eigenpairs (lambda^2, u) idx_lo..idx_hi (ascending) on one grid, by bisection."""
+    diag, off, ar, sq = _tridiagonal(g, m)
+    # tol below LAPACK's floor of 2 ulp; scipy's default eps * ||T||_1 is about 3e-7
+    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(idx_lo, idx_hi), tol=1e-300)
+    return [(float(v), _normalized(x / sq, ar, g.h)) for v, x in zip(vals, vecs.T)]
+
+
+def _solve(g: _Grid, m: int, n: int, shift: float, u0: np.ndarray, fixed: int) -> tuple:
+    """Eigenpair n on one grid from u0: `fixed` inverse steps at `shift`, then Rayleigh
+    quotient steps (one dgtsv each); bisection unless they settle on n interior nodes."""
+    from scipy.linalg.lapack import dgtsv
+    diag, off, ar, sq = _tridiagonal(g, m)
+    x, rho = sq * u0, shift
+    for step in range(fixed + _RQI_STEPS):
+        y, info = dgtsv(off, diag - rho, off, x)[3:]
+        if info:
+            break
+        x = y / np.linalg.norm(y)
+        if step >= fixed - 1:
+            tx = diag * x
+            tx[:-1] += off * x[1:]
+            tx[1:] += off * x[:-1]
+            last, rho = rho, float(x @ tx)
+            if abs(rho - last) <= _RQI_TOL * abs(rho):
+                u = _normalized(x / sq, ar, g.h)
+                return (rho, u) if _count_nodes(u) == n else _solve_indices(g, m, n, n)[0]
+    return _solve_indices(g, m, n, n)[0]
 
 
 def _interp_at(r: np.ndarray, u: np.ndarray, x: float) -> float:
@@ -151,10 +173,11 @@ def _check_resolution(lam_max: float, h: float):
 
 
 def _assemble(p: SurfaceProfile, fine_grid: _Grid, coarse_grid: _Grid, m: int,
-              n_lo: int, n_hi: int):
-    """Richardson-extrapolated modes for node counts n_lo..n_hi."""
-    r_f, fine = _solve_indices(fine_grid, m, n_lo, n_hi)
-    r_c, coarse = _solve_indices(coarse_grid, m, n_lo, n_hi)
+              n_lo: int, coarse: list):
+    """Richardson-extrapolated modes n = n_lo, n_lo + 1, ..., fine solves seeded by `coarse`."""
+    r_f, r_c = (fine_grid.r, coarse_grid.r) if m == 0 else (fine_grid.r[1:-1], coarse_grid.r[1:-1])
+    fine = [_solve(fine_grid, m, n_lo + k, l2_c, np.interp(r_f, r_c, u_c), 1)
+            for k, (l2_c, u_c) in enumerate(coarse)]
     lam_max = np.sqrt(max(fine[-1][0], 0.0))
     _check_resolution(lam_max, fine_grid.h)
     out = []
@@ -181,7 +204,8 @@ def radial_modes(p: SurfaceProfile, m: int, n_max: int, grid_size: int) -> list:
     """
     if n_max < 0:
         raise InvalidParameterError(f"n_max must be >= 0, got {n_max}")
-    return _assemble(p, *_grids(p, grid_size), int(m), 0, n_max)
+    grids = _grids(p, grid_size)
+    return _assemble(p, *grids, int(m), 0, _solve_indices(grids[1], int(m), 0, n_max))
 
 
 def joint_slice(p: SurfaceProfile, ell: int, grid_size: int) -> JointSlice:
@@ -194,10 +218,14 @@ def joint_slice(p: SurfaceProfile, ell: int, grid_size: int) -> JointSlice:
     if ell < 1:
         raise InvalidParameterError(f"ell must be >= 1, got {ell}")
     grids = _grids(p, grid_size)
-    by_m = {}
-    for m in range(0, ell + 1):
-        n = ell - m
-        by_m[m] = _assemble(p, *grids, m, n, n)[0]
+    start = np.random.default_rng(0).standard_normal(grids[1].r.size - 2)
+    coarse = _solve_indices(grids[1], 0, ell, ell)
+    by_m, shifts = {0: _assemble(p, *grids, 0, ell, coarse)[0]}, [coarse[0][0]] * 2
+    for m in range(1, ell + 1):
+        # the coarse lambda^2 of the last two m, extrapolated (m = 1 takes that of m = 0)
+        pair = _solve(grids[1], m, ell - m, 2.0 * shifts[-1] - shifts[-2], start, 2)
+        shifts.append(pair[0])
+        by_m[m] = _assemble(p, *grids, m, ell - m, [pair])[0]
     modes = []
     norms = {}
     for m in range(-ell, ell + 1):
@@ -221,6 +249,16 @@ def matrix_element_radial(mode: RadialMode, b, p: SurfaceProfile) -> float:
     ar = np.asarray(p.a(mode.r), float)
     br = np.asarray(b(mode.r), float)
     return float(np.trapezoid(br * mode.u * mode.u * ar, mode.r))
+
+
+def radial_matrix_elements(slice_: JointSlice, b) -> list:
+    """matrix_element_radial of each mode of a slice, in its order m = -ell..ell, from
+    one sampling of a and b and one integral per |m| (the modes +-m share u)."""
+    zonal = slice_.modes[slice_.ell]
+    ar, br = np.asarray(slice_.profile.a(zonal.r), float), np.asarray(b(zonal.r), float)
+    half = [float(np.trapezoid(br[k] * mode.u * mode.u * ar[k], mode.r)) for mode, k in
+            zip(slice_.modes[slice_.ell:], [slice(None)] + [slice(1, -1)] * slice_.ell)]
+    return half[:0:-1] + half
 
 
 def matrix_element_angular(mode: RadialMode, chi) -> float:

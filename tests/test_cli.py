@@ -270,6 +270,21 @@ def test_bad_symbol_expression_is_config_error(tmp_path, capsys, expr):
     assert not (tmp_path / "converge.json").exists()
 
 
+def test_long_symbol_expression_is_config_error_in_a_fresh_process(tmp_path):
+    # on the shallow stack of a fresh process 985 terms parse; their closures
+    # then overflowed it inside the sweep (exit 3) unless the parser caps nesting
+    cfg = _write(tmp_path / "run.cfg",
+                 "profile.kind = round_sphere\nspectral.grid_size = 500\n"
+                 "run.command = converge\nrun.ells = 10, 20\n"
+                 f"run.out_dir = {tmp_path}\n"
+                 "symbol.kind = radial_mult\nsymbol.expr = " + "r+" * 984 + "r\n")
+    done = subprocess.run([sys.executable, "-m", "revtone", "--config", cfg],
+                          capture_output=True, text=True)
+    assert done.returncode == 2, done.stderr[-500:]
+    assert "nested" in done.stderr and "Traceback" not in done.stderr
+    assert not (tmp_path / "converge.json").exists()
+
+
 def test_converge_partial_failure(tmp_path):
     cfg = _write(tmp_path / "run.cfg",
                  "profile.kind = round_sphere\nspectral.grid_size = 500\n"

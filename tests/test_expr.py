@@ -1,9 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from revtone import ExprError, parse_expr
+from revtone import ExprError, expr, parse_expr
 
 
 def test_arithmetic_and_precedence():
@@ -60,6 +62,17 @@ def test_unbalanced_parenthesis_rejected():
 def test_outside_the_grammar_rejected(text):
     with pytest.raises(ExprError):
         parse_expr(text, "r")
+
+
+def test_expression_at_the_nesting_cap_evaluates_deep_in_the_stack():
+    f = parse_expr("r+" * expr._MAX_DEPTH + "r", "r")
+
+    def nested(k):
+        return f(2.0) if k == 0 else nested(k - 1)
+
+    assert nested(sys.getrecursionlimit() - 3 * expr._MAX_DEPTH) == 2.0 * (expr._MAX_DEPTH + 1)
+    with pytest.raises(ExprError, match="nested deeper"):
+        parse_expr("r+" * (expr._MAX_DEPTH + 1) + "r", "r")
 
 
 @given(coeffs=st.lists(st.floats(-3, 3), min_size=1, max_size=4),

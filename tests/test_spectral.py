@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import revtone
-from revtone import actions
+from revtone import actions, spectral
 from revtone import (
     InvalidParameterError,
     ResolutionError,
@@ -151,6 +151,76 @@ def test_joint_slice_deterministic(sphere, sphere_ev):
     assert a.restricted_norms == b.restricted_norms
 
 
+def _count_bisections(monkeypatch):
+    calls = []
+    bisect = spectral.eigh_tridiagonal
+    monkeypatch.setattr(spectral, "eigh_tridiagonal",
+                        lambda d, e, **kw: calls.append(len(d)) or bisect(d, e, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("profile, ell, step", [("sphere", 200, 20), ("ell13", 100, 10)])
+def test_fine_eigenvalues_match_tight_bisection(request, monkeypatch, profile, ell, step):
+    # the fine-grid lambda^2 that joint_slice extrapolates from, against LAPACK
+    # bisection run to its 2 ulp floor
+    from scipy.linalg import eigh_tridiagonal
+    p = request.getfixturevalue(profile)
+    fine_grid = spectral._grids(p, 4000)[0]
+    found = {}
+    solve = spectral._solve
+
+    def record(g, m, n, *args):
+        pair = solve(g, m, n, *args)
+        if len(g.r) == 4000:
+            found[m] = pair[0]
+        return pair
+
+    monkeypatch.setattr(spectral, "_solve", record)
+    joint_slice(p, ell, 4000)
+    assert sorted(found) == list(range(ell + 1))
+    for m in range(0, ell + 1, step):
+        diag, off = spectral._tridiagonal(fine_grid, m)[:2]
+        exact = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                 select_range=(ell - m, ell - m), tol=1e-300)[0]
+        assert abs(found[m] - exact) <= 1e-13 * exact
+
+
+def test_eigenvalues_steady_under_last_bit_of_profile(ell13, ell13_slices):
+    # every profile value one ulp up: bisection to eps * ||T|| moved lambda^2 by
+    # up to 1.3e-10 relative under changes this small
+    nudged = dataclasses.replace(ell13, a=lambda r: np.nextafter(ell13.a(r), np.inf))
+    for mode, moved in zip(ell13_slices[50].modes, joint_slice(nudged, 50, 4000).modes):
+        assert abs(moved.lam ** 2 - mode.lam ** 2) <= 1e-13 * mode.lam ** 2
+
+
+def test_bad_seed_falls_back_to_labelled_bisection(sphere, sphere_ev, monkeypatch):
+    # from shift 0 and a vector without nodes, inverse iteration settles on
+    # n = 0, so the m = 3, n = 7 solves must fall back to bisection
+    good = joint_slice(sphere, 10, 2000)
+    solve = spectral._solve
+
+    def bad_seed(g, m, n, shift, u0, fixed):
+        return solve(g, m, n, *((0.0, np.ones_like(u0)) if m == 3 else (shift, u0)), fixed)
+
+    monkeypatch.setattr(spectral, "_solve", bad_seed)
+    calls = _count_bisections(monkeypatch)
+    sl = joint_slice(sphere, 10, 2000)
+    assert len(calls) == 3  # m = 0 on the coarse grid, m = 3 on both grids
+    for mode, ref in zip(sl.modes, good.modes):
+        assert (mode.m, mode.n, mode.ell) == (ref.m, ref.n, ref.ell)
+        assert _recount_sign_changes(mode.u) == mode.n
+        assert abs(mode.lam - ref.lam) <= 1e-12 * ref.lam
+
+
+@pytest.mark.parametrize("profile", ["sphere", "ell13"])
+def test_joint_slice_bisects_at_most_twice(request, monkeypatch, profile):
+    # seeded Rayleigh-quotient solves leave bisection to m = 0 on the coarse grid
+    p = request.getfixturevalue(profile)
+    calls = _count_bisections(monkeypatch)
+    joint_slice(p, 50, 4000)
+    assert len(calls) <= 2
+
+
 # --- restricted norms and matrix elements ----------------------------------
 
 def test_restricted_norm_closed_forms(sphere, sphere_ev):
@@ -201,6 +271,19 @@ def test_gaussian_beam_avoids_polar_bump(sphere, sphere_ev):
         return np.exp(-((r - np.pi / 8) / (np.pi / 16)) ** 2)
 
     assert matrix_element_radial(beam, bump, sphere) <= 1e-3
+
+
+def test_radial_matrix_elements_match_per_mode(ell13, ell13_slices):
+    samples = []
+
+    def b(r):
+        samples.append(np.size(r))
+        return np.cos(r) ** 2
+
+    sl = ell13_slices[25]
+    batched = spectral.radial_matrix_elements(sl, b)
+    assert samples == [4000]
+    assert batched == [matrix_element_radial(mode, b, ell13) for mode in sl.modes]
 
 
 def test_matrix_element_angular_values(sphere, sphere_ev):
