@@ -11,9 +11,12 @@ increasing in E, and on the round sphere equals E identically.  The
 energy function K(c, I2) inverts it, and frequencies are the partial
 derivatives of K.  By homogeneity K(c, I2) = I2 K1(|c| / I2); each
 evaluator fits K1(s) = K(s, 1) on [0, 1] once, which frequencies, limit
-densities, torus averages and EBK residuals read in place of point-wise
-inversions (energy_K stays point-wise, as the oracle).  K1 and the limit
-series of the density and torus averages are surface._ChebFit fits.
+densities, torus averages and EBK residuals read in place of inversions
+(energy_K stays the oracle).  K1 and the limit series of the density and
+torus averages are surface._ChebFit fits, sampled a level at a time:
+passes, inversions and lookups are elementwise over arrays of c, a pass
+is an (n x 257) node array with one lockstep turning-point solve, and
+each row keeps the bits of a one-element pass.
 
 The radicand E^2 - c^2/a(r)^2 vanishes linearly at the turning points.
 Near them it is evaluated from a two-term Taylor model of a anchored at
@@ -21,8 +24,8 @@ the solved turning point, which avoids the catastrophic cancellation a
 direct subtraction would suffer once a(r) rounds to |c|/E.
 
 The energy inversion runs to float resolution, with no tolerance to set.
-Turning points, series and symbol checks are memoized in the evaluator
-that computed them, so they are freed along with it.
+Series and symbol checks are memoized in the evaluator that computed
+them, so they are freed along with it.
 """
 from __future__ import annotations
 
@@ -57,9 +60,8 @@ _THETA_SAMPLES = 128
 
 @dataclass(frozen=True, eq=False)
 class ActionEvaluator:
-    """A meridian profile and every value memoized for it (turning points,
-    series, symbol checks), kept in `_cache` and read and filled through
-    `_cached`."""
+    """A meridian profile and every value memoized for it (series, symbol
+    checks), kept in `_cache` and read and filled through `_cached`."""
 
     profile: SurfaceProfile
     _cache: dict = field(default_factory=dict, repr=False)
@@ -112,15 +114,24 @@ def phase_space_symbol(sigma: Callable, name: str = "") -> SymbolFn:
 # ---------------------------------------------------------------------------
 # turning points and the stable radicand
 
-def _solve_turning_points(p: SurfaceProfile, ca: float) -> tuple[float, float]:
+def _turning_points(p: SurfaceProfile, c: np.ndarray, E: np.ndarray):
+    """(r1, r2) where a(r) = |c|/E on either side of the equator, elementwise
+    over 1-d arrays, from one lockstep root solve; c = 0 gives (0, L)."""
+    bad = ~((E > 0.0) & np.isfinite(E))
+    if np.any(bad):
+        raise InvalidParameterError(f"energy must be positive, got {E[bad][0]}")
+    ca = np.abs(c) / E
+    if np.any(ca >= p.a_r0):
+        raise DegenerateTorusError(f"|c|/E = {np.max(ca):.6g} >= a(r0) = {p.a_r0:.6g}: "
+                                   "no oscillation interval")
+    n, ca2 = ca.size, np.tile(ca, 2)
+
     def f(r):
         # a vanishes at the poles by contract; rounding there must not hide a root
-        return float(p.a(r)) - ca if 0.0 < r < p.L else -ca
+        return np.where((0.0 < r) & (r < p.L), p.a(r) - ca2, -ca2)
 
-    def df(r):
-        return float(p.a1(r))
-
-    return find_root(f, df, 0.0, p.r0), find_root(f, df, p.r0, p.L)
+    r = find_root(f, p.a1, np.repeat([0.0, p.r0], n), np.repeat([p.r0, p.L], n))
+    return r[:n], r[n:]
 
 
 def turning_points(ev: ActionEvaluator, c: float, E: float) -> tuple[float, float]:
@@ -129,60 +140,49 @@ def turning_points(ev: ActionEvaluator, c: float, E: float) -> tuple[float, floa
     c = 0 returns the full interval (0, L) by convention; tori with
     |c| >= E * a(r0) have no radial oscillation and are rejected.
     """
-    if E <= 0.0 or not np.isfinite(E):
-        raise InvalidParameterError(f"energy must be positive, got {E}")
-    if c == 0.0:
-        return 0.0, ev.profile.L
-    ca = abs(c) / E
-    if ca >= ev.profile.a_r0:
-        raise DegenerateTorusError(
-            f"|c|/E = {ca:.6g} >= a(r0) = {ev.profile.a_r0:.6g}: no oscillation interval")
-    return _cached(ev, ("turning_points", ca), lambda: _solve_turning_points(ev.profile, ca))
+    r1, r2 = _turning_points(ev.profile, np.array([c], float), np.array([E], float))
+    return float(r1[0]), float(r2[0])
 
 
-class _Radicand:
-    """F(r) = E^2 - c^2/a(r)^2, evaluated stably over [r1, r2].
+def _radicand(p: SurfaceProfile, ca, E, r1, r2, r, d1, d2):
+    """F(r) = E^2 - c^2/a(r)^2 on rows of nodes r over [r1, r2], evaluated stably;
+    ca = |c|/E, E, r1 and r2 are columns, one entry per row.
 
     Within a switch width of either turning point, a(r) is replaced by
     the Taylor model |c|/E + a'(ri) d + a''(ri) d^2 / 2 anchored at the
     solved root, turning the difference a - |c|/E into a product with no
     cancellation.
     """
-
-    def __init__(self, p: SurfaceProfile, c: float, E: float, r1: float, r2: float):
-        self.p = p
-        self.E = E
-        self.ca = abs(c) / E
-        self.r1, self.r2 = r1, r2
-        self.s1 = float(p.a1(r1)), float(p.a2(r1))
-        self.s2 = float(p.a1(r2)), float(p.a2(r2))
-        self.w_switch = min(1e-5 * p.L, 0.49 * (r2 - r1))
-
-    def __call__(self, r, d1, d2):
-        E, ca = self.E, self.ca
-        a = np.asarray(self.p.a(r), float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            F = (a - ca) * (a + ca) * (E / a) ** 2
-        for d, (a1_, a2_), sign in ((d1, self.s1, 1.0), (d2, self.s2, -1.0)):
-            near = d < self.w_switch
-            if np.any(near):
-                s = d[near] * (sign * a1_ + 0.5 * a2_ * d[near])
-                F[near] = s * (2.0 * ca + s) * (E / (ca + s)) ** 2
-        return F
+    a = np.asarray(p.a(r), float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        F = (a - ca) * (a + ca) * (E / a) ** 2
+    w_switch = np.minimum(1e-5 * p.L, 0.49 * (r2 - r1))
+    for d, ri, sign in ((d1, r1, 1.0), (d2, r2, -1.0)):
+        near = d < w_switch
+        if np.any(near):
+            a1_, a2_, ca_, E_ = (np.broadcast_to(v, d.shape)[near]
+                                 for v in (p.a1(ri), p.a2(ri), ca, E))
+            s = d[near] * (sign * a1_ + 0.5 * a2_ * d[near])
+            F[near] = s * (2.0 * ca_ + s) * (E_ / (ca_ + s)) ** 2
+    return F
 
 
-def _integrate_radial(ev: ActionEvaluator, c: float, E: float, g) -> tuple:
+def _integrate_radial(ev: ActionEvaluator, c, E, g) -> tuple:
     """(1/pi) * integral of each integrand in the tuple g(r, F(r)) over the
-    oscillation interval, all from one radial pass."""
+    oscillation interval, elementwise over c and E, all from one radial pass: an
+    (n x 257) node array, each row with its own turning points and radicand and
+    reduced by its own dot product, so it has the bits of a one-element pass."""
+    shape = np.broadcast(c, E).shape
+    c, E = (np.broadcast_to(np.asarray(v, float), shape).reshape(-1, 1) for v in (c, E))
+    p = ev.profile
     x, w, sigma = tanh_sinh_rule(_QUAD_NODES)
-    if c == 0.0:
-        r, _, _, half = map_to_interval(0.0, ev.profile.L, x, sigma)
-        F = np.full_like(r, E * E)
-    else:
-        r1, r2 = turning_points(ev, c, E)
-        r, d1, d2, half = map_to_interval(r1, r2, x, sigma)
-        F = _Radicand(ev.profile, c, E, r1, r2)(r, d1, d2)
-    return tuple(half * float(np.dot(w, v)) / np.pi for v in g(r, F))
+    r1, r2 = (v[:, None] for v in _turning_points(p, c[:, 0], E[:, 0]))
+    r, d1, d2, half = map_to_interval(r1, r2, x, sigma)
+    # c = 0: the radicand is E^2 over (0, L)
+    F, t = np.broadcast_to(E * E, r.shape).copy(), c[:, 0] != 0.0
+    F[t] = _radicand(p, np.abs(c[t]) / E[t], E[t], r1[t], r2[t], r[t], d1[t], d2[t])
+    sums = (np.array([np.dot(w, row) for row in v]) for v in g(r, F))
+    return tuple((half[:, 0] * s / np.pi).reshape(shape)[()] for s in sums)
 
 
 def action_I2(ev: ActionEvaluator, c: float, E: float) -> float:
@@ -205,76 +205,76 @@ def _inv_sqrt_weight(F):
     return out
 
 
-def dI2_dE(ev: ActionEvaluator, c: float, E: float) -> float:
-    """Partial derivative of the action integral in E; always positive."""
+def dI2_dE(ev: ActionEvaluator, c, E):
+    """Partial derivative of the action integral in E, elementwise; always positive."""
     return _action_and_slope(ev, c, E)[1]
 
 
-def _action_and_slope(ev: ActionEvaluator, c: float, E: float) -> tuple[float, float]:
-    """(action_I2, dI2_dE) at (c, E) from one radial pass, inside the moment image."""
+def _action_and_slope(ev: ActionEvaluator, c, E):
+    """(action_I2, dI2_dE) at (c, E) inside the moment image, elementwise, from one pass."""
+    E_col = np.reshape(E, (-1, 1))
 
     def g(r, F):
-        return np.sqrt(np.maximum(F, 0.0)), E * _inv_sqrt_weight(F)
+        return np.sqrt(np.maximum(F, 0.0)), E_col * _inv_sqrt_weight(F)
 
     action, slope = _integrate_radial(ev, c, E, g)
-    return action + abs(c), slope
+    return action + np.abs(c), slope
 
 
-def dI2_dc(ev: ActionEvaluator, c: float, E: float) -> float:
-    """Partial derivative in c, including the (d/dc)|c| = sign(c) term."""
-    if c == 0.0:
-        return 0.0
+def dI2_dc(ev: ActionEvaluator, c, E):
+    """Partial derivative in c, including the (d/dc)|c| = sign(c) term; elementwise."""
+    c_col = np.reshape(c, (-1, 1))
 
     def g(r, F):
         a = np.asarray(ev.profile.a(r), float)
-        return ((-c / (a * a)) * _inv_sqrt_weight(F),)
+        return ((-c_col / (a * a)) * _inv_sqrt_weight(F),)
 
-    return _integrate_radial(ev, c, E, g)[0] + float(np.sign(c))
+    return np.where(np.equal(c, 0.0), 0.0, _integrate_radial(ev, c, E, g)[0] + np.sign(c))[()]
 
 
-def energy_K(ev: ActionEvaluator, c: float, I2: float) -> float:
-    """Invert I2(c, .) in E by bracketed Newton iteration.
+def energy_K(ev: ActionEvaluator, c, I2: float):
+    """Invert I2(c, .) in E by bracketed Newton iteration, elementwise over c.
 
     The bracket starts open upward, from the larger of pi I2 / L and a
     point just above |c|/a(r0); the first iterate whose action exceeds I2
-    closes it.  A Newton step that
-    leaves the bracket doubles E while it is open and bisects once it is
-    closed; monotonicity of the action in E makes this safe.  Each iterate
-    is one radial pass for the action and its slope.  The iteration runs
-    to float resolution: it stops once the action residual is within
-    4 eps * I2 or a step moves E by at most 4 eps * E, and raises
-    ConvergenceError if neither happens within 100 steps.
+    closes it.  A Newton step that leaves the bracket doubles E while it is
+    open and bisects once it is closed; monotonicity of the action in E
+    makes this safe.  Each iterate is one row of a radial pass for the
+    action and its slope, which the elements still iterating share.  The
+    iteration runs to float resolution: an element stops once its action
+    residual is within 4 eps * I2 or a step moves E by at most 4 eps * E,
+    and ConvergenceError is raised if one has not within 100 steps.
     """
     if not np.isfinite(I2) or I2 <= 0.0:
         raise InvalidParameterError(f"action must be positive, got {I2}")
-    if abs(c) > I2:
-        raise OutsideMomentImageError(f"|c| = {abs(c):.6g} exceeds I2 = {I2:.6g}")
+    c = np.asarray(c, float)
+    if np.any(np.abs(c) > I2):
+        raise OutsideMomentImageError(f"|c| = {np.max(np.abs(c)):.6g} exceeds I2 = {I2:.6g}")
     p = ev.profile
-    if c == 0.0:
-        # the radicand is constant in r, so I2(0, E) = E L / pi exactly
-        return np.pi * I2 / p.L
-    if abs(c) == I2:
-        return abs(c) / p.a_r0
-
-    lo, hi = abs(c) / p.a_r0 * (1.0 + 1e-14), np.inf
-    E = max(lo * 1.0000001, np.pi * I2 / p.L)
+    # c = 0: the radicand is constant in r, so I2(0, E) = E L / pi exactly
+    out = np.where(c == 0.0, np.pi * I2 / p.L, np.abs(c) / p.a_r0).ravel()
+    live = np.flatnonzero((c != 0.0) & (np.abs(c) != I2))
+    cs = c.ravel()[live]
+    lo, hi = np.abs(cs) / p.a_r0 * (1.0 + 1e-14), np.full(live.size, np.inf)
+    E = np.maximum(lo * 1.0000001, np.pi * I2 / p.L)
     for _ in range(100):
-        action, slope = _action_and_slope(ev, c, E)
-        f = action - I2
-        if abs(f) <= _EPS4 * I2:
-            return E
-        if f > 0.0:
-            hi = E
-        else:
-            lo = E
-        E_new = E - f / max(slope, 1e-300)
-        if not (lo < E_new < hi):
-            E_new = 0.5 * (lo + hi) if hi < np.inf else 2.0 * E
-        if abs(E_new - E) <= _EPS4 * E:
-            return E_new
-        E = E_new
-    raise ConvergenceError(
-        f"energy_K({c}, {I2}) not converged: residual {f:.3e} > {_EPS4 * I2:.3e}")
+        if not live.size:
+            return out.reshape(c.shape)[()]
+        action, slope = _action_and_slope(ev, cs, E)
+        f = np.broadcast_to(action - I2, E.shape)
+        lo, hi = np.where(f > 0.0, lo, E), np.where(f > 0.0, E, hi)
+        E_new = E - f / np.maximum(slope, 1e-300)
+        E_new = np.where((lo < E_new) & (E_new < hi), E_new,
+                         np.where(hi < np.inf, 0.5 * (lo + hi), 2.0 * E))
+        done = np.abs(f) <= _EPS4 * I2
+        stepped = ~done & (np.abs(E_new - E) <= _EPS4 * E)
+        out[live[done]], out[live[stepped]] = E[done], E_new[stepped]
+        keep = ~(done | stepped)
+        live, cs, lo, hi, E = live[keep], cs[keep], lo[keep], hi[keep], E_new[keep]
+    if not live.size:
+        return out.reshape(c.shape)[()]
+    raise ConvergenceError(f"energy_K({cs[0]}, {I2}) not converged: "
+                           f"residual {f[keep][0]:.3e} > {_EPS4 * I2:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +285,7 @@ class _EnergySeries(_ChebFit):
 
     def __init__(self, ev: ActionEvaluator):
         p = ev.profile
-        super().__init__(lambda j: energy_K(ev, float(np.cos(np.pi * j / 1024) ** 2), 1.0),
+        super().__init__(lambda js: energy_K(ev, np.cos(np.pi * js / 1024) ** 2, 1.0),
                          (1.0 / p.a_r0, np.pi / p.L), _K1_TOL)
         self.slope = 2.0 * _cheb.chebder(self.coeffs)
 
@@ -295,48 +295,49 @@ def k1_series(ev: ActionEvaluator) -> _EnergySeries:
     return _cached(ev, "k1_series", lambda: _EnergySeries(ev))
 
 
-def _unit_torus(ev: ActionEvaluator, s: float) -> tuple[float, float, float]:
-    """(K1, K1', omega2 = K1 - s K1') at s = |c| < 1: from the K1 series, or from
-    the point-wise inversion if the series reached no plateau."""
+def _unit_torus(ev: ActionEvaluator, s):
+    """(K1, K1', omega2 = K1 - s K1') at s = |c| < 1, elementwise: from the K1
+    series, or from the point-wise inversion if the series reached no plateau."""
     series = k1_series(ev)
     if series.converged:
         x = 2.0 * s - 1.0
-        K, slope = float(_cheb.chebval(x, series.coeffs)), float(_cheb.chebval(x, series.slope))
+        K, slope = _cheb.chebval(x, series.coeffs), _cheb.chebval(x, series.slope)
         return K, slope, K - s * slope
     E = energy_K(ev, s, 1.0)
     dE = dI2_dE(ev, s, E)
     return E, -dI2_dc(ev, s, E) / dE, 1.0 / dE
 
 
-def frequencies(ev: ActionEvaluator, c: float) -> tuple[float, float]:
-    """(omega1, omega2) on the unit-action torus I2 = 1.
+def frequencies(ev: ActionEvaluator, c):
+    """(omega1, omega2) on the unit-action torus I2 = 1, elementwise over c.
 
     At the boundary |c| = 1 the oscillation degenerates; there both
     derivatives of K are pinned to the equatorial value a(r0)^(-2), with
     omega1 carrying the sign of c.
     """
-    if abs(c) > 1.0:
-        raise OutsideMomentImageError(f"|c| = {abs(c):.6g} exceeds I2 = 1")
-    if abs(c) == 1.0:
-        a0 = ev.profile.a_r0
-        return float(np.sign(c)) / (a0 * a0), 1.0 / (a0 * a0)
-    _, slope, omega2 = _unit_torus(ev, abs(c))
-    return float(np.sign(c)) * slope, omega2
+    s = np.abs(c)
+    if np.any(s > 1.0):
+        raise OutsideMomentImageError(f"|c| = {np.max(s):.6g} exceeds I2 = 1")
+    edge, a0 = s == 1.0, ev.profile.a_r0
+    _, slope, omega2 = _unit_torus(ev, np.where(edge, 0.0, s))
+    return (np.where(edge, np.sign(c) / (a0 * a0), np.sign(c) * slope)[()],
+            np.where(edge, 1.0 / (a0 * a0), omega2)[()])
 
 
-def limit_density_unnorm(ev: ActionEvaluator, c: float) -> float:
-    """Unnormalized limit density omega2 / sqrt(1 - c^2 / (K^2 a(r0)^2)).
+def limit_density_unnorm(ev: ActionEvaluator, c):
+    """Unnormalized limit density omega2 / sqrt(1 - c^2 / (K^2 a(r0)^2)), elementwise.
 
     Defined on the open interval only; the inverse-square-root blow-up
     at the ends is genuine.
     """
-    if abs(c) >= 1.0:
-        raise OutsideOpenIntervalError(f"density needs |c| < 1, got {c}")
-    E, _, omega2 = _unit_torus(ev, abs(c))
-    u = abs(c) / (E * ev.profile.a_r0)
-    if u >= 1.0:
-        raise OutsideOpenIntervalError(f"c = {c} maps onto the equatorial circle")
-    return omega2 / np.sqrt((1.0 - u) * (1.0 + u))
+    s = np.abs(c)
+    if np.any(s >= 1.0):
+        raise OutsideOpenIntervalError(f"density needs |c| < 1, got |c| = {np.max(s)}")
+    E, _, omega2 = _unit_torus(ev, s)
+    u = s / (E * ev.profile.a_r0)
+    if np.any(u >= 1.0):
+        raise OutsideOpenIntervalError(f"|c| = {np.max(s)} maps onto the equatorial circle")
+    return (omega2 / np.sqrt((1.0 - u) * (1.0 + u)))[()]
 
 
 def equator_momentum(ev: ActionEvaluator, c: float) -> float:
@@ -368,33 +369,37 @@ def di2_drho_fd(ev: ActionEvaluator, c: float) -> float:
 # ---------------------------------------------------------------------------
 # torus averages
 
-def torus_average(ev: ActionEvaluator, sym: SymbolFn, c: float) -> float:
-    """Average of a symbol over the Liouville torus with I2 = 1.
+def torus_average(ev: ActionEvaluator, sym: SymbolFn, c):
+    """Average of a symbol over the Liouville torus with I2 = 1, elementwise over c.
 
     The invariant radial measure is proportional to dr / rho(r).  One
     radial pass integrates the symbol against it together with the
     measure itself, and the average is their ratio, so the constant
     symbol averages to exactly 1.  A phase-space symbol is averaged over
-    the angle and both signs of rho inside that pass.
+    the angle and both signs of rho inside that pass, one row at a time.
     """
-    if abs(c) >= 1.0:
-        raise DegenerateTorusError(f"torus average needs |c| < 1, got c = {c}")
-    E = _unit_torus(ev, abs(c))[0]
+    if np.any(np.abs(c) >= 1.0):
+        raise DegenerateTorusError(f"torus average needs |c| < 1, got |c| = {np.max(np.abs(c))}")
+    E = _unit_torus(ev, np.abs(c))[0]
 
     if sym.kind == "angular_ratio":
-        return float(sym.fn(c / E))
+        return np.asarray(sym.fn(c / E), float)[()]
 
     if sym.kind == "radial_mult":
         def symbol(r, rho):
             return np.asarray(sym.fn(r), float)
     else:
-        _cached(ev, ("homogeneous", sym), lambda: _check_homogeneous(sym, ev.profile.L, c, E))
+        _cached(ev, ("homogeneous", sym), lambda: _check_homogeneous(
+            sym, ev.profile.L, np.ravel(c)[0], np.ravel(E)[0]))
         theta = 2.0 * np.pi * np.arange(_THETA_SAMPLES)[None, :] / _THETA_SAMPLES
 
-        def symbol(r, rho):
+        def average(r, rho, c):
             up, down = (np.asarray(sym.fn(r[:, None], theta, sign * rho[:, None], c),
                                    float) for sign in (1.0, -1.0))
             return 0.5 * (np.mean(up, axis=1) + np.mean(down, axis=1))
+
+        def symbol(r, rho):
+            return np.array([average(*row) for row in zip(r, rho, np.ravel(c))])
 
     def g(r, F):
         weight = _inv_sqrt_weight(F)
@@ -427,9 +432,9 @@ class _SinSeries(_ChebFit):
     weight takes the rounded c, to cancel the blow-up of f at that point."""
 
     def __init__(self, f, end: float, even: bool):
-        def sample(j):
+        def sample(js):
             # u_j = cos(pi j / 512) as a sine: exact at u = 0 and odd in u
-            c = float(np.sin(0.5 * np.pi * np.sin(np.pi * (256 - j) / 512)))
+            c = np.sin(0.5 * np.pi * np.sin(np.pi * (256 - js) / 512))
             return f(c) * np.sqrt((1.0 - c) * (1.0 + c))
 
         super().__init__(sample, (end, end), _SERIES_TOL, even)

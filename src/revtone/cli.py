@@ -94,6 +94,7 @@ def cmd_validate(cfg: _config.RunConfig) -> int:
         _write_json(out, {"profile": cfg.profile.kind, "passed": False, "error": str(exc)})
         print(f"validate: FAIL ({exc})")
         return EXIT_VERIFY_FAILED
+    _warn_without_plateau("validate", "meridian", profile.meridian)
     report = validate_profile(profile)
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_json(out, report.as_dict())
@@ -103,22 +104,23 @@ def cmd_validate(cfg: _config.RunConfig) -> int:
 
 
 def _warn_without_plateau(command: str, name: str, series):
-    if not series.converged:
+    if series is not None and not series.converged:
         print(f"{command}: warning: no plateau in the {name} series, tail {series.tail:.3e}",
               file=sys.stderr)
 
 
 def cmd_density(cfg: _config.RunConfig) -> int:
     profile = _config.build_profile(cfg)
+    _warn_without_plateau("density", "meridian", profile.meridian)
     ev = _config.build_evaluator(cfg, profile)
     n = cfg.density_n
     _warn_without_plateau("density", "energy K1", _actions.k1_series(ev))
     lim = _measures.limit_measure_mu(ev)
     mass = lim.mass_constant
     _warn_without_plateau("density", "density", _actions.mu_series(ev))
-    cs = [-1.0 + 2.0 * k / n for k in range(1, n)]
-    unnorm = [_actions.limit_density_unnorm(ev, c) for c in cs]
-    rows = [(c, f, f / mass, cdf) for c, f, cdf in zip(cs, unnorm, lim.cdf(np.array(cs)))]
+    cs = np.array([-1.0 + 2.0 * k / n for k in range(1, n)])
+    unnorm = _actions.limit_density_unnorm(ev, cs)
+    rows = [(c, f, f / mass, cdf) for c, f, cdf in zip(cs, unnorm, lim.cdf(cs))]
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(os.path.join(cfg.out_dir, "density.csv"),
                ["c", "density_unnorm", "density_norm", "cdf"], rows)
@@ -130,6 +132,7 @@ def cmd_spectrum(cfg: _config.RunConfig) -> int:
     if not cfg.ells:
         raise ConfigError("run.ells is required for the spectrum command")
     profile = _config.build_profile(cfg)
+    _warn_without_plateau("spectrum", "meridian", profile.meridian)
     ev = _config.build_evaluator(cfg, profile)
     _warn_without_plateau("spectrum", "energy K1", _actions.k1_series(ev))
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -137,11 +140,8 @@ def cmd_spectrum(cfg: _config.RunConfig) -> int:
     for ell in cfg.ells:
         try:
             slice_ = _spectral.joint_slice(profile, ell, cfg.spectral.grid_size)
-            rows = []
-            for mode in slice_.modes:
-                rows.append((mode.ell, mode.m, mode.n, mode.lam,
-                             slice_.restricted_norms[mode.m],
-                             _spectral.ebk_residual(mode, ev)))
+            rows = [(mode.ell, mode.m, mode.n, mode.lam, slice_.restricted_norms[mode.m], res)
+                    for mode, res in zip(slice_.modes, _spectral.ebk_residual(slice_.modes, ev))]
             _write_csv(os.path.join(cfg.out_dir, f"slice_{ell}.csv"),
                        ["ell", "m", "n", "lambda", "restricted_norm", "ebk_residual"], rows)
             print(f"spectrum: wrote slice_{ell}.csv ({len(rows)} modes)")
@@ -157,7 +157,9 @@ def cmd_spectrum(cfg: _config.RunConfig) -> int:
 def cmd_converge(cfg: _config.RunConfig) -> int:
     if not cfg.ells:
         raise ConfigError("run.ells is required for the converge command")
-    ev = _config.build_evaluator(cfg, _config.build_profile(cfg))
+    profile = _config.build_profile(cfg)
+    _warn_without_plateau("converge", "meridian", profile.meridian)
+    ev = _config.build_evaluator(cfg, profile)
     sym = _config.build_symbol(cfg)
     report = _measures.convergence_sweep(ev, list(cfg.ells), sym,
                                          grid_size=cfg.spectral.grid_size)
@@ -220,11 +222,9 @@ def _sphere_checks(cfg: _config.RunConfig):
 
     def check_density_closed_form():
         cs = np.linspace(-0.999, 0.999, 401)
-        worst = 0.0
-        for c in cs:
-            val = _actions.limit_density_unnorm(ev, float(c))
-            worst = max(worst, abs(val * math.sqrt(1.0 - c * c) - 1.0))
-        return worst, 1e-8, "max |density_unnorm * sqrt(1 - c^2) - 1|, |c| <= 0.999"
+        vals = _actions.limit_density_unnorm(ev, cs) * np.sqrt(1.0 - cs * cs)
+        return float(np.max(np.abs(vals - 1.0))), 1e-8, \
+            "max |density_unnorm * sqrt(1 - c^2) - 1|, |c| <= 0.999"
 
     def check_mass_constant():
         return abs(_actions.normalization_M(ev) - math.pi), 1e-8, "|M - pi|"

@@ -268,7 +268,9 @@ def matrix_element_angular(mode: RadialMode, chi) -> float:
     return float(chi(mode.m / mode.lam))
 
 
-def ebk_residual(mode: RadialMode, ev: _actions.ActionEvaluator) -> float:
-    """lambda minus the semiclassical K(m, ell + 1/2) = (ell + 1/2) K1(|m| / (ell + 1/2))."""
-    action = mode.ell + 0.5
-    return mode.lam - action * _actions._unit_torus(ev, abs(mode.m) / action)[0]
+def ebk_residual(modes, ev: _actions.ActionEvaluator):
+    """lambda minus the semiclassical K(m, ell + 1/2) = (ell + 1/2) K1(|m| / (ell + 1/2)),
+    for one RadialMode, or as an array for a sequence of them from one K1 lookup."""
+    ell, m, lam = np.array([(mode.ell, mode.m, mode.lam) for mode in np.ravel(modes)]).T
+    res = lam - (ell + 0.5) * _actions._unit_torus(ev, np.abs(m) / (ell + 0.5))[0]
+    return res if np.ndim(modes) else float(res[0])

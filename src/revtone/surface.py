@@ -10,7 +10,7 @@ accept scalars or ndarrays and be free of hidden state.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,6 +35,8 @@ class SurfaceProfile:
     r0: float
     a_r0: float
     name: str = "custom"
+    # an ellipsoid's arclength fit, which a, a1, a2 read (its degree, tail, convergence)
+    meridian: object = field(default=None, repr=False, compare=False)
 
     def equator_length(self) -> float:
         return 2.0 * np.pi * self.a_r0
@@ -74,38 +76,43 @@ class ValidationReport:
         }
 
 
-def find_root(f, df, lo: float, hi: float) -> float:
-    """Zero of f in [lo, hi], where f changes sign, by Newton's method on df.
+def find_root(f, df, lo, hi):
+    """Zero of f in [lo, hi], where f changes sign, by Newton's method on df;
+    elementwise and in lockstep over arrays of brackets (f and df take the
+    array of iterates), a scalar for a scalar bracket.
 
-    A Newton step that leaves the bracket or exceeds half the step before
-    it is replaced by bisection.  Iteration stops once a Newton step or
-    the bracket is within the bracket's floating-point resolution.
-    """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0 or fhi == 0.0:
-        return lo if flo == 0.0 else hi
-    if (flo < 0.0) == (fhi < 0.0):
-        raise InvalidParameterError(f"f has one sign on [{lo!r}, {hi!r}]: {flo:.3e}, {fhi:.3e}")
-    res = 2.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
-    x = 0.5 * (lo + hi)
-    step_old = hi - lo
+    A Newton step that leaves the bracket or exceeds half the step before it
+    is replaced by bisection.  An element stops, keeping its value, once its
+    Newton step or its bracket is within the bracket's float resolution."""
+    lo, hi = np.broadcast_arrays(np.array(lo, float), np.array(hi, float))
+    flo, fhi = (np.broadcast_to(np.asarray(f(v), float), lo.shape) for v in (lo, hi))
+    root, active = np.where(flo == 0.0, lo, hi), (flo != 0.0) & (fhi != 0.0)
+    bad = active & ((flo < 0.0) == (fhi < 0.0))
+    if np.any(bad):
+        raise InvalidParameterError(f"f has one sign on [{float(lo[bad][0])!r}, "
+                                    f"{float(hi[bad][0])!r}]: {flo[bad][0]:.3e}, {fhi[bad][0]:.3e}")
+    res = 2.0 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
+    x, step_old = 0.5 * (lo + hi), hi - lo
     for _ in range(200):
-        fx = f(x)
-        if (fx < 0.0) == (flo < 0.0):
-            lo = x
-        else:
-            hi = x
-        d = df(x)
-        step = fx / d if d != 0.0 else np.inf
-        if abs(step) <= res:
-            return x - step
-        if not (lo < x - step < hi) or abs(step) > 0.5 * abs(step_old):
-            if hi - lo <= res:
-                return x
-            step = x - 0.5 * (lo + hi)
-        x -= step
-        step_old = step
-    raise ConvergenceError(f"root in [{lo!r}, {hi!r}] not resolved in 200 steps")
+        if not np.any(active):
+            return root[()]
+        fx, d = np.asarray(f(x), float), np.asarray(df(x), float)
+        below = (fx < 0.0) == (flo < 0.0)
+        lo, hi = np.where(active & below, x, lo), np.where(active & ~below, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(d != 0.0, fx / d, np.inf)
+        newton = active & (np.abs(step) <= res)
+        root, active = np.where(newton, x - step, root), active & ~newton
+        bisect = active & (~((lo < x - step) & (x - step < hi))
+                           | (np.abs(step) > 0.5 * np.abs(step_old)))
+        closed = bisect & (hi - lo <= res)
+        root, active = np.where(closed, x, root), active & ~closed
+        step = np.where(bisect, x - 0.5 * (lo + hi), step)
+        x, step_old = np.where(active, x - step, x), step
+    if not np.any(active):
+        return root[()]
+    raise ConvergenceError(f"root in [{float(lo[active][0])!r}, {float(hi[active][0])!r}] "
+                           "not resolved in 200 steps")
 
 
 def _sign_changes(values: np.ndarray) -> list[int]:
@@ -231,19 +238,23 @@ def _chop(coeffs: np.ndarray, tol: float) -> tuple[int, bool]:
 
 
 class _ChebFit:
-    """Chebyshev fit through sample(j), the value at x_j = cos(pi j / 512), on nested
-    Lobatto points N = 16, 32, ..., 512 (all samples reused), up to the first N with
-    a coefficient plateau at relative tol; x = 1 and -1 take `ends`, x < 0 is not
-    sampled if even.  `tail` is the largest coefficient cut or, with no plateau
-    (`converged` False, the fit kept whole), the largest in its upper half."""
+    """Chebyshev fit through sample(js), the values at x_j = cos(pi j / 512) for an array
+    of j, on nested Lobatto points N = 16, 32, ..., 512 (all samples reused, a level's new
+    ones in one call), up to the first N with a coefficient plateau at relative tol; x = 1
+    and -1 take `ends`, x < 0 is not sampled if even.  `tail` is the largest coefficient
+    cut or, with no plateau (`converged` False, the fit kept whole), the largest in its
+    upper half."""
 
     def __init__(self, sample, ends: tuple, tol: float, even: bool = False):
         g = np.full(513, np.nan)
         g[[0, 512]] = ends
         for n in (16, 32, 64, 128, 256, 512):
             idx = np.arange(0, 513, 512 // n)
-            for j in idx[np.isnan(g[idx])]:
-                g[j] = g[512 - j] if even and j > 256 else sample(j)
+            new = idx[np.isnan(g[idx])]
+            mirrored = new[new > 256] if even else new[:0]
+            new = new[:new.size - mirrored.size]
+            g[new] = sample(new)
+            g[mirrored] = g[512 - mirrored]
             coeffs = _lobatto_coefficients(g[idx])
             keep, self.converged = _chop(coeffs, tol)
             if self.converged:
@@ -259,38 +270,49 @@ class _EllipsoidMeridian(_ChebFit):
     sin t and the speed is s(t) = sqrt(cos^2 t + q^2 sin^2 t).  t(r), the
     inverse of r(t) = integral of s, is a `_ChebFit` in x = 2 r / L - 1 with
     ends t(L) = pi, t(0) = 0, stopped at the plateau of rounding noise: at
-    aspect 1.3 it takes 63 root solves and keeps 42 terms, at 0.5 and 5
-    255 solves and about 160 terms.  Outside about [0.3, 14] no plateau
-    appears: all 513 terms are kept and `converged` is False.  a, a', a''
-    follow from closed forms in t.
+    aspect 1.3 it takes 63 root solves (one lockstep call per level) and
+    keeps 42 terms, at 0.5 and 5 255 solves and about 160 terms.  Outside
+    about [0.3, 14] no plateau appears: all 513 terms are kept and
+    `converged` is False.  a, a', a'' follow from closed forms in t.
     """
 
     def __init__(self, aspect: float):
         self.q = float(aspect)
-        self._gl = gauss_legendre_rule(96)
-        self.L = self._arclength(np.pi)
-        self.r_equator = self._arclength(np.pi / 2)
-        super().__init__(self._t_at_node, (np.pi, 0.0), np.finfo(float).eps)
+        self._gl, self._last = gauss_legendre_rule(96), (None, None)
+        self.L = float(self._arclength(np.pi))
+        self.r_equator = float(self._arclength(np.pi / 2))
+        super().__init__(self._t_at_nodes, (np.pi, 0.0), np.finfo(float).eps)
 
     def speed(self, t):
         ct, st = np.cos(t), np.sin(t)
         return np.sqrt(ct * ct + self.q * self.q * st * st)
 
-    def _arclength(self, t: float) -> float:
+    def _arclength(self, t):
+        """r(t), elementwise: an (n x 96) Gauss-Legendre product reduced row by row."""
         x, w = self._gl
-        half = 0.5 * t
-        return half * float(np.dot(w, self.speed(half * (x + 1.0))))
+        half = 0.5 * np.asarray(t, float)
+        speeds = self.speed(half.reshape(-1, 1) * (x + 1.0))
+        return half * np.array([np.dot(w, row) for row in speeds]).reshape(half.shape)
 
-    def _t_at_node(self, j: int) -> float:
+    def _t_at_nodes(self, js: np.ndarray) -> np.ndarray:
         # r(t) has slope in [min(1, q), max(1, q)]; widened to stay a bracket at q = 1
-        r = 0.5 * self.L * (1.0 + np.cos(np.pi * j / 512))
+        r = 0.5 * self.L * (1.0 + np.cos(np.pi * js / 512))
         lo = r / max(1.0, self.q) * (1.0 - 1e-8)
-        hi = min(r / min(1.0, self.q) * (1.0 + 1e-8), np.pi)
+        hi = np.minimum(r / min(1.0, self.q) * (1.0 + 1e-8), np.pi)
         return find_root(lambda s: self._arclength(s) - r, self.speed, lo, hi)
 
     def t_of_r(self, r):
         x = (2.0 / self.L) * np.asarray(r, float) - 1.0
-        return np.clip(_cheb.chebval(x, self.coeffs), 0.0, np.pi)
+        # root solves ask for a and a' at the same points in turn, so the last t is kept
+        # (read once, so concurrent callers each see a consistent pair); chebval costs
+        # as much on 10 points as on one: below 12, floats are faster
+        key, last = (np.shape(x), np.asarray(x).tobytes()), self._last
+        if last[0] != key:
+            t = (_cheb.chebval(x, self.coeffs) if np.size(x) >= 12 else
+                 np.reshape([_cheb.chebval(v, self.coeffs) for v in np.ravel(x)], np.shape(x)))
+            last = self._last = key, np.asarray(np.clip(t, 0.0, np.pi))
+            last[1].setflags(write=False)
+        return last[1][()]
 
     def a(self, r):
         return np.sin(self.t_of_r(r))
@@ -310,7 +332,8 @@ def make_ellipsoid(aspect: float) -> SurfaceProfile:
     if not (np.isfinite(aspect) and aspect > 0.0):
         raise InvalidParameterError(f"aspect must be positive, got {aspect}")
     m = _EllipsoidMeridian(aspect)
-    return make_custom(m.a, m.a1, m.a2, m.L, name=f"ellipsoid_{aspect:g}", r0=m.r_equator)
+    return replace(make_custom(m.a, m.a1, m.a2, m.L, name=f"ellipsoid_{aspect:g}",
+                               r0=m.r_equator), meridian=m)
 
 
 def read_table(path: str, what: str, min_rows: int):

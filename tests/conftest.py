@@ -1,12 +1,20 @@
 """Session fixtures.  Profile construction and evaluator caches are the
-expensive parts (spectral slices, limit series, turning points), so
-every test shares one instance per profile."""
+expensive parts (spectral slices, limit series), so every test shares
+one instance per profile."""
 from __future__ import annotations
+
+import os
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+import revtone
 from revtone import ActionEvaluator, joint_slice, make_ellipsoid, make_round_sphere
+
+# `revtone` subprocesses import the package from the same src as the suite,
+# with or without PYTHONPATH set by the caller
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [os.path.dirname(os.path.dirname(revtone.__file__)), os.environ.get("PYTHONPATH")]))
 
 settings.register_profile(
     "suite", derandomize=True, deadline=None, max_examples=40,

@@ -159,3 +159,38 @@ def ellipse_meridian_arclength(aspect: float, t: float, n: int = 100) -> float:
 def ellipse_half_meridian_length(aspect: float, n: int = 100) -> float:
     """Arclength of half the meridian ellipse by Gauss-Legendre quadrature."""
     return ellipse_meridian_arclength(aspect, math.pi, n)
+
+
+def scalar_find_root(f, df, lo: float, hi: float) -> float:
+    """Safeguarded Newton iteration on one bracket, in Python floats.
+
+    The stopping and safeguard rules of the package's root finder, one
+    scalar at a time: a Newton step that leaves the bracket or exceeds
+    half the step before it becomes a bisection, and the iteration stops
+    once a Newton step or the bracket is within 2 eps max(|lo|, |hi|).
+    """
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0 or fhi == 0.0:
+        return lo if flo == 0.0 else hi
+    if (flo < 0.0) == (fhi < 0.0):
+        raise ValueError(f"f has one sign on [{lo!r}, {hi!r}]")
+    res = 2.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
+    x = 0.5 * (lo + hi)
+    step_old = hi - lo
+    for _ in range(200):
+        fx = f(x)
+        if (fx < 0.0) == (flo < 0.0):
+            lo = x
+        else:
+            hi = x
+        d = df(x)
+        step = fx / d if d != 0.0 else math.inf
+        if abs(step) <= res:
+            return x - step
+        if not (lo < x - step < hi) or abs(step) > 0.5 * abs(step_old):
+            if hi - lo <= res:
+                return x
+            step = x - 0.5 * (lo + hi)
+        x -= step
+        step_old = step
+    raise ArithmeticError(f"root in [{lo!r}, {hi!r}] not resolved in 200 steps")

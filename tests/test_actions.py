@@ -176,34 +176,31 @@ def test_energy_raises_when_newton_runs_out(sphere_ev, monkeypatch):
 
 
 def _count_passes(monkeypatch) -> list:
-    # (c, E) of every radial pass, recorded on the module attribute
+    # (c, E) of every row of every radial pass, recorded on the module attribute
     passes = []
     integrate = actions._integrate_radial
-    monkeypatch.setattr(actions, "_integrate_radial",
-                        lambda ev, c, E, g: passes.append((c, E)) or integrate(ev, c, E, g))
+
+    def counted(ev, c, E, g):
+        passes.extend(zip(*(np.ravel(v).tolist() for v in np.broadcast_arrays(c, E))))
+        return integrate(ev, c, E, g)
+
+    monkeypatch.setattr(actions, "_integrate_radial", counted)
     return passes
 
 
 def test_energy_inversion_makes_one_pass_per_iterate(ell13, sphere, monkeypatch):
     # the bracket opens inside the Newton loop, so building K1 integrates
-    # each iterate once; on the sphere the first iterate is the root
+    # each iterate once, as one row of a lockstep pass; each inversion has
+    # its own c; on the sphere the first iterate is the root
     passes = _count_passes(monkeypatch)
-    per_inversion = []
-    energy = actions.energy_K
-
-    def inversion(ev, c, I2):
-        start = len(passes)
-        E = energy(ev, c, I2)
-        per_inversion.append(passes[start:])
-        return E
-
-    monkeypatch.setattr(actions, "energy_K", inversion)
     for p, bound in ((ell13, 120), (sphere, 15)):
         passes.clear()
-        per_inversion.clear()
         actions.k1_series(ActionEvaluator(p))
+        per_inversion = {}
+        for c, E in passes:
+            per_inversion.setdefault(c, []).append(E)
         assert len(passes) <= bound
-        assert all(len(set(points)) == len(points) for points in per_inversion)
+        assert all(len(set(points)) == len(points) for points in per_inversion.values())
     assert len(passes) == len(per_inversion) == 15
 
 
@@ -314,7 +311,7 @@ def test_mu_series_stops_early(ell13, monkeypatch):
     calls = []
     density = actions.limit_density_unnorm
     monkeypatch.setattr(actions, "limit_density_unnorm",
-                        lambda ev, c: calls.append(c) or density(ev, c))
+                        lambda ev, c: calls.extend(np.ravel(c)) or density(ev, c))
     ev = ActionEvaluator(ell13)
     normalization_M(ev)
     assert len(calls) <= 33
@@ -420,11 +417,22 @@ def test_k1_series_converges_from_few_inversions(ell13, monkeypatch):
     calls = []
     energy = actions.energy_K
     monkeypatch.setattr(actions, "energy_K",
-                        lambda ev, c, I2: calls.append(c) or energy(ev, c, I2))
+                        lambda ev, c, I2: calls.extend(np.ravel(c)) or energy(ev, c, I2))
     series = actions.k1_series(ActionEvaluator(ell13))
     assert series.converged and series.degree < 32
     assert 0.0 <= series.tail <= 1e-14 * float(np.max(np.abs(series.coeffs)))
     assert len(calls) <= 33
+
+
+@pytest.mark.parametrize("aspect", [0.5, 1.3, 5.0])
+def test_k1_series_has_the_bits_of_scalar_inversions(aspect, ell13_ev):
+    # a level's inversions run in lockstep; each sample keeps its one-at-a-time bits
+    ev = ell13_ev if aspect == 1.3 else ActionEvaluator(make_ellipsoid(aspect))
+    p = ev.profile
+    ref = surface._ChebFit(
+        lambda js: [energy_K(ev, float(np.cos(np.pi * j / 1024) ** 2), 1.0) for j in js],
+        (1.0 / p.a_r0, np.pi / p.L), actions._K1_TOL)
+    assert actions.k1_series(ev).coeffs.tobytes() == ref.coeffs.tobytes()
 
 
 def test_k1_without_plateau_answers_pointwise(ell13, monkeypatch):
@@ -565,7 +573,7 @@ def test_radial_nu_series_samples_half_the_interval(sphere, monkeypatch):
     calls = []
     average = actions.torus_average
     monkeypatch.setattr(actions, "torus_average",
-                        lambda ev, sym, c: calls.append(c) or average(ev, sym, c))
+                        lambda ev, sym, c: calls.extend(np.ravel(c)) or average(ev, sym, c))
     even = actions.nu_series(ev, sym)
     assert len(calls) == 256 and min(calls) >= 0.0
     full = actions._SinSeries(lambda c: actions.torus_average(ev, sym, c), 0.0, even=False)

@@ -40,6 +40,17 @@ def test_validate_sphere_passes(tmp_path):
     assert report["passed"] is True
 
 
+@pytest.mark.parametrize("aspect, warnings", [(0.2, 1), (1.3, 0)])
+def test_validate_warns_when_meridian_has_no_plateau(tmp_path, capsys, aspect, warnings):
+    cfg = _write(tmp_path / "run.cfg",
+                 f"profile.kind = ellipsoid\nprofile.aspect = {aspect}\n"
+                 f"run.command = validate\nrun.out_dir = {tmp_path}\n")
+    assert main(["--config", cfg]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == warnings
+    assert all(line.startswith("validate: warning: no plateau in the meridian") for line in err)
+
+
 def test_validate_bad_aspect_is_config_error(tmp_path, capsys):
     cfg = _write(tmp_path / "run.cfg",
                  "profile.kind = ellipsoid\nprofile.aspect = -1\n"
@@ -111,7 +122,7 @@ def test_density_inverts_the_energy_only_to_build_k1(tmp_path, monkeypatch):
     calls = []
     energy = actions.energy_K
     monkeypatch.setattr(actions, "energy_K",
-                        lambda ev, c, I2: calls.append(c) or energy(ev, c, I2))
+                        lambda ev, c, I2: calls.extend(np.ravel(c)) or energy(ev, c, I2))
     cfg = _write(tmp_path / "run.cfg",
                  "profile.kind = ellipsoid\nprofile.aspect = 1.3\nrun.command = density\n"
                  f"run.out_dir = {tmp_path}\ndensity.n = 200\n")

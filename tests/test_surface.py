@@ -14,6 +14,7 @@ from revtone import (
     validate_profile,
 )
 from revtone import surface
+from revtone.quadrature import gauss_legendre_rule
 from revtone.surface import _EllipsoidMeridian, find_root
 
 import oracles
@@ -75,12 +76,14 @@ def test_ellipsoid_meridian_records_its_plateau(aspect, converged):
 
 
 def test_ellipsoid_meridian_stops_at_its_plateau(monkeypatch):
-    # one root solve per sampled Lobatto node, nested up to the first plateau
+    # one root solve per sampled Lobatto node, nested up to the first plateau,
+    # and the new nodes of a level solved in one lockstep call
     solves = []
     root = surface.find_root
-    monkeypatch.setattr(surface, "find_root", lambda *args: solves.append(1) or root(*args))
+    monkeypatch.setattr(surface, "find_root",
+                        lambda f, df, lo, hi: solves.append(np.size(lo)) or root(f, df, lo, hi))
     m = _EllipsoidMeridian(1.3)
-    assert m.converged and len(solves) <= 65
+    assert m.converged and sum(solves) <= 65 and len(solves) <= 6
     assert m.degree == len(m.coeffs) - 1
     assert 0.0 <= m.tail <= 4.0 * np.finfo(float).eps * float(np.max(np.abs(m.coeffs)))
 
@@ -97,6 +100,54 @@ def test_find_root_stops_at_float_resolution():
     x0 = 1.0 + 2.0 ** -40
     root = find_root(lambda x: -1.0 if x <= x0 else 1.0, lambda x: 0.0, 0.0, 2.0)
     assert abs(root - x0) <= 4.0 * np.spacing(2.0)
+
+
+def _arctan_cubic(z, k, e):
+    # zero at z; arctan makes far Newton steps overshoot, so both safeguards fire
+    return (lambda x: np.arctan(k * (x - z)) + e * (x - z) ** 3,
+            lambda x: k / (1.0 + (k * (x - z)) ** 2) + 3.0 * e * (x - z) ** 2)
+
+
+@given(st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(0.0, 40.0), st.floats(0.0, 40.0),
+                          st.floats(0.01, 1e4), st.sampled_from([0.0, 1e-3, 1.0])),
+                min_size=1, max_size=12))
+def test_lockstep_roots_have_the_bits_of_scalar_solves(brackets):
+    z, left, right, k, e = (np.array(v) for v in zip(*brackets))
+    lo, hi = z - left, z + right
+    keep = lo < hi
+    z, lo, hi, k, e = z[keep], lo[keep], hi[keep], k[keep], e[keep]
+    f, df = _arctan_cubic(z, k, e)
+    roots = find_root(f, df, lo, hi)
+    for i in range(z.size):
+        fi, dfi = _arctan_cubic(float(z[i]), float(k[i]), float(e[i]))
+        one = find_root(fi, dfi, float(lo[i]), float(hi[i]))
+        scalar = oracles.scalar_find_root(lambda x: float(fi(x)), lambda x: float(dfi(x)),
+                                          float(lo[i]), float(hi[i]))
+        assert np.float64(roots[i]).tobytes() == np.float64(one).tobytes()
+        assert np.float64(one).tobytes() == np.float64(scalar).tobytes()
+
+
+@pytest.mark.parametrize("aspect", [0.2, 1.3, 5.0, 20.0])
+def test_meridian_has_the_bits_of_scalar_root_solves(aspect):
+    # the fit as built one node at a time: a scalar arclength quadrature and a
+    # scalar safeguarded Newton solve per Lobatto node
+    m = _EllipsoidMeridian(aspect)
+    x, w = gauss_legendre_rule(96)
+
+    def arclength(t):
+        half = 0.5 * t
+        return half * float(np.dot(w, m.speed(half * (x + 1.0))))
+
+    def t_at_node(j):
+        r = 0.5 * m.L * (1.0 + np.cos(np.pi * j / 512))
+        lo = r / max(1.0, m.q) * (1.0 - 1e-8)
+        hi = min(r / min(1.0, m.q) * (1.0 + 1e-8), np.pi)
+        return oracles.scalar_find_root(lambda s: arclength(s) - r, m.speed, lo, hi)
+
+    ref = surface._ChebFit(lambda js: [t_at_node(j) for j in js], (np.pi, 0.0),
+                           np.finfo(float).eps)
+    assert (m.L, m.r_equator) == (arclength(np.pi), arclength(np.pi / 2))
+    assert m.coeffs.tobytes() == ref.coeffs.tobytes()
 
 
 def test_ellipsoid_oblate_validates():
