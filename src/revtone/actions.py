@@ -300,8 +300,7 @@ def _unit_torus(ev: ActionEvaluator, s):
     series, or from the point-wise inversion if the series reached no plateau."""
     series = k1_series(ev)
     if series.converged:
-        x = 2.0 * s - 1.0
-        K, slope = _cheb.chebval(x, series.coeffs), _cheb.chebval(x, series.slope)
+        K, slope = (_cheb.chebval(2.0 * s - 1.0, cs) for cs in (series.coeffs, series.slope))
         return K, slope, K - s * slope
     E = energy_K(ev, s, 1.0)
     dE = dI2_dE(ev, s, E)
@@ -315,13 +314,14 @@ def frequencies(ev: ActionEvaluator, c):
     derivatives of K are pinned to the equatorial value a(r0)^(-2), with
     omega1 carrying the sign of c.
     """
-    s = np.abs(c)
+    s = np.abs(np.asarray(c, float))
     if np.any(s > 1.0):
         raise OutsideMomentImageError(f"|c| = {np.max(s):.6g} exceeds I2 = 1")
-    edge, a0 = s == 1.0, ev.profile.a_r0
-    _, slope, omega2 = _unit_torus(ev, np.where(edge, 0.0, s))
-    return (np.where(edge, np.sign(c) / (a0 * a0), np.sign(c) * slope)[()],
-            np.where(edge, 1.0 / (a0 * a0), omega2)[()])
+    inner, a0 = s != 1.0, ev.profile.a_r0
+    slope, omega2 = np.full(s.shape, 1.0 / (a0 * a0)), np.full(s.shape, 1.0 / (a0 * a0))
+    if inner.any():
+        _, slope[inner], omega2[inner] = _unit_torus(ev, s[inner])
+    return (np.sign(c) * slope)[()], omega2[()]
 
 
 def limit_density_unnorm(ev: ActionEvaluator, c):

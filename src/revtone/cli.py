@@ -88,13 +88,12 @@ def cmd_validate(cfg: _config.RunConfig) -> int:
         if cfg.profile.kind == "custom_table":
             profile = load_profile_table(cfg.profile.table_path, check=False)
         else:
-            profile = _config.build_profile(cfg)
+            profile = _profile(cfg, "validate")
     except RejectedProfileError as exc:
         os.makedirs(cfg.out_dir, exist_ok=True)
         _write_json(out, {"profile": cfg.profile.kind, "passed": False, "error": str(exc)})
         print(f"validate: FAIL ({exc})")
         return EXIT_VERIFY_FAILED
-    _warn_without_plateau("validate", "meridian", profile.meridian)
     report = validate_profile(profile)
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_json(out, report.as_dict())
@@ -109,9 +108,14 @@ def _warn_without_plateau(command: str, name: str, series):
               file=sys.stderr)
 
 
-def cmd_density(cfg: _config.RunConfig) -> int:
+def _profile(cfg: _config.RunConfig, command: str):
     profile = _config.build_profile(cfg)
-    _warn_without_plateau("density", "meridian", profile.meridian)
+    _warn_without_plateau(command, "meridian", profile.meridian)
+    return profile
+
+
+def cmd_density(cfg: _config.RunConfig) -> int:
+    profile = _profile(cfg, "density")
     ev = _config.build_evaluator(cfg, profile)
     n = cfg.density_n
     _warn_without_plateau("density", "energy K1", _actions.k1_series(ev))
@@ -131,8 +135,7 @@ def cmd_density(cfg: _config.RunConfig) -> int:
 def cmd_spectrum(cfg: _config.RunConfig) -> int:
     if not cfg.ells:
         raise ConfigError("run.ells is required for the spectrum command")
-    profile = _config.build_profile(cfg)
-    _warn_without_plateau("spectrum", "meridian", profile.meridian)
+    profile = _profile(cfg, "spectrum")
     ev = _config.build_evaluator(cfg, profile)
     _warn_without_plateau("spectrum", "energy K1", _actions.k1_series(ev))
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -157,8 +160,7 @@ def cmd_spectrum(cfg: _config.RunConfig) -> int:
 def cmd_converge(cfg: _config.RunConfig) -> int:
     if not cfg.ells:
         raise ConfigError("run.ells is required for the converge command")
-    profile = _config.build_profile(cfg)
-    _warn_without_plateau("converge", "meridian", profile.meridian)
+    profile = _profile(cfg, "converge")
     ev = _config.build_evaluator(cfg, profile)
     sym = _config.build_symbol(cfg)
     report = _measures.convergence_sweep(ev, list(cfg.ells), sym,

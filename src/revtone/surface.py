@@ -6,7 +6,8 @@ unit slope (+1 at r = 0, -1 at r = L), are positive in between, and have
 a single nondegenerate maximum at r0; the circle r = r0 is the equator.
 
 Profiles are immutable value objects: the callables a, a1, a2 must
-accept scalars or ndarrays and be free of hidden state.
+accept scalars or ndarrays, and their values must depend on r alone (a
+cache that does not change them, like the ellipsoid's last t(r), is fine).
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ class SurfaceProfile:
     a_r0: float
     name: str = "custom"
     # an ellipsoid's arclength fit, which a, a1, a2 read (its degree, tail, convergence)
-    meridian: object = field(default=None, repr=False, compare=False)
+    meridian: "_ChebFit | None" = field(default=None, repr=False, compare=False)
 
     def equator_length(self) -> float:
         return 2.0 * np.pi * self.a_r0
@@ -238,23 +239,21 @@ def _chop(coeffs: np.ndarray, tol: float) -> tuple[int, bool]:
 
 
 class _ChebFit:
-    """Chebyshev fit through sample(js), the values at x_j = cos(pi j / 512) for an array
-    of j, on nested Lobatto points N = 16, 32, ..., 512 (all samples reused, a level's new
-    ones in one call), up to the first N with a coefficient plateau at relative tol; x = 1
-    and -1 take `ends`, x < 0 is not sampled if even.  `tail` is the largest coefficient
-    cut or, with no plateau (`converged` False, the fit kept whole), the largest in its
-    upper half."""
+    """Chebyshev fit through sample(js), the values at x_j = cos(pi j / 512) for an array of
+    j, on nested Lobatto points N = 16, 32, ..., 512 (all samples reused, a level's new ones
+    in one call), up to the first N with a coefficient plateau at relative tol; x = 1 and -1
+    take `ends`, x < 0 is not sampled if even.  `tail` is the largest coefficient cut or, with
+    no plateau (`converged` False, the fit kept whole), the largest in its upper half."""
 
     def __init__(self, sample, ends: tuple, tol: float, even: bool = False):
         g = np.full(513, np.nan)
         g[[0, 512]] = ends
         for n in (16, 32, 64, 128, 256, 512):
             idx = np.arange(0, 513, 512 // n)
-            new = idx[np.isnan(g[idx])]
-            mirrored = new[new > 256] if even else new[:0]
-            new = new[:new.size - mirrored.size]
+            new = idx[np.isnan(g[idx]) & ~(even & (idx > 256))]
             g[new] = sample(new)
-            g[mirrored] = g[512 - mirrored]
+            if even:
+                g[257:512] = g[255:0:-1]
             coeffs = _lobatto_coefficients(g[idx])
             keep, self.converged = _chop(coeffs, tol)
             if self.converged:
@@ -303,12 +302,11 @@ class _EllipsoidMeridian(_ChebFit):
 
     def t_of_r(self, r):
         x = (2.0 / self.L) * np.asarray(r, float) - 1.0
-        # root solves ask for a and a' at the same points in turn, so the last t is kept
-        # (read once, so concurrent callers each see a consistent pair); chebval costs
-        # as much on 10 points as on one: below 12, floats are faster
+        # root solves ask for a, then a', at the same points, so the last t is kept (read
+        # once); below 8 points a loop over floats is faster than chebval on an array
         key, last = (np.shape(x), np.asarray(x).tobytes()), self._last
         if last[0] != key:
-            t = (_cheb.chebval(x, self.coeffs) if np.size(x) >= 12 else
+            t = (_cheb.chebval(x, self.coeffs) if np.size(x) >= 8 else
                  np.reshape([_cheb.chebval(v, self.coeffs) for v in np.ravel(x)], np.shape(x)))
             last = self._last = key, np.asarray(np.clip(t, 0.0, np.pi))
             last[1].setflags(write=False)

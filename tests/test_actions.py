@@ -252,6 +252,16 @@ def test_frequencies_endpoint_value(sphere_ev, ell13_ev):
         frequencies(sphere_ev, 1.01)
 
 
+def test_frequencies_at_the_boundary_build_no_series(ell13, monkeypatch):
+    def no_series(ev):
+        raise AssertionError("K1 series built for |c| = 1")
+
+    monkeypatch.setattr(actions, "k1_series", no_series)
+    w = 1.0 / (ell13.a_r0 * ell13.a_r0)
+    w1, w2 = frequencies(ActionEvaluator(ell13), np.array([1.0, -1.0]))
+    assert list(w1) == [w, -w] and list(w2) == [w, w]
+
+
 def test_limit_density_sphere_closed_form(sphere_ev):
     assert limit_density_unnorm(sphere_ev, 0.0) == pytest.approx(1.0, abs=1e-10)
     assert limit_density_unnorm(sphere_ev, 0.6) == pytest.approx(1.25, abs=1e-8)
