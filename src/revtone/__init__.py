@@ -17,7 +17,6 @@ from .actions import (
     limit_density_unnorm,
     liouville_state,
     normalization_M,
-    phase_space_symbol,
     radial_symbol,
     torus_average,
     turning_points,
@@ -36,7 +35,6 @@ from .errors import (
     ResolutionError,
     RevtoneError,
     SignedMeasureError,
-    UnsupportedQuantizationError,
 )
 from .measures import (
     ConvergenceReport,
@@ -75,12 +73,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ActionEvaluator", "SymbolFn", "action_I2", "angular_symbol", "dI2_dc",
     "dI2_dE", "di2_drho_fd", "energy_K", "frequencies",
-    "limit_density_unnorm", "liouville_state", "normalization_M", "phase_space_symbol",
+    "limit_density_unnorm", "liouville_state", "normalization_M",
     "radial_symbol", "torus_average", "turning_points",
     "ConfigError", "ConvergenceError", "DegenerateMeasureError", "DegenerateTorusError",
     "ExprError", "InvalidParameterError", "LabelingError", "OutsideMomentImageError",
     "OutsideOpenIntervalError", "RejectedProfileError", "ResolutionError",
-    "RevtoneError", "SignedMeasureError", "UnsupportedQuantizationError",
+    "RevtoneError", "SignedMeasureError",
     "ConvergenceReport", "EmpiricalMeasure", "LimitMeasure", "convergence_sweep",
     "empirical_mu", "empirical_nu", "ks_distance", "limit_measure_mu",
     "limit_measure_nu", "wasserstein1",

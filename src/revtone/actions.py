@@ -55,13 +55,11 @@ _FD_STEP = 1e-6
 _SERIES_TOL = 1e-10
 _K1_TOL = 1e-14
 
-_THETA_SAMPLES = 128
-
 
 @dataclass(frozen=True, eq=False)
 class ActionEvaluator:
-    """A meridian profile and every value memoized for it (series, symbol
-    checks), kept in `_cache` and read and filled through `_cached`."""
+    """A meridian profile and every value memoized for it (its series), kept in
+    `_cache` and read and filled through `_cached`."""
 
     profile: SurfaceProfile
     _cache: dict = field(default_factory=dict, repr=False)
@@ -78,16 +76,15 @@ def _cached(ev: ActionEvaluator, key, build: Callable):
 # ---------------------------------------------------------------------------
 # symbols
 
-_SYMBOL_KINDS = ("radial_mult", "angular_ratio", "phase_space")
+_SYMBOL_KINDS = ("radial_mult", "angular_ratio")
 
 
 @dataclass(frozen=True, eq=False)
 class SymbolFn:
-    """Classical observable in one of three shapes; `fn` is its one callable.
+    """Classical observable in one of two shapes; `fn` is its one callable.
 
     radial_mult:   multiplication by b(r); fn(r) = b(r)
     angular_ratio: function chi of the ratio p_theta / |xi|; fn(s) = chi(s)
-    phase_space:   degree-0 homogeneous sigma; fn(r, theta, rho, eta) = sigma(r, theta, rho, eta)
     """
 
     kind: str
@@ -105,10 +102,6 @@ def radial_symbol(b: Callable, name: str = "") -> SymbolFn:
 
 def angular_symbol(chi: Callable, name: str = "") -> SymbolFn:
     return SymbolFn("angular_ratio", chi, name)
-
-
-def phase_space_symbol(sigma: Callable, name: str = "") -> SymbolFn:
-    return SymbolFn("phase_space", sigma, name)
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +368,7 @@ def torus_average(ev: ActionEvaluator, sym: SymbolFn, c):
     The invariant radial measure is proportional to dr / rho(r).  One
     radial pass integrates the symbol against it together with the
     measure itself, and the average is their ratio, so the constant
-    symbol averages to exactly 1.  A phase-space symbol is averaged over
-    the angle and both signs of rho inside that pass, one row at a time.
+    symbol averages to exactly 1.
     """
     if np.any(np.abs(c) >= 1.0):
         raise DegenerateTorusError(f"torus average needs |c| < 1, got |c| = {np.max(np.abs(c))}")
@@ -385,42 +377,12 @@ def torus_average(ev: ActionEvaluator, sym: SymbolFn, c):
     if sym.kind == "angular_ratio":
         return np.asarray(sym.fn(c / E), float)[()]
 
-    if sym.kind == "radial_mult":
-        def symbol(r, rho):
-            return np.asarray(sym.fn(r), float)
-    else:
-        _cached(ev, ("homogeneous", sym), lambda: _check_homogeneous(
-            sym, ev.profile.L, np.ravel(c)[0], np.ravel(E)[0]))
-        theta = 2.0 * np.pi * np.arange(_THETA_SAMPLES)[None, :] / _THETA_SAMPLES
-
-        def average(r, rho, c):
-            up, down = (np.asarray(sym.fn(r[:, None], theta, sign * rho[:, None], c),
-                                   float) for sign in (1.0, -1.0))
-            return 0.5 * (np.mean(up, axis=1) + np.mean(down, axis=1))
-
-        def symbol(r, rho):
-            return np.array([average(*row) for row in zip(r, rho, np.ravel(c))])
-
     def g(r, F):
         weight = _inv_sqrt_weight(F)
-        return symbol(r, np.sqrt(np.maximum(F, 0.0))) * weight, weight
+        return np.asarray(sym.fn(r), float) * weight, weight
 
     total, mass = _integrate_radial(ev, c, E, g)
     return total / mass
-
-
-def _check_homogeneous(sym: SymbolFn, L: float, c: float, E: float) -> bool:
-    r = np.linspace(0.35 * L, 0.65 * L, 7)
-    theta = np.linspace(0.0, 2.0 * np.pi, 5)[:-1]
-    rho = 0.7 * E
-    base = np.asarray(sym.fn(r[:, None], theta[None, :], rho, c), float)
-    scale = max(1.0, float(np.max(np.abs(base))))
-    for t in (2.0, 5.0):
-        scaled = np.asarray(sym.fn(r[:, None], theta[None, :], t * rho, t * c), float)
-        if float(np.max(np.abs(scaled - base))) > 1e-10 * scale:
-            raise InvalidParameterError(
-                "phase_space symbol is not homogeneous of degree 0 in (rho, eta)")
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,6 @@ class ResolutionError(RevtoneError):
     """The radial grid is too coarse to resolve the requested modes."""
 
 
-class UnsupportedQuantizationError(RevtoneError):
-    """The symbol kind has no matrix-element rule in the separated basis."""
-
-
 class SignedMeasureError(RevtoneError):
     """A limit measure was requested for a symbol whose total average
     vanishes, so no normalized density exists."""

@@ -25,7 +25,6 @@ from .errors import (
     InvalidParameterError,
     RevtoneError,
     SignedMeasureError,
-    UnsupportedQuantizationError,
 )
 from .quadrature import gauss_legendre_rule
 
@@ -89,9 +88,6 @@ def empirical_mu(slice_: _spectral.JointSlice) -> EmpiricalMeasure:
 
 def empirical_nu(slice_: _spectral.JointSlice, sym: _actions.SymbolFn) -> EmpiricalMeasure:
     """Matrix-element measure of a multiplet for a radial or angular symbol."""
-    if sym.kind == "phase_space":
-        raise UnsupportedQuantizationError(
-            "phase_space symbols have no matrix-element rule in the separated basis")
     w = (_spectral.radial_matrix_elements(slice_, sym.fn) if sym.kind == "radial_mult"
          else [_spectral.matrix_element_angular(mode, sym.fn) for mode in slice_.modes])
     ms, w = np.array([mode.m for mode in slice_.modes]), np.array(w)

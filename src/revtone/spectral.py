@@ -10,7 +10,8 @@ discretization is a flux-conservative second-order scheme on a uniform
 grid pulled back from the poles by delta = L / (10 * grid_size), written
 as a symmetric tridiagonal pencil with weight a(r) and solved by seeded
 Rayleigh-quotient iteration; bisection gives the first coarse pairs and the fallback.
-The profile is sampled once per grid size, at nodes and half-points, for all m.
+The profile is sampled once per grid size and the m-independent parts of the pencil
+are built from it once, for all m.  LAPACK comes from scipy's f2py module (_lapack).
 
 Eigenvalues carry an O(h^2) bias with a smooth coefficient, so every
 headline number (lambda^2 and the equator value u(r0)) is Richardson
@@ -20,13 +21,16 @@ on every solve.
 """
 from __future__ import annotations
 
+import os
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from importlib import machinery, util
 
 import numpy as np
 
 from . import actions as _actions
-from .errors import InvalidParameterError, LabelingError, ResolutionError
+from .errors import ConvergenceError, InvalidParameterError, LabelingError, ResolutionError
 from .surface import SurfaceProfile
 
 MIN_GRID = 500
@@ -62,44 +66,50 @@ class JointSlice:
     profile: SurfaceProfile
 
 
-# A uniform radial grid with the profile sampled once on it: a at the
-# grid_size nodes, ah at the grid_size - 1 half-points between them.
-_Grid = namedtuple("_Grid", "r h a ah")
+# A uniform radial grid and the m-independent parts of its pencils: all of the m = 0
+# one (zonal), and on the interior nodes for m != 0 the diagonal's flux part, which
+# _tridiagonal completes with m^2 / a and the fluxes through the two dropped poles.
+_Grid = namedtuple("_Grid", "r h zonal interior poles")
+_Pencil = namedtuple("_Pencil", "diag off a sq")
 
 
 def _grids(p: SurfaceProfile, grid_size: int) -> tuple:
-    """The fine grid and the half-size grid of the Richardson pair."""
+    """The fine grid and the half-size grid of the Richardson pair, each sampling the
+    profile once, at nodes and half-points.  A half-point value serves both sides of its
+    flux, so for m = 0 constants are annihilated exactly: lambda^2 = 0 to rounding."""
     if grid_size < MIN_GRID:
         raise InvalidParameterError(f"grid_size must be >= {MIN_GRID}, got {grid_size}")
     grids = []
     for n in (grid_size, grid_size // 2):
         delta = p.L / (10.0 * n)
         rs = np.linspace(delta, p.L - delta, n)
-        grids.append(_Grid(rs, float(rs[1] - rs[0]), np.asarray(p.a(rs), float),
-                           np.asarray(p.a(0.5 * (rs[:-1] + rs[1:])), float)))
+        h = float(rs[1] - rs[0])
+        h2 = h * h
+        a = np.asarray(p.a(rs), float)
+        ah = np.asarray(p.a(0.5 * (rs[:-1] + rs[1:])), float)
+        pencils = []
+        for ar, ahr in ((a, ah), (a[1:-1], ah[1:-1])):
+            flux = np.zeros_like(ar)
+            flux[:-1] += ahr / h2
+            flux[1:] += ahr / h2
+            sq = np.sqrt(ar)
+            pencils.append(_Pencil(flux, -ahr / h2 / (sq[:-1] * sq[1:]), ar, sq))
+        zonal, interior = pencils
+        grids.append(_Grid(rs, h, zonal._replace(diag=zonal.diag / zonal.a), interior,
+                           (ah[0] / h2, ah[-1] / h2)))
     return tuple(grids)
 
 
-def _tridiagonal(g: _Grid, m: int):
-    """Symmetric standard-form tridiagonal of the weighted pencil.
-
-    Half-grid profile values are computed once and reused on both sides
-    of each flux, so for m = 0 the constant vector is annihilated
-    exactly and lambda^2 = 0 is represented to rounding.  For m != 0 the
-    pole nodes are dropped and the fluxes through them stay on the diagonal.
-    """
-    h2 = g.h * g.h
-    ar, ah = (g.a, g.ah) if m == 0 else (g.a[1:-1], g.ah[1:-1])
-    diag = np.zeros_like(ar)
-    diag[:-1] += ah / h2
-    diag[1:] += ah / h2
-    if m != 0:
-        diag += (m * m) / ar
-        diag[0] += g.ah[0] / h2
-        diag[-1] += g.ah[-1] / h2
-    off = -ah / h2
-    sq = np.sqrt(ar)
-    return diag / ar, off / (sq[:-1] * sq[1:]), ar, sq
+def _tridiagonal(g: _Grid, m: int) -> _Pencil:
+    """Symmetric standard-form tridiagonal of the weighted pencil at m; for m != 0 the
+    pole nodes are dropped and the fluxes through them stay on the diagonal."""
+    if m == 0:
+        return g.zonal
+    flux, off, ar, sq = g.interior
+    diag = flux + (m * m) / ar
+    diag[0] += g.poles[0]
+    diag[-1] += g.poles[1]
+    return _Pencil(diag / ar, off, ar, sq)
 
 
 def _count_nodes(u: np.ndarray) -> int:
@@ -114,24 +124,59 @@ def _normalized(u: np.ndarray, ar: np.ndarray, h: float) -> np.ndarray:
     return u if u[idx] > 0 else -u
 
 
-def eigh_tridiagonal(d, e, **kwargs):
-    """scipy.linalg.eigh_tridiagonal, imported on the first solve, not with revtone."""
-    from scipy.linalg import eigh_tridiagonal as solve
-    return solve(d, e, **kwargs)
+def _lapack():
+    """scipy's f2py LAPACK module scipy.linalg._flapack, loaded on its own: the package
+    __init__ of scipy.linalg imports numpy.f2py, numpy.testing and more, which takes
+    longer than all the solves of a run.  It is registered in sys.modules, so a later
+    import of scipy.linalg reuses it."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_dirs = util.find_spec("scipy").submodule_search_locations
+    spec = machinery.PathFinder.find_spec(name, [os.path.join(d, "linalg") for d in scipy_dirs])
+    if spec is None:
+        from scipy.linalg import lapack
+        return lapack
+    module = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+def eigh_tridiagonal(d, e, select_range, tol):
+    """Eigenpairs lo..hi (ascending) of the symmetric tridiagonal with diagonal d and
+    off-diagonal e: the LAPACK calls of scipy.linalg.eigh_tridiagonal(d, e, select="i",
+    select_range=(lo, hi), tol=tol), dstebz bisection then dstein inverse iteration."""
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise ConvergenceError("non-finite entry in the tridiagonal pencil")
+    lo, hi = select_range
+    lapack = _lapack()
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, tol, "B")
+    if info:
+        raise ConvergenceError(f"LAPACK dstebz failed (info = {info})")
+    w = w[:m]
+    v, info = lapack.dstein(d, e, w, iblock, isplit)
+    if info:
+        raise ConvergenceError(f"LAPACK dstein failed (info = {info})")
+    order = np.argsort(w)
+    return w[order], v[:, order]
 
 
 def _solve_indices(g: _Grid, m: int, idx_lo: int, idx_hi: int) -> list:
-    """Eigenpairs (lambda^2, u) idx_lo..idx_hi (ascending) on one grid, by bisection."""
+    """Eigenpairs idx_lo..idx_hi (ascending) on one grid by bisection, as triples
+    (lambda^2, u, interior node count of u)."""
     diag, off, ar, sq = _tridiagonal(g, m)
     # tol below LAPACK's floor of 2 ulp; scipy's default eps * ||T||_1 is about 3e-7
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(idx_lo, idx_hi), tol=1e-300)
-    return [(float(v), _normalized(x / sq, ar, g.h)) for v, x in zip(vals, vecs.T)]
+    vals, vecs = eigh_tridiagonal(diag, off, select_range=(idx_lo, idx_hi), tol=1e-300)
+    us = [_normalized(x / sq, ar, g.h) for x in vecs.T]
+    return [(float(v), u, _count_nodes(u)) for v, u in zip(vals, us)]
 
 
 def _solve(g: _Grid, m: int, n: int, shift: float, u0: np.ndarray, fixed: int) -> tuple:
-    """Eigenpair n on one grid from u0: `fixed` inverse steps at `shift`, then Rayleigh
-    quotient steps (one dgtsv each); bisection unless they settle on n interior nodes."""
-    from scipy.linalg.lapack import dgtsv
+    """Eigenpair n on one grid from u0, as (lambda^2, u, node count): `fixed` inverse
+    steps at `shift`, then Rayleigh quotient steps (one dgtsv each); bisection unless
+    they settle on n interior nodes."""
+    dgtsv = _lapack().dgtsv
     diag, off, ar, sq = _tridiagonal(g, m)
     x, rho = sq * u0, shift
     for step in range(fixed + _RQI_STEPS):
@@ -146,7 +191,8 @@ def _solve(g: _Grid, m: int, n: int, shift: float, u0: np.ndarray, fixed: int) -
             last, rho = rho, float(x @ tx)
             if abs(rho - last) <= _RQI_TOL * abs(rho):
                 u = _normalized(x / sq, ar, g.h)
-                return (rho, u) if _count_nodes(u) == n else _solve_indices(g, m, n, n)[0]
+                nodes = _count_nodes(u)
+                return (rho, u, nodes) if nodes == n else _solve_indices(g, m, n, n)[0]
     return _solve_indices(g, m, n, n)[0]
 
 
@@ -177,13 +223,12 @@ def _assemble(p: SurfaceProfile, fine_grid: _Grid, coarse_grid: _Grid, m: int,
     """Richardson-extrapolated modes n = n_lo, n_lo + 1, ..., fine solves seeded by `coarse`."""
     r_f, r_c = (fine_grid.r, coarse_grid.r) if m == 0 else (fine_grid.r[1:-1], coarse_grid.r[1:-1])
     fine = [_solve(fine_grid, m, n_lo + k, l2_c, np.interp(r_f, r_c, u_c), 1)
-            for k, (l2_c, u_c) in enumerate(coarse)]
+            for k, (l2_c, u_c, _) in enumerate(coarse)]
     lam_max = np.sqrt(max(fine[-1][0], 0.0))
     _check_resolution(lam_max, fine_grid.h)
     out = []
-    for k, ((l2_f, u_f), (l2_c, u_c)) in enumerate(zip(fine, coarse)):
+    for k, ((l2_f, u_f, nodes), (l2_c, u_c, _)) in enumerate(zip(fine, coarse)):
         n = n_lo + k
-        nodes = _count_nodes(u_f)
         if nodes != n:
             raise LabelingError(
                 f"m = {m}, eigenindex {n}: counted {nodes} interior nodes "
@@ -226,13 +271,9 @@ def joint_slice(p: SurfaceProfile, ell: int, grid_size: int) -> JointSlice:
         pair = _solve(grids[1], m, ell - m, 2.0 * shifts[-1] - shifts[-2], start, 2)
         shifts.append(pair[0])
         by_m[m] = _assemble(p, *grids, m, ell - m, [pair])[0]
-    modes = []
-    norms = {}
-    for m in range(-ell, ell + 1):
-        mode = by_m[abs(m)] if m >= 0 else replace(by_m[-m], m=m)
-        modes.append(mode)
-        norms[m] = restricted_norm(mode, p)
-    return JointSlice(ell=ell, modes=modes, restricted_norms=norms, profile=p)
+    modes = [by_m[m] if m >= 0 else replace(by_m[-m], m=m) for m in range(-ell, ell + 1)]
+    return JointSlice(ell=ell, modes=modes, profile=p,
+                      restricted_norms={mode.m: restricted_norm(mode, p) for mode in modes})
 
 
 def restricted_norm(mode: RadialMode, p: SurfaceProfile) -> float:

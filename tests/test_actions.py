@@ -25,7 +25,6 @@ from revtone import (
     limit_density_unnorm,
     liouville_state,
     normalization_M,
-    phase_space_symbol,
     radial_symbol,
     torus_average,
     turning_points,
@@ -44,7 +43,6 @@ import oracles
 def test_symbol_constructors():
     assert radial_symbol(np.sin).kind == "radial_mult"
     assert angular_symbol(lambda s: s * s).kind == "angular_ratio"
-    assert phase_space_symbol(lambda r, th, rho, eta: 1.0).kind == "phase_space"
     with pytest.raises(InvalidParameterError):
         SymbolFn("bogus", np.sin)
 
@@ -474,20 +472,18 @@ def test_torus_average_normalization(sphere_ev, ell13_ev):
 
 
 def test_torus_average_takes_one_pass(sphere, ell13_ev, monkeypatch):
-    # weight and symbol share one radial pass, both momentum signs included
+    # weight and symbol share one radial pass
     one = radial_symbol(lambda r: np.ones_like(np.asarray(r, float)), name="1")
-    one_ps = phase_space_symbol(lambda r, th, rho, eta: np.ones(np.broadcast(r, th, rho).shape))
     cos_r = radial_symbol(np.cos, name="cos r")
-    odd_ps = phase_space_symbol(lambda r, th, rho, eta: np.cos(r) * rho / np.hypot(rho, eta))
     passes = _count_passes(monkeypatch)
     for ev in (ActionEvaluator(sphere), ell13_ev):
         actions.k1_series(ev)
         for c in (0.0, 0.3, -0.7):
-            for sym in (one, one_ps, cos_r, odd_ps):
+            for sym in (one, cos_r):
                 passes.clear()
                 average = torus_average(ev, sym, c)
                 assert len(passes) == 1
-                if sym in (one, one_ps):
+                if sym is one:
                     assert average == 1.0
     passes.clear()
     actions.nu_series(ell13_ev, cos_r)
@@ -525,42 +521,6 @@ def test_torus_average_matches_geodesic_flow_ellipsoid(ell13, ell13_ev):
     flow_route = oracles.geodesic_radial_average(
         ell13.a, ell13.a1, c_unit_speed, np.cos, ell13.r0)
     assert quad_route == pytest.approx(flow_route, abs=1e-3)
-
-
-def test_phase_space_average_reduces_to_radial(sphere_ev):
-    c = 0.4
-    E = energy_K(sphere_ev, c, 1.0)
-
-    def sigma(r, theta, rho, eta):
-        return rho ** 2 / (rho ** 2 + eta ** 2)
-
-    def b(r):
-        rho_sq = E ** 2 - c ** 2 / np.sin(r) ** 2
-        return rho_sq / (rho_sq + c ** 2)
-
-    full = torus_average(sphere_ev, phase_space_symbol(sigma), c)
-    radial = torus_average(sphere_ev, radial_symbol(b), c)
-    assert full == pytest.approx(radial, abs=1e-9)
-
-
-def test_phase_space_average_ignores_mean_zero_angle_factor(sphere_ev):
-    c = 0.4
-
-    def sigma(r, theta, rho, eta):
-        return (rho ** 2 / (rho ** 2 + eta ** 2)) * (1.0 + 0.5 * np.cos(theta))
-
-    def sigma_flat(r, theta, rho, eta):
-        return rho ** 2 / (rho ** 2 + eta ** 2)
-
-    with_angle = torus_average(sphere_ev, phase_space_symbol(sigma), c)
-    flat = torus_average(sphere_ev, phase_space_symbol(sigma_flat), c)
-    assert with_angle == pytest.approx(flat, abs=1e-9)
-
-
-def test_phase_space_average_rejects_inhomogeneous(sphere_ev):
-    sym = phase_space_symbol(lambda r, th, rho, eta: rho)
-    with pytest.raises(InvalidParameterError):
-        torus_average(sphere_ev, sym, 0.3)
 
 
 def test_liouville_state_values(sphere_ev):

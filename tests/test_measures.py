@@ -10,7 +10,6 @@ from revtone import (
     DegenerateMeasureError,
     InvalidParameterError,
     SignedMeasureError,
-    UnsupportedQuantizationError,
     angular_symbol,
     joint_slice,
     make_ellipsoid,
@@ -114,18 +113,6 @@ def test_nu_odd_angular_symbol_is_signed(sphere, sphere_ev):
         ks_distance(nu, lim)
     with pytest.raises(SignedMeasureError):
         wasserstein1(nu, lim)
-
-
-def test_nu_rejects_phase_space_symbol(sphere, sphere_ev, phase_symbol):
-    with pytest.raises(UnsupportedQuantizationError):
-        empirical_nu(joint_slice(sphere, 2, 1000), phase_symbol)
-
-
-@pytest.fixture(scope="module")
-def phase_symbol():
-    from revtone import phase_space_symbol
-    return phase_space_symbol(
-        lambda r, theta, rho, eta: rho ** 2 / (rho ** 2 + eta ** 2), name="sigma")
 
 
 # --- limit measures --------------------------------------------------------

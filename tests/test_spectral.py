@@ -1,15 +1,19 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import revtone
-from revtone import actions, spectral
+from revtone import actions, cli, spectral
 from revtone import (
+    ConvergenceError,
     InvalidParameterError,
+    LabelingError,
     ResolutionError,
     ebk_residual,
     joint_slice,
@@ -212,6 +216,15 @@ def test_bad_seed_falls_back_to_labelled_bisection(sphere, sphere_ev, monkeypatc
         assert abs(mode.lam - ref.lam) <= 1e-12 * ref.lam
 
 
+def test_node_count_mismatch_raises_labeling_error(sphere, monkeypatch):
+    # every count one off: the Rayleigh-quotient solves fall back to bisection,
+    # and the bisection pairs then fail the label check
+    count = spectral._count_nodes
+    monkeypatch.setattr(spectral, "_count_nodes", lambda u: count(u) + 1)
+    with pytest.raises(LabelingError):
+        radial_modes(sphere, 2, 3, 1000)
+
+
 @pytest.mark.parametrize("profile", ["sphere", "ell13"])
 def test_joint_slice_bisects_at_most_twice(request, monkeypatch, profile):
     # seeded Rayleigh-quotient solves leave bisection to m = 0 on the coarse grid
@@ -318,17 +331,6 @@ def test_ebk_residual_reads_k1_without_inversions(ell13_ev, ell13_slices, monkey
     assert calls == [] and max(map(abs, residuals)) <= 0.05
 
 
-def test_import_leaves_scipy_linalg_to_the_first_solve():
-    src = os.path.dirname(os.path.dirname(revtone.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, revtone\n"
-            "assert 'scipy.linalg' not in sys.modules\n"
-            "revtone.radial_modes(revtone.make_round_sphere(), 0, 1, 500)\n"
-            "assert 'scipy.linalg' in sys.modules\n")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-
-
 def test_ebk_residual_shrinks_on_ellipsoid(ell13, ell13_ev):
     res = {}
     for ell in (10, 20, 40):
@@ -336,3 +338,68 @@ def test_ebk_residual_shrinks_on_ellipsoid(ell13, ell13_ev):
         res[ell] = abs(ebk_residual(mode, ell13_ev))
     assert res[40] <= 0.05
     assert res[40] < res[20] < res[10]
+
+
+# --- LAPACK ----------------------------------------------------------------
+
+def test_solves_leave_the_scipy_linalg_package_unimported():
+    # LAPACK is loaded from scipy's f2py module alone, and a later import of
+    # scipy.linalg reuses that module
+    src = os.path.dirname(os.path.dirname(revtone.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, revtone\n"
+            "from revtone import spectral\n"
+            "revtone.radial_modes(revtone.make_round_sphere(), 0, 1, 500)\n"
+            "loaded = {'scipy.linalg', 'scipy._lib._array_api', 'numpy.f2py'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n"
+            "import scipy.linalg\n"
+            "assert scipy.linalg.lapack.dgtsv is spectral._lapack().dgtsv\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("profile, which, m, select_range",
+                         [("sphere", 1, 0, (10, 10)), ("ell13", 0, 3, (4, 6))])
+def test_eigh_tridiagonal_matches_scipy_bit_for_bit(request, profile, which, m, select_range):
+    from scipy.linalg import eigh_tridiagonal
+    grid = spectral._grids(request.getfixturevalue(profile), 2000)[which]
+    diag, off = spectral._tridiagonal(grid, m)[:2]
+    vals, vecs = spectral.eigh_tridiagonal(diag, off, select_range=select_range, tol=1e-300)
+    ref_vals, ref_vecs = eigh_tridiagonal(diag, off, select="i", select_range=select_range,
+                                          tol=1e-300)
+    assert vals.shape == (select_range[1] - select_range[0] + 1,)
+    assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+
+
+def test_public_lapack_module_when_the_extension_is_not_found(sphere, monkeypatch):
+    import scipy.linalg
+    good = joint_slice(sphere, 6, 1000)
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(spectral, "machinery",
+                        SimpleNamespace(PathFinder=SimpleNamespace(find_spec=lambda *args: None)))
+    assert spectral._lapack() is scipy.linalg.lapack
+    sl = joint_slice(sphere, 6, 1000)
+    for mode, ref in zip(sl.modes, good.modes):
+        assert (mode.m, mode.n, mode.lam, mode.u_at_r0) == (ref.m, ref.n, ref.lam, ref.u_at_r0)
+        assert np.array_equal(mode.u, ref.u)
+    assert sl.restricted_norms == good.restricted_norms
+
+
+def test_lapack_failures_raise_convergence_error(tmp_path, capsys, monkeypatch):
+    d, e = np.full(5, 2.0), np.full(4, -1.0)
+    with pytest.raises(ConvergenceError):
+        spectral.eigh_tridiagonal(np.where(np.arange(5) == 2, np.nan, d), e,
+                                  select_range=(0, 0), tol=1e-300)
+    failing = SimpleNamespace(dstebz=lambda *args: (0, np.zeros(5), np.zeros(5, np.int32),
+                                                    np.zeros(5, np.int32), 1))
+    monkeypatch.setattr(spectral, "_lapack", lambda: failing)
+    with pytest.raises(ConvergenceError, match="dstebz"):
+        spectral.eigh_tridiagonal(d, e, select_range=(0, 0), tol=1e-300)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("profile.kind = round_sphere\nspectral.grid_size = 500\n"
+                   f"run.command = spectrum\nrun.ells = 2\nrun.out_dir = {tmp_path}\n")
+    capsys.readouterr()
+    assert cli.main(["--config", str(cfg)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "spectrum: ell = 2 failed: LAPACK dstebz failed (info = 1)"]
+    assert "ConvergenceError" in json.loads((tmp_path / "errors.json").read_text())["2"]
