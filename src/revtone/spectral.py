@@ -9,18 +9,19 @@ with u -> 0 at the poles for m != 0 and zero flux for m = 0.  The
 discretization is a flux-conservative second-order scheme on a uniform
 grid pulled back from the poles by delta = L / (10 * grid_size), written
 as a symmetric tridiagonal pencil with weight a(r) and solved by seeded
-Rayleigh-quotient iteration; bisection gives the first coarse pairs and the fallback.
-The profile is sampled once per grid size and the m-independent parts of the pencil
-are built from it once, for all m.  LAPACK comes from scipy's f2py module (_lapack).
+Rayleigh-quotient iteration (one dgtsv and two dot products per step,
+stopped by a residual bound); bisection gives the first coarse pair and
+the fallback.  What every m shares is built once per grid size, from one
+sampling of the profile.  LAPACK comes from scipy's f2py module (_lapack).
 
 Eigenvalues carry an O(h^2) bias with a smooth coefficient, so every
 headline number (lambda^2 and the equator value u(r0)) is Richardson
 extrapolated from the requested grid and its half.  Modes are labeled
-ell = |m| + n with n the interior node count, checked by sign counting
-on every solve.
+ell = |m| + n with n the interior node count, checked on every solve.
 """
 from __future__ import annotations
 
+import math
 import os
 import sys
 from collections import namedtuple
@@ -38,9 +39,11 @@ MIN_POINTS_PER_WAVELENGTH = 10.0
 # grid entries below this fraction of the max are treated as pole
 # underflow when counting sign changes
 _NODE_FLOOR = 1e-8
-# Rayleigh-quotient steps stop when the quotient moves by <= _RQI_TOL of itself (4 eps
-# is never met: the m^2/a^2 pole entries make ||T|| ~ 1e9), or bisect after _RQI_STEPS
-_RQI_TOL, _RQI_STEPS = 1e-13, 8
+# A step solves (T - rho) y = x, ||x|| = 1, and 1 / ||y|| bounds the residual of y / ||y||
+# (Parlett, ch. 4): stop at _RQI_TOL of the quotient or at its rounding level _RQI_FLOOR *
+# sum_i T_ii x_i^2 (the bound settles at 0.2-0.85 eps times that sum, while the m^2/a^2
+# pole entries put eps * ||T|| at 3e-7), and bisect after _RQI_STEPS
+_RQI_TOL, _RQI_FLOOR, _RQI_STEPS = 1e-13, 2.0 * np.finfo(float).eps, 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,11 +69,25 @@ class JointSlice:
     profile: SurfaceProfile
 
 
-# A uniform radial grid and the m-independent parts of its pencils: all of the m = 0
-# one (zonal), and on the interior nodes for m != 0 the diagonal's flux part, which
-# _tridiagonal completes with m^2 / a and the fluxes through the two dropped poles.
-_Grid = namedtuple("_Grid", "r h zonal interior poles")
-_Pencil = namedtuple("_Pencil", "diag off a sq")
+# The node sets of a uniform grid, zonal (m = 0: all nodes) and interior (m != 0: poles
+# dropped, their fluxes kept on the diagonal), with what every m shares: the pencil's m = 0
+# diagonal (which _tridiagonal completes with m^2 / a), off-diagonal, a, sq = sqrt(a)
+# (x = sq u), nodes r, weights at r0 and the interpolation from the coarse grid's set.
+_Grid = namedtuple("_Grid", "r h sets")
+_Pencil = namedtuple("_Pencil", "diag off a sq r at_r0 seed")
+
+
+def _lagrange(r: np.ndarray, x: float) -> tuple:
+    """Start index and weights of cubic Lagrange interpolation at x from the 4 nearest r."""
+    i = max(2, min(len(r) - 2, int(np.searchsorted(r, x)))) - 2
+    rj = r[i:i + 4]
+    return i, [math.prod((x - rk) / (rj[j] - rk) for k, rk in enumerate(rj) if k != j)
+               for j in range(4)]
+
+
+def _at_r0(u: np.ndarray, pen: _Pencil) -> float:
+    i, (w0, w1, w2, w3) = pen.at_r0
+    return float(u[i] * w0 + u[i + 1] * w1 + u[i + 2] * w2 + u[i + 3] * w3)
 
 
 def _grids(p: SurfaceProfile, grid_size: int) -> tuple:
@@ -79,49 +96,45 @@ def _grids(p: SurfaceProfile, grid_size: int) -> tuple:
     flux, so for m = 0 constants are annihilated exactly: lambda^2 = 0 to rounding."""
     if grid_size < MIN_GRID:
         raise InvalidParameterError(f"grid_size must be >= {MIN_GRID}, got {grid_size}")
+    nodes = [np.linspace(p.L / (10.0 * n), p.L - p.L / (10.0 * n), n)
+             for n in (grid_size, grid_size // 2)]
     grids = []
-    for n in (grid_size, grid_size // 2):
-        delta = p.L / (10.0 * n)
-        rs = np.linspace(delta, p.L - delta, n)
+    for rs in nodes:
         h = float(rs[1] - rs[0])
-        h2 = h * h
         a = np.asarray(p.a(rs), float)
-        ah = np.asarray(p.a(0.5 * (rs[:-1] + rs[1:])), float)
-        pencils = []
-        for ar, ahr in ((a, ah), (a[1:-1], ah[1:-1])):
-            flux = np.zeros_like(ar)
-            flux[:-1] += ahr / h2
-            flux[1:] += ahr / h2
-            sq = np.sqrt(ar)
-            pencils.append(_Pencil(flux, -ahr / h2 / (sq[:-1] * sq[1:]), ar, sq))
-        zonal, interior = pencils
-        grids.append(_Grid(rs, h, zonal._replace(diag=zonal.diag / zonal.a), interior,
-                           (ah[0] / h2, ah[-1] / h2)))
+        ah = np.asarray(p.a(0.5 * (rs[:-1] + rs[1:])), float) / (h * h)
+        flux = np.append(ah, 0.0) + np.insert(ah, 0, 0.0)
+        sets = []
+        for cut, diag in ((slice(None), flux / a), (slice(1, -1), flux[1:-1])):
+            r, r_c, sq = rs[cut], nodes[1][cut], np.sqrt(a[cut])
+            j = np.clip(np.searchsorted(r_c, r) - 1, 0, len(r_c) - 2)  # np.interp's segments
+            seed = (j, j + 1, np.clip((r - r_c[j]) / (r_c[j + 1] - r_c[j]), 0.0, 1.0))
+            sets.append(_Pencil(diag, -ah[cut] / (sq[:-1] * sq[1:]), a[cut], sq, r,
+                                _lagrange(r, p.r0), seed))
+        grids.append(_Grid(rs, h, tuple(sets)))
     return tuple(grids)
 
 
 def _tridiagonal(g: _Grid, m: int) -> _Pencil:
-    """Symmetric standard-form tridiagonal of the weighted pencil at m; for m != 0 the
-    pole nodes are dropped and the fluxes through them stay on the diagonal."""
-    if m == 0:
-        return g.zonal
-    flux, off, ar, sq = g.interior
-    diag = flux + (m * m) / ar
-    diag[0] += g.poles[0]
-    diag[-1] += g.poles[1]
-    return _Pencil(diag / ar, off, ar, sq)
+    """The node set of m, with the diagonal of its standard-form pencil at m."""
+    pen = g.sets[m != 0]
+    return pen._replace(diag=(pen.diag + (m * m) / pen.a) / pen.a) if m else pen
 
 
 def _count_nodes(u: np.ndarray) -> int:
-    big = np.abs(u) > _NODE_FLOOR * np.max(np.abs(u))
-    s = np.sign(u[big])
-    return int(np.count_nonzero(s[1:] * s[:-1] < 0))
+    au = np.abs(u)
+    s = np.signbit(u[au > _NODE_FLOOR * au.max()])
+    return int(np.count_nonzero(s[1:] != s[:-1]))
 
 
-def _normalized(u: np.ndarray, ar: np.ndarray, h: float) -> np.ndarray:
-    u = u / np.sqrt(np.trapezoid(ar * u * u, dx=h))
-    idx = int(np.argmax(np.abs(u) > 0.01 * np.max(np.abs(u))))
-    return u if u[idx] > 0 else -u
+def _pair(lam2: float, x: np.ndarray, pen: _Pencil, h: float) -> tuple:
+    """(lambda^2, u, node count) of the unit vector x: u = x / sq, scaled to a u^2 = x^2 of
+    trapezoid integral h (1 - (x_0^2 + x_-1^2) / 2) = 1 and a positive first lobe."""
+    u = x / pen.sq
+    au = np.abs(u)
+    lobe = u[np.argmax(au > 0.01 * au.max())]
+    u *= math.copysign(1.0 / math.sqrt(h * (1.0 - 0.5 * (x[0] * x[0] + x[-1] * x[-1]))), lobe)
+    return lam2, u, _count_nodes(u)
 
 
 def _lapack():
@@ -163,80 +176,72 @@ def eigh_tridiagonal(d, e, select_range, tol):
 
 
 def _solve_indices(g: _Grid, m: int, idx_lo: int, idx_hi: int) -> list:
-    """Eigenpairs idx_lo..idx_hi (ascending) on one grid by bisection, as triples
-    (lambda^2, u, interior node count of u)."""
-    diag, off, ar, sq = _tridiagonal(g, m)
+    """Eigenpairs idx_lo..idx_hi (ascending) on one grid by bisection, as (lambda^2, u, nodes)."""
+    pen = _tridiagonal(g, m)
     # tol below LAPACK's floor of 2 ulp; scipy's default eps * ||T||_1 is about 3e-7
-    vals, vecs = eigh_tridiagonal(diag, off, select_range=(idx_lo, idx_hi), tol=1e-300)
-    us = [_normalized(x / sq, ar, g.h) for x in vecs.T]
-    return [(float(v), u, _count_nodes(u)) for v, u in zip(vals, us)]
+    vals, vecs = eigh_tridiagonal(pen.diag, pen.off, select_range=(idx_lo, idx_hi), tol=1e-300)
+    return [_pair(float(v), x, pen, g.h) for v, x in zip(vals, vecs.T)]
 
 
 def _solve(g: _Grid, m: int, n: int, shift: float, u0: np.ndarray, fixed: int) -> tuple:
-    """Eigenpair n on one grid from u0, as (lambda^2, u, node count): `fixed` inverse
-    steps at `shift`, then Rayleigh quotient steps (one dgtsv each); bisection unless
-    they settle on n interior nodes."""
+    """Eigenpair n on one grid from u0, as (lambda^2, u, nodes): Rayleigh-quotient steps,
+    the first `fixed` at the given shift; bisection unless they settle on n nodes."""
     dgtsv = _lapack().dgtsv
-    diag, off, ar, sq = _tridiagonal(g, m)
-    x, rho = sq * u0, shift
+    pen = _tridiagonal(g, m)
+    x = pen.sq * u0
+    x /= np.sqrt(x @ x)
     for step in range(fixed + _RQI_STEPS):
-        y, info = dgtsv(off, diag - rho, off, x)[3:]
+        y, info = dgtsv(pen.off, pen.diag - shift, pen.off, x, overwrite_d=1)[3:]
         if info:
             break
-        x = y / np.linalg.norm(y)
+        xy, yy = x @ y, y @ y
+        res, quotient = 1.0 / math.sqrt(yy), shift + xy / yy
+        x = y * res
+        if res <= _RQI_TOL * abs(quotient) or res <= _RQI_FLOOR * (pen.diag @ (x * x)):
+            # lambda^2 by a product with T: `quotient` carries the solve's rounding (5e-13 at 700)
+            tx = pen.diag * x
+            tx[:-1] += pen.off * x[1:]
+            tx[1:] += pen.off * x[:-1]
+            pair = _pair(float(x @ tx), x, pen, g.h)
+            return pair if pair[2] == n else _solve_indices(g, m, n, n)[0]
         if step >= fixed - 1:
-            tx = diag * x
-            tx[:-1] += off * x[1:]
-            tx[1:] += off * x[:-1]
-            last, rho = rho, float(x @ tx)
-            if abs(rho - last) <= _RQI_TOL * abs(rho):
-                u = _normalized(x / sq, ar, g.h)
-                nodes = _count_nodes(u)
-                return (rho, u, nodes) if nodes == n else _solve_indices(g, m, n, n)[0]
+            shift = quotient
     return _solve_indices(g, m, n, n)[0]
 
 
-def _interp_at(r: np.ndarray, u: np.ndarray, x: float) -> float:
-    """Cubic Lagrange interpolation from the four nearest grid points."""
-    i = int(np.searchsorted(r, x))
-    i = max(2, min(len(r) - 2, i))
-    rj = r[i - 2:i + 2]
-    val = 0.0
-    for j in range(4):
-        lj = 1.0
-        for k in range(4):
-            if k != j:
-                lj *= (x - rj[k]) / (rj[j] - rj[k])
-        val += u[i - 2 + j] * lj
-    return float(val)
+def _extrapolated(values: list) -> float:
+    """The next value of a sequence by a polynomial through its last three values or fewer."""
+    s = values[-3:]
+    return sum(c * v for c, v in zip(((), (1.0,), (-1.0, 2.0), (1.0, -3.0, 3.0))[len(s)], s))
 
 
-def _check_resolution(lam_max: float, h: float):
-    if lam_max > 0.0 and 2.0 * np.pi / (lam_max * h) < MIN_POINTS_PER_WAVELENGTH:
-        raise ResolutionError(
-            f"{2.0 * np.pi / (lam_max * h):.1f} points per wavelength at lambda = "
-            f"{lam_max:.3g}; need {MIN_POINTS_PER_WAVELENGTH:g} (refine the grid)")
-
-
-def _assemble(p: SurfaceProfile, fine_grid: _Grid, coarse_grid: _Grid, m: int,
-              n_lo: int, coarse: list):
-    """Richardson-extrapolated modes n = n_lo, n_lo + 1, ..., fine solves seeded by `coarse`."""
-    r_f, r_c = (fine_grid.r, coarse_grid.r) if m == 0 else (fine_grid.r[1:-1], coarse_grid.r[1:-1])
-    fine = [_solve(fine_grid, m, n_lo + k, l2_c, np.interp(r_f, r_c, u_c), 1)
-            for k, (l2_c, u_c, _) in enumerate(coarse)]
-    lam_max = np.sqrt(max(fine[-1][0], 0.0))
-    _check_resolution(lam_max, fine_grid.h)
-    out = []
-    for k, ((l2_f, u_f, nodes), (l2_c, u_c, _)) in enumerate(zip(fine, coarse)):
-        n = n_lo + k
+def _assemble(fine_grid: _Grid, coarse_grid: _Grid, jobs: list) -> list:
+    """Richardson-extrapolated modes for jobs (m, n, coarse pair or None), in order.  A
+    missing coarse pair is solved from a fixed random vector at the coarse lambda^2 of the
+    jobs before, extrapolated (quadratically, for prolate profiles); a fine one from the
+    coarse u at the coarse lambda^2 plus the extrapolated fine - coarse offset (O(h^2) bias)."""
+    start = np.random.default_rng(0).standard_normal(coarse_grid.r.size - 2)
+    coarse_l2, bias, out = [], [], []
+    for m, n, pair in jobs:
+        l2_c, u_c, _ = pair or _solve(coarse_grid, m, n, _extrapolated(coarse_l2), start, 2)
+        j, j1, t = fine_grid.sets[m != 0].seed
+        l2_f, u_f, nodes = _solve(fine_grid, m, n, l2_c + _extrapolated(bias),
+                                  u_c[j] + t * (u_c[j1] - u_c[j]), 1)
+        coarse_l2.append(l2_c)
+        bias.append(l2_f - l2_c)
+        lam_f = np.sqrt(max(l2_f, 0.0))
+        if lam_f > 0.0 and 2.0 * np.pi / (lam_f * fine_grid.h) < MIN_POINTS_PER_WAVELENGTH:
+            raise ResolutionError(
+                f"{2.0 * np.pi / (lam_f * fine_grid.h):.1f} points per wavelength at lambda = "
+                f"{lam_f:.3g}; need {MIN_POINTS_PER_WAVELENGTH:g} (refine the grid)")
         if nodes != n:
-            raise LabelingError(
-                f"m = {m}, eigenindex {n}: counted {nodes} interior nodes "
-                f"at grid {len(fine_grid.r)} (refine the grid)")
-        l2 = (4.0 * l2_f - l2_c) / 3.0
-        v0 = (4.0 * _interp_at(r_f, u_f, p.r0) - _interp_at(r_c, u_c, p.r0)) / 3.0
-        lam = float(np.sqrt(max(l2, 0.0)))
-        out.append(RadialMode(m=m, n=n, ell=abs(m) + n, lam=lam, r=r_f, u=u_f, u_at_r0=v0))
+            raise LabelingError(f"m = {m}, eigenindex {n}: counted {nodes} interior nodes "
+                                f"at grid {len(fine_grid.r)} (refine the grid)")
+        fine_set = fine_grid.sets[m != 0]
+        v0 = (4.0 * _at_r0(u_f, fine_set) - _at_r0(u_c, coarse_grid.sets[m != 0])) / 3.0
+        lam = float(np.sqrt(max((4.0 * l2_f - l2_c) / 3.0, 0.0)))
+        out.append(RadialMode(m=m, n=n, ell=abs(m) + n, lam=lam, r=fine_set.r, u=u_f,
+                              u_at_r0=v0))
     return out
 
 
@@ -249,8 +254,9 @@ def radial_modes(p: SurfaceProfile, m: int, n_max: int, grid_size: int) -> list:
     """
     if n_max < 0:
         raise InvalidParameterError(f"n_max must be >= 0, got {n_max}")
-    grids = _grids(p, grid_size)
-    return _assemble(p, *grids, int(m), 0, _solve_indices(grids[1], int(m), 0, n_max))
+    grids, m = _grids(p, grid_size), int(m)
+    return _assemble(*grids, [(m, n, pair) for n, pair in
+                              enumerate(_solve_indices(grids[1], m, 0, n_max))])
 
 
 def joint_slice(p: SurfaceProfile, ell: int, grid_size: int) -> JointSlice:
@@ -263,15 +269,9 @@ def joint_slice(p: SurfaceProfile, ell: int, grid_size: int) -> JointSlice:
     if ell < 1:
         raise InvalidParameterError(f"ell must be >= 1, got {ell}")
     grids = _grids(p, grid_size)
-    start = np.random.default_rng(0).standard_normal(grids[1].r.size - 2)
-    coarse = _solve_indices(grids[1], 0, ell, ell)
-    by_m, shifts = {0: _assemble(p, *grids, 0, ell, coarse)[0]}, [coarse[0][0]] * 2
-    for m in range(1, ell + 1):
-        # the coarse lambda^2 of the last two m, extrapolated (m = 1 takes that of m = 0)
-        pair = _solve(grids[1], m, ell - m, 2.0 * shifts[-1] - shifts[-2], start, 2)
-        shifts.append(pair[0])
-        by_m[m] = _assemble(p, *grids, m, ell - m, [pair])[0]
-    modes = [by_m[m] if m >= 0 else replace(by_m[-m], m=m) for m in range(-ell, ell + 1)]
+    half = _assemble(*grids, [(0, ell, _solve_indices(grids[1], 0, ell, ell)[0])]
+                     + [(m, ell - m, None) for m in range(1, ell + 1)])
+    modes = [replace(mode, m=-mode.m) for mode in half[:0:-1]] + half
     return JointSlice(ell=ell, modes=modes, profile=p,
                       restricted_norms={mode.m: restricted_norm(mode, p) for mode in modes})
 

@@ -17,6 +17,7 @@ from revtone import (
     ResolutionError,
     ebk_residual,
     joint_slice,
+    make_ellipsoid,
     matrix_element_angular,
     matrix_element_radial,
     radial_modes,
@@ -232,6 +233,81 @@ def test_joint_slice_bisects_at_most_twice(request, monkeypatch, profile):
     calls = _count_bisections(monkeypatch)
     joint_slice(p, 50, 4000)
     assert len(calls) <= 2
+
+
+def test_small_eigenvalues_stop_without_bisection(sphere, ell13, monkeypatch):
+    # lambda^2 from 2 to about 30: the quotient's rounding, 1e-12 to 1e-11 absolute, is
+    # above 1e-13 of it, so only the rounding floor lets these solves stop
+    calls = _count_bisections(monkeypatch)
+    radial_modes(sphere, 0, 10, 4000)
+    radial_modes(ell13, 3, 10, 4000)
+    assert calls == [2000, 1998]  # the coarse grid of each, once
+
+
+def test_prolate_multiplet_seldom_bisects(monkeypatch):
+    # at aspect 10 the coarse lambda^2(m) bends faster than the gap to the next n, so
+    # a shift extrapolated linearly in m lands nearer a neighbour (15 fallbacks at ell 50)
+    p = make_ellipsoid(10.0)
+    calls = _count_bisections(monkeypatch)
+    sl = joint_slice(p, 50, 4000)
+    assert len(calls) <= 3
+    assert all(_recount_sign_changes(mode.u) == mode.n for mode in sl.modes)
+
+
+def _lagrange_at(r, u, x):
+    """u(x) by cubic Lagrange interpolation from the four nearest nodes, summed in a loop."""
+    i = max(2, min(len(r) - 2, int(np.searchsorted(r, x))))
+    val = 0.0
+    for j in range(4):
+        lj = 1.0
+        for k in range(4):
+            if k != j:
+                lj *= (x - r[i - 2 + k]) / (r[i - 2 + j] - r[i - 2 + k])
+        val += u[i - 2 + j] * lj
+    return float(val)
+
+
+@pytest.mark.parametrize("profile, ell", [("sphere", 50), ("sphere", 200), ("ell13", 25),
+                                          ("ell13", 100)])
+def test_rayleigh_quotient_pairs_match_tight_bisection(request, monkeypatch, profile, ell):
+    # every pair the Rayleigh-quotient solves return, on both grids, against LAPACK
+    # bisection to its 2 ulp floor with inverse-iteration vectors
+    p = request.getfixturevalue(profile)
+    pairs = []
+    solve = spectral._solve
+
+    def record(g, m, n, *args):
+        pairs.append((g, m, n, solve(g, m, n, *args)))
+        return pairs[-1][3]
+
+    monkeypatch.setattr(spectral, "_solve", record)
+    joint_slice(p, ell, 4000)
+    assert len(pairs) == 2 * ell + 1  # coarse for m >= 1, fine for every m
+    for g, m, n, (l2, u, nodes) in pairs:
+        pen = spectral._tridiagonal(g, m)
+        vals, vecs = spectral.eigh_tridiagonal(pen.diag, pen.off, select_range=(n, n),
+                                               tol=1e-300)
+        ref = vecs[:, 0] / pen.sq
+        ref /= np.sqrt(np.trapezoid(pen.a * ref * ref, dx=g.h))
+        ref = ref if ref @ u > 0 else -ref
+        assert abs(l2 - vals[0]) <= 5e-13 * vals[0]
+        assert spectral._at_r0(u, pen) == _lagrange_at(pen.r, u, p.r0)
+        assert abs(_lagrange_at(pen.r, u, p.r0) - _lagrange_at(pen.r, ref, p.r0)) <= 1e-11
+
+
+def test_sphere_multiplet_dgtsv_budget(sphere, monkeypatch):
+    # 1007 solves at ell = 200 (three per coarse m >= 1, two per fine m), plus 5 %
+    lapack = spectral._lapack()
+    calls = []
+
+    def dgtsv(*args, **kwargs):
+        calls.append(len(args[1]))
+        return lapack.dgtsv(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_lapack", lambda: SimpleNamespace(
+        dgtsv=dgtsv, dstebz=lapack.dstebz, dstein=lapack.dstein))
+    joint_slice(sphere, 200, 4000)
+    assert len(calls) <= 1057
 
 
 # --- restricted norms and matrix elements ----------------------------------
