@@ -54,7 +54,6 @@ from .spectral import (
     ebk_residual,
     joint_slice,
     matrix_element_angular,
-    matrix_element_radial,
     radial_modes,
     restricted_norm,
 )
@@ -83,8 +82,7 @@ __all__ = [
     "empirical_mu", "empirical_nu", "ks_distance", "limit_measure_mu",
     "limit_measure_nu", "wasserstein1",
     "JointSlice", "RadialMode", "ebk_residual", "joint_slice",
-    "matrix_element_angular", "matrix_element_radial", "radial_modes",
-    "restricted_norm",
+    "matrix_element_angular", "radial_modes", "restricted_norm",
     "SurfaceProfile", "ValidationReport", "load_profile_table", "make_custom",
     "make_ellipsoid", "make_round_sphere", "validate_profile",
     "RunConfig", "load_config", "parse_config", "parse_expr",

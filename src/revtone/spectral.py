@@ -14,6 +14,12 @@ stopped by a residual bound); bisection gives the first coarse pair and
 the fallback.  What every m shares is built once per grid size, from one
 sampling of the profile.  LAPACK comes from scipy's f2py module (_lapack).
 
+A mirror-symmetric profile (a(L - r) = a(r): the sphere and ellipsoids)
+is sampled on [0, L/2] for a node set of even size, whose pencil splits
+into two half-size sectors (Cantoni & Butler, Linear Algebra Appl. 13,
+1976): mode n is mode n // 2 of the sector of parity n % 2, solved on the
+half and mirrored with sign (-1)^n, so u(r0) is exactly 0 for odd n.
+
 Eigenvalues carry an O(h^2) bias with a smooth coefficient, so every
 headline number (lambda^2 and the equator value u(r0)) is Richardson
 extrapolated from the requested grid and its half.  Modes are labeled
@@ -72,9 +78,10 @@ class JointSlice:
 # The node sets of a uniform grid, zonal (m = 0: all nodes) and interior (m != 0: poles
 # dropped, their fluxes kept on the diagonal), with what every m shares: the pencil's m = 0
 # diagonal (which _tridiagonal completes with m^2 / a), off-diagonal, a, sq = sqrt(a)
-# (x = sq u), nodes r, weights at r0 and the interpolation from the coarse grid's set.
+# (x = sq u), nodes r, weights at r0, the interpolation from the coarse grid's set and the
+# coupling ec of the centre nodes (None unless split: then diag, off, a, sq, seed are halves).
 _Grid = namedtuple("_Grid", "r h sets")
-_Pencil = namedtuple("_Pencil", "diag off a sq r at_r0 seed")
+_Pencil = namedtuple("_Pencil", "diag off a sq r at_r0 seed ec")
 
 
 def _lagrange(r: np.ndarray, x: float) -> tuple:
@@ -85,56 +92,73 @@ def _lagrange(r: np.ndarray, x: float) -> tuple:
                for j in range(4)]
 
 
-def _at_r0(u: np.ndarray, pen: _Pencil) -> float:
+def _at_r0(u: np.ndarray, pen: _Pencil, n: int) -> float:
+    """u(r0) of mode n from its vector on the whole node set: exactly 0 if odd on a split set."""
     i, (w0, w1, w2, w3) = pen.at_r0
+    if n % 2 and pen.ec is not None:
+        return 0.0
     return float(u[i] * w0 + u[i + 1] * w1 + u[i + 2] * w2 + u[i + 3] * w3)
 
 
 def _grids(p: SurfaceProfile, grid_size: int) -> tuple:
     """The fine grid and the half-size grid of the Richardson pair, each sampling the
-    profile once, at nodes and half-points.  A half-point value serves both sides of its
-    flux, so for m = 0 constants are annihilated exactly: lambda^2 = 0 to rounding."""
+    profile once, at nodes and half-points (of the half [0, L/2] if the grid splits).  A
+    half-point value serves both sides of its flux, so for m = 0 constants are annihilated
+    exactly: lambda^2 = 0 to rounding."""
     if grid_size < MIN_GRID:
         raise InvalidParameterError(f"grid_size must be >= {MIN_GRID}, got {grid_size}")
     nodes = [np.linspace(p.L / (10.0 * n), p.L - p.L / (10.0 * n), n)
              for n in (grid_size, grid_size // 2)]
     grids = []
     for rs in nodes:
-        h = float(rs[1] - rs[0])
-        a = np.asarray(p.a(rs), float)
-        ah = np.asarray(p.a(0.5 * (rs[:-1] + rs[1:])), float) / (h * h)
+        h, split = float(rs[1] - rs[0]), p.mirror and len(rs) % 2 == 0
+        a, ah = (np.asarray(p.a(x[:len(rs) // (1 + split)]), float)
+                 for x in (rs, 0.5 * (rs[:-1] + rs[1:])))
+        if split:  # mirrored about the centre half-point, the last sampled
+            a, ah = np.concatenate((a, a[::-1])), np.concatenate((ah, ah[-2::-1]))
+        ah = ah / (h * h)
         flux = np.append(ah, 0.0) + np.insert(ah, 0, 0.0)
         sets = []
         for cut, diag in ((slice(None), flux / a), (slice(1, -1), flux[1:-1])):
             r, r_c, sq = rs[cut], nodes[1][cut], np.sqrt(a[cut])
             j = np.clip(np.searchsorted(r_c, r) - 1, 0, len(r_c) - 2)  # np.interp's segments
-            seed = (j, j + 1, np.clip((r - r_c[j]) / (r_c[j + 1] - r_c[j]), 0.0, 1.0))
-            sets.append(_Pencil(diag, -ah[cut] / (sq[:-1] * sq[1:]), a[cut], sq, r,
-                                _lagrange(r, p.r0), seed))
+            t = np.clip((r - r_c[j]) / (r_c[j + 1] - r_c[j]), 0.0, 1.0)
+            off, k = -ah[cut] / (sq[:-1] * sq[1:]), len(r) // 2 if split else len(r)
+            sets.append(_Pencil(diag[:k], off[:k - 1], a[cut][:k], sq[:k], r, _lagrange(r, p.r0),
+                                (j[:k], j[:k] + 1, t[:k]), off[k - 1] if split else None))
         grids.append(_Grid(rs, h, tuple(sets)))
     return tuple(grids)
 
 
-def _tridiagonal(g: _Grid, m: int) -> _Pencil:
-    """The node set of m, with the diagonal of its standard-form pencil at m."""
+def _tridiagonal(g: _Grid, m: int, n: int) -> _Pencil:
+    """The node set of m, with the diagonal of its standard-form pencil at m: on a split set,
+    that of n's sector, whose last entry adds (-1)^n times the centre coupling."""
     pen = g.sets[m != 0]
-    return pen._replace(diag=(pen.diag + (m * m) / pen.a) / pen.a) if m else pen
+    diag = (pen.diag + (m * m) / pen.a) / pen.a if m else pen.diag.copy()
+    if pen.ec is not None:
+        diag[-1] += -pen.ec if n % 2 else pen.ec
+    return pen._replace(diag=diag)
 
 
-def _count_nodes(u: np.ndarray) -> int:
+def _lobe_and_nodes(u: np.ndarray) -> tuple:
+    """The first entry above 1 % of max |u| and the sign changes above _NODE_FLOOR of it."""
     au = np.abs(u)
-    s = np.signbit(u[au > _NODE_FLOOR * au.max()])
-    return int(np.count_nonzero(s[1:] != s[:-1]))
+    top = au.max()
+    s = np.signbit(u[au > _NODE_FLOOR * top])
+    return u[np.argmax(au > 0.01 * top)], int(np.count_nonzero(s[1:] != s[:-1]))
 
 
-def _pair(lam2: float, x: np.ndarray, pen: _Pencil, h: float) -> tuple:
-    """(lambda^2, u, node count) of the unit vector x: u = x / sq, scaled to a u^2 = x^2 of
-    trapezoid integral h (1 - (x_0^2 + x_-1^2) / 2) = 1 and a positive first lobe."""
+def _pair(lam2: float, x: np.ndarray, pen: _Pencil, h: float, n: int) -> tuple:
+    """(lambda^2, u, node count) of mode n from the unit vector x: u = x / sq, scaled to a
+    u^2 = x^2 of trapezoid integral h (1 - (x_0^2 + x_-1^2) / 2) = 1 and a positive first
+    lobe.  A split set's half x (integral h (2 - x_0^2)) is mirrored with sign (-1)^n."""
     u = x / pen.sq
-    au = np.abs(u)
-    lobe = u[np.argmax(au > 0.01 * au.max())]
-    u *= math.copysign(1.0 / math.sqrt(h * (1.0 - 0.5 * (x[0] * x[0] + x[-1] * x[-1]))), lobe)
-    return lam2, u, _count_nodes(u)
+    lobe, nodes = _lobe_and_nodes(u)
+    if pen.ec is None:
+        u *= math.copysign(1.0 / math.sqrt(h * (1.0 - 0.5 * (x[0] * x[0] + x[-1] * x[-1]))), lobe)
+        return lam2, u, nodes
+    u *= math.copysign(1.0 / math.sqrt(h * (2.0 - x[0] * x[0])), lobe)
+    return lam2, np.concatenate((u, -u[::-1] if n % 2 else u[::-1])), 2 * nodes + n % 2
 
 
 def _lapack():
@@ -176,18 +200,23 @@ def eigh_tridiagonal(d, e, select_range, tol):
 
 
 def _solve_indices(g: _Grid, m: int, idx_lo: int, idx_hi: int) -> list:
-    """Eigenpairs idx_lo..idx_hi (ascending) on one grid by bisection, as (lambda^2, u, nodes)."""
-    pen = _tridiagonal(g, m)
-    # tol below LAPACK's floor of 2 ulp; scipy's default eps * ||T||_1 is about 3e-7
-    vals, vecs = eigh_tridiagonal(pen.diag, pen.off, select_range=(idx_lo, idx_hi), tol=1e-300)
-    return [_pair(float(v), x, pen, g.h) for v, x in zip(vals, vecs.T)]
+    """Eigenpairs idx_lo..idx_hi (ascending) on one grid by bisection, as (lambda^2, u, nodes),
+    one call per sector of a split set."""
+    step, pairs = 1 if g.sets[m != 0].ec is None else 2, {}
+    for first in range(idx_lo, min(idx_lo + step, idx_hi + 1)):
+        ns, pen = range(first, idx_hi + 1, step), _tridiagonal(g, m, first)
+        # tol below LAPACK's floor of 2 ulp; scipy's default eps * ||T||_1 is about 3e-7
+        vals, vecs = eigh_tridiagonal(pen.diag, pen.off, tol=1e-300,
+                                      select_range=(first // step, ns[-1] // step))
+        pairs.update((n, _pair(float(v), x, pen, g.h, n)) for n, v, x in zip(ns, vals, vecs.T))
+    return [pairs[n] for n in range(idx_lo, idx_hi + 1)]
 
 
 def _solve(g: _Grid, m: int, n: int, shift: float, u0: np.ndarray, fixed: int) -> tuple:
     """Eigenpair n on one grid from u0, as (lambda^2, u, nodes): Rayleigh-quotient steps,
     the first `fixed` at the given shift; bisection unless they settle on n nodes."""
     dgtsv = _lapack().dgtsv
-    pen = _tridiagonal(g, m)
+    pen = _tridiagonal(g, m, n)
     x = pen.sq * u0
     x /= np.sqrt(x @ x)
     for step in range(fixed + _RQI_STEPS):
@@ -202,7 +231,7 @@ def _solve(g: _Grid, m: int, n: int, shift: float, u0: np.ndarray, fixed: int) -
             tx = pen.diag * x
             tx[:-1] += pen.off * x[1:]
             tx[1:] += pen.off * x[:-1]
-            pair = _pair(float(x @ tx), x, pen, g.h)
+            pair = _pair(float(x @ tx), x, pen, g.h, n)
             return pair if pair[2] == n else _solve_indices(g, m, n, n)[0]
         if step >= fixed - 1:
             shift = quotient
@@ -220,11 +249,12 @@ def _assemble(fine_grid: _Grid, coarse_grid: _Grid, jobs: list) -> list:
     missing coarse pair is solved from a fixed random vector at the coarse lambda^2 of the
     jobs before, extrapolated (quadratically, for prolate profiles); a fine one from the
     coarse u at the coarse lambda^2 plus the extrapolated fine - coarse offset (O(h^2) bias)."""
-    start = np.random.default_rng(0).standard_normal(coarse_grid.r.size - 2)
+    start = np.random.default_rng(0).standard_normal(coarse_grid.sets[1].sq.size)
     coarse_l2, bias, out = [], [], []
     for m, n, pair in jobs:
+        coarse_set, fine_set = coarse_grid.sets[m != 0], fine_grid.sets[m != 0]
         l2_c, u_c, _ = pair or _solve(coarse_grid, m, n, _extrapolated(coarse_l2), start, 2)
-        j, j1, t = fine_grid.sets[m != 0].seed
+        j, j1, t = fine_set.seed
         l2_f, u_f, nodes = _solve(fine_grid, m, n, l2_c + _extrapolated(bias),
                                   u_c[j] + t * (u_c[j1] - u_c[j]), 1)
         coarse_l2.append(l2_c)
@@ -237,8 +267,7 @@ def _assemble(fine_grid: _Grid, coarse_grid: _Grid, jobs: list) -> list:
         if nodes != n:
             raise LabelingError(f"m = {m}, eigenindex {n}: counted {nodes} interior nodes "
                                 f"at grid {len(fine_grid.r)} (refine the grid)")
-        fine_set = fine_grid.sets[m != 0]
-        v0 = (4.0 * _at_r0(u_f, fine_set) - _at_r0(u_c, coarse_grid.sets[m != 0])) / 3.0
+        v0 = (4.0 * _at_r0(u_f, fine_set, n) - _at_r0(u_c, coarse_set, n)) / 3.0
         lam = float(np.sqrt(max((4.0 * l2_f - l2_c) / 3.0, 0.0)))
         out.append(RadialMode(m=m, n=n, ell=abs(m) + n, lam=lam, r=fine_set.r, u=u_f,
                               u_at_r0=v0))
@@ -246,12 +275,8 @@ def _assemble(fine_grid: _Grid, coarse_grid: _Grid, jobs: list) -> list:
 
 
 def radial_modes(p: SurfaceProfile, m: int, n_max: int, grid_size: int) -> list:
-    """Lowest n_max + 1 radial modes for angular number m.
-
-    Eigenvalues ascend with the node count n = 0..n_max; each mode's
-    node count is verified by sign counting, and a mismatch raises
-    rather than mislabeling.
-    """
+    """Lowest n_max + 1 radial modes for angular number m, in the order of their node
+    count n = 0..n_max, which sign counting verifies: a mismatch raises LabelingError."""
     if n_max < 0:
         raise InvalidParameterError(f"n_max must be >= 0, got {n_max}")
     grids, m = _grids(p, grid_size), int(m)
@@ -260,12 +285,8 @@ def radial_modes(p: SurfaceProfile, m: int, n_max: int, grid_size: int) -> list:
 
 
 def joint_slice(p: SurfaceProfile, ell: int, grid_size: int) -> JointSlice:
-    """The full multiplet at label ell: modes with n = ell - |m|, |m| <= ell.
-
-    The radial operator depends on m^2 only, so negative m reuses the
-    positive-m solve, and every m reuses one sampling of the profile per
-    grid size.
-    """
+    """The full multiplet at label ell: modes with n = ell - |m|, |m| <= ell.  The radial
+    operator depends on m^2 only, so negative m reuses the positive-m solve."""
     if ell < 1:
         raise InvalidParameterError(f"ell must be >= 1, got {ell}")
     grids = _grids(p, grid_size)
@@ -277,24 +298,14 @@ def joint_slice(p: SurfaceProfile, ell: int, grid_size: int) -> JointSlice:
 
 
 def restricted_norm(mode: RadialMode, p: SurfaceProfile) -> float:
-    """Squared L^2 norm of the joint eigenfunction over the equator.
-
-    With the 1/sqrt(2 pi) angular factor the theta integral collapses
-    and the norm is a(r0) * u(r0)^2.
-    """
+    """Squared L^2 norm of the joint eigenfunction over the equator: with the 1/sqrt(2 pi)
+    angular factor the theta integral collapses, leaving a(r0) u(r0)^2."""
     return p.a_r0 * mode.u_at_r0 * mode.u_at_r0
 
 
-def matrix_element_radial(mode: RadialMode, b, p: SurfaceProfile) -> float:
-    """Diagonal matrix element of multiplication by b(r)."""
-    ar = np.asarray(p.a(mode.r), float)
-    br = np.asarray(b(mode.r), float)
-    return float(np.trapezoid(br * mode.u * mode.u * ar, mode.r))
-
-
 def radial_matrix_elements(slice_: JointSlice, b) -> list:
-    """matrix_element_radial of each mode of a slice, in its order m = -ell..ell, from
-    one sampling of a and b and one integral per |m| (the modes +-m share u)."""
+    """Diagonal matrix elements of multiplication by b(r) (trapezoid integrals of b u^2 a)
+    in a slice's order m = -ell..ell, from one sampling of a and b and one integral per |m|."""
     zonal = slice_.modes[slice_.ell]
     ar, br = np.asarray(slice_.profile.a(zonal.r), float), np.asarray(b(zonal.r), float)
     half = [float(np.trapezoid(br[k] * mode.u * mode.u * ar[k], mode.r)) for mode, k in

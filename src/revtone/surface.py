@@ -38,6 +38,8 @@ class SurfaceProfile:
     name: str = "custom"
     # an ellipsoid's arclength fit, which a, a1, a2 read (its degree, tail, convergence)
     meridian: "_ChebFit | None" = field(default=None, repr=False, compare=False)
+    # a(L - r) = a(r) and r0 = L / 2, declared by the sphere and ellipsoid constructors only
+    mirror: bool = False
 
     def equator_length(self) -> float:
         return 2.0 * np.pi * self.a_r0
@@ -201,7 +203,8 @@ def make_custom(a, a1, a2, L: float, name: str = "custom",
 def make_round_sphere() -> SurfaceProfile:
     """Unit round sphere: a(r) = sin r on [0, pi]."""
     return SurfaceProfile(a=np.sin, a1=np.cos, a2=lambda r: -np.sin(np.asarray(r, float)),
-                          L=float(np.pi), r0=float(np.pi / 2), a_r0=1.0, name="round_sphere")
+                          L=float(np.pi), r0=float(np.pi / 2), a_r0=1.0, name="round_sphere",
+                          mirror=True)
 
 
 def _lobatto_coefficients(values: np.ndarray) -> np.ndarray:
@@ -331,7 +334,7 @@ def make_ellipsoid(aspect: float) -> SurfaceProfile:
         raise InvalidParameterError(f"aspect must be positive, got {aspect}")
     m = _EllipsoidMeridian(aspect)
     return replace(make_custom(m.a, m.a1, m.a2, m.L, name=f"ellipsoid_{aspect:g}",
-                               r0=m.r_equator), meridian=m)
+                               r0=m.r_equator), meridian=m, mirror=True)
 
 
 def read_table(path: str, what: str, min_rows: int):

@@ -9,6 +9,7 @@ the defect to the package side.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -159,6 +160,35 @@ def ellipse_meridian_arclength(aspect: float, t: float, n: int = 100) -> float:
 def ellipse_half_meridian_length(aspect: float, n: int = 100) -> float:
     """Arclength of half the meridian ellipse by Gauss-Legendre quadrature."""
     return ellipse_meridian_arclength(aspect, math.pi, n)
+
+
+def full_radial_pencil(p, nodes: int, m: int) -> SimpleNamespace:
+    """The radial pencil of angular number m in standard form, on the whole node set.
+
+    This is the flux-conservative scheme of the package's spectral layer on
+    `nodes` uniform nodes pulled back from the poles by L / (10 nodes),
+    sampled over the whole meridian and never split by parity.  For m != 0
+    the poles are dropped.  Returns the diagonal, off-diagonal, a, sqrt(a)
+    and nodes r of that node set, and the spacing h.
+    """
+    rs = np.linspace(p.L / (10.0 * nodes), p.L - p.L / (10.0 * nodes), nodes)
+    h = float(rs[1] - rs[0])
+    a = np.asarray(p.a(rs), float)
+    ah = np.asarray(p.a(0.5 * (rs[:-1] + rs[1:])), float) / (h * h)
+    flux = np.append(ah, 0.0) + np.insert(ah, 0, 0.0)
+    cut = slice(None) if m == 0 else slice(1, -1)
+    sq = np.sqrt(a[cut])
+    diag = flux / a if m == 0 else (flux[cut] + (m * m) / a[cut]) / a[cut]
+    return SimpleNamespace(diag=diag, off=-ah[cut] / (sq[:-1] * sq[1:]), a=a[cut], sq=sq,
+                           r=rs[cut], h=h)
+
+
+def matrix_element_radial(mode, b, p) -> float:
+    """Diagonal matrix element of multiplication by b(r) in one radial mode: the
+    trapezoid integral of b u^2 a over the mode's nodes, sampling a and b there."""
+    ar = np.asarray(p.a(mode.r), float)
+    br = np.asarray(b(mode.r), float)
+    return float(np.trapezoid(br * mode.u * mode.u * ar, mode.r))
 
 
 def scalar_find_root(f, df, lo: float, hi: float) -> float:

@@ -17,9 +17,9 @@ from revtone import (
     ResolutionError,
     ebk_residual,
     joint_slice,
+    make_custom,
     make_ellipsoid,
     matrix_element_angular,
-    matrix_element_radial,
     radial_modes,
     restricted_norm,
 )
@@ -134,7 +134,7 @@ def test_joint_slice_requires_positive_ell(sphere, sphere_ev):
 
 
 def test_joint_slice_samples_profile_once_per_grid(sphere, sphere_ev):
-    # nodes and half-points on the fine and the half-size grid, for all 26 m
+    # nodes and half-points of [0, L/2] on the fine and the half-size grid, for all 26 m
     calls = []
 
     def a(r):
@@ -144,7 +144,7 @@ def test_joint_slice_samples_profile_once_per_grid(sphere, sphere_ev):
 
     slice_ = joint_slice(dataclasses.replace(sphere, a=a), 25, 4000)
     assert len(slice_.modes) == 51
-    assert sorted(calls) == [1999, 2000, 3999, 4000]
+    assert sorted(calls) == [1000, 1000, 2000, 2000]
 
 
 def test_joint_slice_deterministic(sphere, sphere_ev):
@@ -167,10 +167,9 @@ def _count_bisections(monkeypatch):
 @pytest.mark.parametrize("profile, ell, step", [("sphere", 200, 20), ("ell13", 100, 10)])
 def test_fine_eigenvalues_match_tight_bisection(request, monkeypatch, profile, ell, step):
     # the fine-grid lambda^2 that joint_slice extrapolates from, against LAPACK
-    # bisection run to its 2 ulp floor
+    # bisection run to its 2 ulp floor on the whole, unsplit pencil
     from scipy.linalg import eigh_tridiagonal
     p = request.getfixturevalue(profile)
-    fine_grid = spectral._grids(p, 4000)[0]
     found = {}
     solve = spectral._solve
 
@@ -184,8 +183,8 @@ def test_fine_eigenvalues_match_tight_bisection(request, monkeypatch, profile, e
     joint_slice(p, ell, 4000)
     assert sorted(found) == list(range(ell + 1))
     for m in range(0, ell + 1, step):
-        diag, off = spectral._tridiagonal(fine_grid, m)[:2]
-        exact = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+        pen = oracles.full_radial_pencil(p, 4000, m)
+        exact = eigh_tridiagonal(pen.diag, pen.off, eigvals_only=True, select="i",
                                  select_range=(ell - m, ell - m), tol=1e-300)[0]
         assert abs(found[m] - exact) <= 1e-13 * exact
 
@@ -220,8 +219,8 @@ def test_bad_seed_falls_back_to_labelled_bisection(sphere, sphere_ev, monkeypatc
 def test_node_count_mismatch_raises_labeling_error(sphere, monkeypatch):
     # every count one off: the Rayleigh-quotient solves fall back to bisection,
     # and the bisection pairs then fail the label check
-    count = spectral._count_nodes
-    monkeypatch.setattr(spectral, "_count_nodes", lambda u: count(u) + 1)
+    count = spectral._lobe_and_nodes
+    monkeypatch.setattr(spectral, "_lobe_and_nodes", lambda u: (count(u)[0], count(u)[1] + 1))
     with pytest.raises(LabelingError):
         radial_modes(sphere, 2, 3, 1000)
 
@@ -241,7 +240,7 @@ def test_small_eigenvalues_stop_without_bisection(sphere, ell13, monkeypatch):
     calls = _count_bisections(monkeypatch)
     radial_modes(sphere, 0, 10, 4000)
     radial_modes(ell13, 3, 10, 4000)
-    assert calls == [2000, 1998]  # the coarse grid of each, once
+    assert calls == [1000, 1000, 999, 999]  # the coarse grid of each, once per parity
 
 
 def test_prolate_multiplet_seldom_bisects(monkeypatch):
@@ -271,7 +270,7 @@ def _lagrange_at(r, u, x):
                                           ("ell13", 100)])
 def test_rayleigh_quotient_pairs_match_tight_bisection(request, monkeypatch, profile, ell):
     # every pair the Rayleigh-quotient solves return, on both grids, against LAPACK
-    # bisection to its 2 ulp floor with inverse-iteration vectors
+    # bisection to its 2 ulp floor with inverse-iteration vectors on the whole, unsplit pencil
     p = request.getfixturevalue(profile)
     pairs = []
     solve = spectral._solve
@@ -284,19 +283,20 @@ def test_rayleigh_quotient_pairs_match_tight_bisection(request, monkeypatch, pro
     joint_slice(p, ell, 4000)
     assert len(pairs) == 2 * ell + 1  # coarse for m >= 1, fine for every m
     for g, m, n, (l2, u, nodes) in pairs:
-        pen = spectral._tridiagonal(g, m)
+        pen, node_set = oracles.full_radial_pencil(p, len(g.r), m), g.sets[m != 0]
         vals, vecs = spectral.eigh_tridiagonal(pen.diag, pen.off, select_range=(n, n),
                                                tol=1e-300)
         ref = vecs[:, 0] / pen.sq
         ref /= np.sqrt(np.trapezoid(pen.a * ref * ref, dx=g.h))
         ref = ref if ref @ u > 0 else -ref
         assert abs(l2 - vals[0]) <= 5e-13 * vals[0]
-        assert spectral._at_r0(u, pen) == _lagrange_at(pen.r, u, p.r0)
+        assert spectral._at_r0(u, node_set, n) == (0.0 if n % 2 else _lagrange_at(pen.r, u, p.r0))
         assert abs(_lagrange_at(pen.r, u, p.r0) - _lagrange_at(pen.r, ref, p.r0)) <= 1e-11
 
 
 def test_sphere_multiplet_dgtsv_budget(sphere, monkeypatch):
-    # 1007 solves at ell = 200 (three per coarse m >= 1, two per fine m), plus 5 %
+    # 1007 solves at ell = 200 (three per coarse m >= 1, two per fine m), plus 5 %, each on
+    # half a node set: zonal or interior, fine or coarse
     lapack = spectral._lapack()
     calls = []
 
@@ -308,6 +308,49 @@ def test_sphere_multiplet_dgtsv_budget(sphere, monkeypatch):
         dgtsv=dgtsv, dstebz=lapack.dstebz, dstein=lapack.dstein))
     joint_slice(sphere, 200, 4000)
     assert len(calls) <= 1057
+    assert set(calls) <= {2000, 1999, 1000, 999}
+
+
+@pytest.mark.parametrize("profile", ["sphere", "ell13"])
+@pytest.mark.parametrize("ell", [25, 100, 200])
+def test_split_pencils_keep_the_whole_pencils_eigenvalues(request, profile, ell):
+    # bisection in the sector of n's parity against bisection on the whole, unsplit
+    # pencil, both to LAPACK's 2 ulp floor, on the fine and the coarse grid.  A Sturm count
+    # resolves lambda^2 only to about eps sum_i T_ii x_i^2 (7e-10 on the fine grid: the
+    # two differ by 2^-32 = 3.6e-13 relative at ell = 25), so that floors the bound
+    p = request.getfixturevalue(profile)
+    for g in spectral._grids(p, 4000):
+        assert all(node_set.ec is not None for node_set in g.sets)
+        for m in range(0, ell + 1, max(1, ell // 25)):
+            (l2, u, nodes), = spectral._solve_indices(g, m, ell - m, ell - m)
+            pen = oracles.full_radial_pencil(p, len(g.r), m)
+            vals, vecs = spectral.eigh_tridiagonal(pen.diag, pen.off, tol=1e-300,
+                                                   select_range=(ell - m, ell - m))
+            floor = np.finfo(float).eps * (pen.diag @ vecs[:, 0] ** 2)
+            assert nodes == ell - m
+            assert abs(l2 - vals[0]) <= max(1e-13 * vals[0], floor)
+
+
+@pytest.mark.parametrize("profile", ["sphere", "ell13"])
+def test_split_slices_match_unsplit_ones(request, profile):
+    # the constructor's profile splits by parity; its own a, a1, a2 through make_custom do
+    # not.  At grid 2001 the fine grid has an odd node count and takes the whole pencil.
+    # u(r0) carries rounding of up to 5e-12 on either path (the unsplit odd modes, whose
+    # u(r0) is 0 in exact arithmetic, show it), so the norms a(r0) u(r0)^2, with |u(r0)|
+    # up to 1.7, agree to 2e-11 absolute
+    p = request.getfixturevalue(profile)
+    whole_profile = make_custom(p.a, p.a1, p.a2, p.L, r0=p.r0)
+    assert p.mirror and not whole_profile.mirror
+    for ell, grid in ((25, 4000), (100, 4000), (25, 2001), (100, 2001)):
+        split, whole = joint_slice(p, ell, grid), joint_slice(whole_profile, ell, grid)
+        for mode, ref in zip(split.modes, whole.modes):
+            assert (mode.m, mode.n, mode.ell) == (ref.m, ref.n, ref.ell)
+            assert _recount_sign_changes(mode.u) == mode.n
+            assert abs(mode.lam - ref.lam) <= 1e-13 * ref.lam
+            norm = split.restricted_norms[mode.m]
+            assert abs(norm - whole.restricted_norms[mode.m]) <= 2e-11
+            if grid % 2 == 0 and mode.n % 2:
+                assert norm == 0.0
 
 
 # --- restricted norms and matrix elements ----------------------------------
@@ -344,10 +387,10 @@ def test_weyl_mass_doubles(sphere, sphere_ev):
 def test_matrix_element_radial_basics(sphere, sphere_ev):
     sl = joint_slice(sphere, 1, 2000)
     zonal = next(mode for mode in sl.modes if mode.m == 0)
-    assert matrix_element_radial(zonal, lambda r: np.ones_like(r), sphere) \
+    assert oracles.matrix_element_radial(zonal, lambda r: np.ones_like(r), sphere) \
         == pytest.approx(1.0, abs=1e-8)
     # integrand odd about the equator
-    assert abs(matrix_element_radial(zonal, np.cos, sphere)) <= 1e-8
+    assert abs(oracles.matrix_element_radial(zonal, np.cos, sphere)) <= 1e-8
 
 
 def test_gaussian_beam_avoids_polar_bump(sphere, sphere_ev):
@@ -359,7 +402,7 @@ def test_gaussian_beam_avoids_polar_bump(sphere, sphere_ev):
     def bump(r):
         return np.exp(-((r - np.pi / 8) / (np.pi / 16)) ** 2)
 
-    assert matrix_element_radial(beam, bump, sphere) <= 1e-3
+    assert oracles.matrix_element_radial(beam, bump, sphere) <= 1e-3
 
 
 def test_radial_matrix_elements_match_per_mode(ell13, ell13_slices):
@@ -372,7 +415,7 @@ def test_radial_matrix_elements_match_per_mode(ell13, ell13_slices):
     sl = ell13_slices[25]
     batched = spectral.radial_matrix_elements(sl, b)
     assert samples == [4000]
-    assert batched == [matrix_element_radial(mode, b, ell13) for mode in sl.modes]
+    assert batched == [oracles.matrix_element_radial(mode, b, ell13) for mode in sl.modes]
 
 
 def test_matrix_element_angular_values(sphere, sphere_ev):
@@ -439,7 +482,7 @@ def test_solves_leave_the_scipy_linalg_package_unimported():
 def test_eigh_tridiagonal_matches_scipy_bit_for_bit(request, profile, which, m, select_range):
     from scipy.linalg import eigh_tridiagonal
     grid = spectral._grids(request.getfixturevalue(profile), 2000)[which]
-    diag, off = spectral._tridiagonal(grid, m)[:2]
+    diag, off = spectral._tridiagonal(grid, m, 0)[:2]
     vals, vecs = spectral.eigh_tridiagonal(diag, off, select_range=select_range, tol=1e-300)
     ref_vals, ref_vecs = eigh_tridiagonal(diag, off, select="i", select_range=select_range,
                                           tol=1e-300)
