@@ -18,7 +18,6 @@ from .surface import load_profile_table, make_ellipsoid, make_round_sphere, read
 
 COMMANDS = ("validate", "density", "spectrum", "converge", "verify-sphere")
 PROFILE_KINDS = ("round_sphere", "ellipsoid", "custom_table")
-SYMBOL_KINDS = ("radial_mult", "angular_ratio")
 
 _LINE = re.compile(r"^\s*([A-Za-z_]+)\s*\.\s*([A-Za-z_]+)\s*=\s*(.*?)\s*$")
 
@@ -91,7 +90,7 @@ _KEYS = {
     "profile.aspect": ("profile", "aspect", _aspect),
     "profile.table_path": ("profile", "table_path", str),
     "spectral.grid_size": ("spectral", "grid_size", _int_at_least(8)),
-    "symbol.kind": ("symbol", "kind", _choice(SYMBOL_KINDS)),
+    "symbol.kind": ("symbol", "kind", _choice(_actions.SYMBOL_KINDS)),
     "symbol.expr": ("symbol", "expr", str),
     "symbol.table_path": ("symbol", "table_path", str),
     "run.command": ("run", "command", _choice(COMMANDS)),
@@ -168,6 +167,4 @@ def build_symbol(cfg: RunConfig) -> _actions.SymbolFn | None:
     else:
         fn = read_table(sc.table_path, "symbol table", 4)
         name = sc.table_path
-    if sc.kind == "radial_mult":
-        return _actions.radial_symbol(fn, name=name)
-    return _actions.angular_symbol(fn, name=name)
+    return _actions.SymbolFn(sc.kind, fn, name)

@@ -27,8 +27,8 @@ from .errors import (
     SignedMeasureError,
 )
 from .quadrature import gauss_legendre_rule
+from .surface import find_root
 
-_CROSSING_BISECTIONS = 80
 _SEGMENT_GL_NODES = 32
 
 
@@ -102,12 +102,8 @@ def empirical_nu(slice_: _spectral.JointSlice, sym: _actions.SymbolFn) -> Empiri
 
 def limit_measure_mu(ev: _actions.ActionEvaluator) -> LimitMeasure:
     """Weak-* limit of the equator-norm measures."""
-    M = _actions.normalization_M(ev)
-
-    def density(c: float) -> float:
-        return _actions.limit_density_unnorm(ev, c) / M
-
-    return LimitMeasure(density=density, cdf=_actions.mu_series(ev).cdf, mass_constant=M)
+    M, series = _actions.normalization_M(ev), _actions.mu_series(ev)
+    return LimitMeasure(density=series.density, cdf=series.cdf, mass_constant=M)
 
 
 def limit_measure_nu(ev: _actions.ActionEvaluator, sym: _actions.SymbolFn) -> LimitMeasure:
@@ -117,12 +113,8 @@ def limit_measure_nu(ev: _actions.ActionEvaluator, sym: _actions.SymbolFn) -> Li
     if abs(omega) < 1e-12:
         raise SignedMeasureError(
             f"total average {omega:.3e} vanishes; no normalized limit density exists")
-
-    def density(c: float) -> float:
-        return _actions.torus_average(ev, sym, c) / omega
-
-    return LimitMeasure(density=density, cdf=_actions.nu_series(ev, sym).cdf,
-                        mass_constant=omega)
+    series = _actions.nu_series(ev, sym)
+    return LimitMeasure(density=series.density, cdf=series.cdf, mass_constant=omega)
 
 
 def _require_unsigned(emp: EmpiricalMeasure):
@@ -145,8 +137,9 @@ def wasserstein1(emp: EmpiricalMeasure, lim: LimitMeasure) -> float:
 
     The empirical CDF is a constant level between atoms, so the integral
     is a sum of segment integrals of |lim.cdf - level|.  A segment whose
-    ends straddle its level is split at a crossing, bisected in lockstep
-    with every other straddling segment; a non-monotone cdf
+    ends straddle its level is split at a crossing, which
+    `surface.find_root` solves on lim.density in lockstep with every other
+    straddling segment, clipped into its segment; a non-monotone cdf
     (sign-changing symbol) may hide an even number of extra crossings
     inside a piece, costing only local quadrature error.  Each piece
     then gets Gauss-Legendre quadrature, all in one cdf call.
@@ -163,21 +156,12 @@ def wasserstein1(emp: EmpiricalMeasure, lim: LimitMeasure) -> float:
     f_lo, f_hi = f[:-1] - level, f[1:] - level
     straddle = (f_lo != 0.0) & (f_hi != 0.0) & ((f_lo < 0.0) != (f_hi < 0.0))
 
-    a, b = lo[straddle], hi[straddle]
-    s_level, s_neg = level[straddle], f_lo[straddle] < 0.0
-    live = np.ones(a.size, bool)
-    for _ in range(_CROSSING_BISECTIONS):
-        mid = 0.5 * (a + b)
-        live &= (mid > a) & (mid < b)
-        if not live.any():
-            break
-        idx = np.flatnonzero(live)
-        left = (lim.cdf(mid[idx]) - s_level[idx] < 0.0) == s_neg[idx]
-        a[idx[left]] = mid[idx[left]]
-        b[idx[~left]] = mid[idx[~left]]
-    # two pieces per segment, split at its crossing; the second is empty without one
     split = hi.copy()
-    split[straddle] = 0.5 * (a + b)
+    if straddle.any():
+        a, b, s_level = lo[straddle], hi[straddle], level[straddle]
+        cross = find_root(lambda c: lim.cdf(c) - s_level, lim.density, a, b)
+        split[straddle] = np.clip(cross, a, b)
+    # two pieces per segment, split at its crossing; the second is empty without one
     starts, ends = np.concatenate((lo, split)), np.concatenate((split, hi))
     keep = ends - starts > 1e-300
     starts, ends, levels = starts[keep], ends[keep], np.tile(level, 2)[keep]

@@ -86,7 +86,11 @@ def find_root(f, df, lo, hi):
 
     A Newton step that leaves the bracket or exceeds half the step before it
     is replaced by bisection.  An element stops, keeping its value, once its
-    Newton step or its bracket is within the bracket's float resolution."""
+    Newton step or its bracket is within the bracket's float resolution, or
+    once it has reached the rounding floor of f: its last step was a Newton
+    step within sqrt(eps) of the bracket's scale and the new Newton step does
+    not halve it, which quadratic convergence rules out above rounding.  (A
+    root of odd multiplicity >= 3 converges linearly and also stops there.)"""
     lo, hi = np.broadcast_arrays(np.array(lo, float), np.array(hi, float))
     flo, fhi = (np.broadcast_to(np.asarray(f(v), float), lo.shape) for v in (lo, hi))
     root, active = np.where(flo == 0.0, lo, hi), (flo != 0.0) & (fhi != 0.0)
@@ -94,8 +98,9 @@ def find_root(f, df, lo, hi):
     if np.any(bad):
         raise InvalidParameterError(f"f has one sign on [{float(lo[bad][0])!r}, "
                                     f"{float(hi[bad][0])!r}]: {flo[bad][0]:.3e}, {fhi[bad][0]:.3e}")
-    res = 2.0 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
-    x, step_old = 0.5 * (lo + hi), hi - lo
+    scale = np.maximum(np.abs(lo), np.abs(hi))
+    res, near = 2.0 * np.finfo(float).eps * scale, np.sqrt(np.finfo(float).eps) * scale
+    x, step_old, newton_old = 0.5 * (lo + hi), hi - lo, np.zeros(lo.shape, bool)
     for _ in range(200):
         if not np.any(active):
             return root[()]
@@ -106,12 +111,14 @@ def find_root(f, df, lo, hi):
             step = np.where(d != 0.0, fx / d, np.inf)
         newton = active & (np.abs(step) <= res)
         root, active = np.where(newton, x - step, root), active & ~newton
-        bisect = active & (~((lo < x - step) & (x - step < hi))
-                           | (np.abs(step) > 0.5 * np.abs(step_old)))
+        stalled = np.abs(step) > 0.5 * np.abs(step_old)
+        floor = active & newton_old & (np.abs(step_old) <= near) & stalled
+        root, active = np.where(floor, x, root), active & ~floor
+        bisect = active & (~((lo < x - step) & (x - step < hi)) | stalled)
         closed = bisect & (hi - lo <= res)
         root, active = np.where(closed, x, root), active & ~closed
         step = np.where(bisect, x - 0.5 * (lo + hi), step)
-        x, step_old = np.where(active, x - step, x), step
+        x, step_old, newton_old = np.where(active, x - step, x), step, ~bisect
     if not np.any(active):
         return root[()]
     raise ConvergenceError(f"root in [{float(lo[active][0])!r}, {float(hi[active][0])!r}] "
@@ -369,7 +376,7 @@ def read_table(path: str, what: str, min_rows: int):
     return CubicSpline([row[0] for row in rows], [row[1] for row in rows])
 
 
-def load_profile_table(path: str, name: str | None = None, check: bool = True) -> SurfaceProfile:
+def load_profile_table(path: str, check: bool = True) -> SurfaceProfile:
     """Profile from a two-column text table of r and a(r).
 
     Rows must have strictly increasing r starting at 0; a cubic spline
@@ -381,4 +388,4 @@ def load_profile_table(path: str, name: str | None = None, check: bool = True) -
     if abs(r[0]) > 1e-12 * max(r[-1], 1.0):
         raise ConfigError(f"profile table: first r must be 0, got {r[0]!r}")
     return make_custom(spline, spline.derivative(1), spline.derivative(2), float(r[-1]),
-                       name=name or "custom_table", check=check)
+                       name="custom_table", check=check)

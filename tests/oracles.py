@@ -66,8 +66,9 @@ def arcsine_cdf(c: float) -> float:
     return (math.asin(c) + math.pi / 2.0) / math.pi
 
 
-def arcsine_density(c: float) -> float:
-    return 1.0 / (math.pi * math.sqrt(1.0 - c * c))
+def arcsine_density(c):
+    """Density of the arcsine law, elementwise over c in (-1, 1)."""
+    return 1.0 / (np.pi * np.sqrt(1.0 - np.square(c)))
 
 
 def cube_cdf(c: float) -> float:
@@ -102,6 +103,53 @@ def arcsine_w1(atoms) -> float:
             lo = c
         below += w
     return total + segment(lo, 1.0, below)
+
+
+def w1_segments(positions, weights, cdf):
+    """(lo, hi, level, f_lo, straddle) of the segments between atoms at sorted
+    positions, on which the empirical CDF is the constant level: f_lo is
+    cdf(lo) - level, and straddle marks the ends of opposite strict sign."""
+    pos = np.asarray(positions, float)
+    cum = np.concatenate(([0.0], np.cumsum(weights)))
+    opens = pos > np.maximum.accumulate(np.concatenate(([-1.0], pos)))[:-1]
+    bounds = np.concatenate(([-1.0], pos[opens], [1.0]))
+    level = np.concatenate((cum[:-1][opens], cum[-1:]))
+    f = cdf(bounds)
+    f_lo, f_hi = f[:-1] - level, f[1:] - level
+    straddle = (f_lo != 0.0) & (f_hi != 0.0) & ((f_lo < 0.0) != (f_hi < 0.0))
+    return bounds[:-1], bounds[1:], level, f_lo, straddle
+
+
+def bisection_w1(positions, weights, cdf) -> float:
+    """W1 between atoms at sorted positions and a limit CDF, with every crossing
+    of a level found by 80 lockstep bisections.
+
+    A segment of `w1_segments` that straddles its level is split at its
+    crossing, and each of the two pieces gets 32-point Gauss-Legendre
+    quadrature of |cdf - level|.  Nothing here uses the derivative of cdf.
+    """
+    lo, hi, level, f_lo, straddle = w1_segments(positions, weights, cdf)
+    a, b = lo[straddle], hi[straddle]
+    s_level, s_neg = level[straddle], f_lo[straddle] < 0.0
+    live = np.ones(a.size, bool)
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        live &= (mid > a) & (mid < b)
+        if not live.any():
+            break
+        idx = np.flatnonzero(live)
+        left = (cdf(mid[idx]) - s_level[idx] < 0.0) == s_neg[idx]
+        a[idx[left]] = mid[idx[left]]
+        b[idx[~left]] = mid[idx[~left]]
+    split = hi.copy()
+    split[straddle] = 0.5 * (a + b)
+    starts, ends = np.concatenate((lo, split)), np.concatenate((split, hi))
+    keep = ends - starts > 1e-300
+    starts, ends, levels = starts[keep], ends[keep], np.tile(level, 2)[keep]
+    x, w = np.polynomial.legendre.leggauss(32)
+    mid, half = 0.5 * (starts + ends), 0.5 * (ends - starts)
+    vals = np.abs(cdf(mid[:, None] + half[:, None] * x) - levels[:, None])
+    return float(np.sum(half * (vals @ w)))
 
 
 # W1 between the three-atom ell = 1 sphere measure (half weights at
@@ -197,16 +245,19 @@ def scalar_find_root(f, df, lo: float, hi: float) -> float:
     The stopping and safeguard rules of the package's root finder, one
     scalar at a time: a Newton step that leaves the bracket or exceeds
     half the step before it becomes a bisection, and the iteration stops
-    once a Newton step or the bracket is within 2 eps max(|lo|, |hi|).
+    once a Newton step or the bracket is within 2 eps max(|lo|, |hi|), or
+    at x once a Newton step within sqrt(eps) max(|lo|, |hi|) is followed by
+    a Newton step that does not halve it (f's rounding floor).
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0 or fhi == 0.0:
         return lo if flo == 0.0 else hi
     if (flo < 0.0) == (fhi < 0.0):
         raise ValueError(f"f has one sign on [{lo!r}, {hi!r}]")
-    res = 2.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
+    scale = max(abs(lo), abs(hi))
+    res, near = 2.0 * np.finfo(float).eps * scale, math.sqrt(np.finfo(float).eps) * scale
     x = 0.5 * (lo + hi)
-    step_old = hi - lo
+    step_old, newton_old = hi - lo, False
     for _ in range(200):
         fx = f(x)
         if (fx < 0.0) == (flo < 0.0):
@@ -217,7 +268,11 @@ def scalar_find_root(f, df, lo: float, hi: float) -> float:
         step = fx / d if d != 0.0 else math.inf
         if abs(step) <= res:
             return x - step
-        if not (lo < x - step < hi) or abs(step) > 0.5 * abs(step_old):
+        stalled = abs(step) > 0.5 * abs(step_old)
+        if newton_old and abs(step_old) <= near and stalled:
+            return x
+        newton_old = (lo < x - step < hi) and not stalled
+        if not newton_old:
             if hi - lo <= res:
                 return x
             step = x - 0.5 * (lo + hi)

@@ -29,7 +29,7 @@ from revtone import (
     torus_average,
     turning_points,
 )
-from revtone import actions, surface
+from revtone import actions, cli, surface
 from revtone.actions import equator_momentum
 from revtone.measures import limit_measure_mu, limit_measure_nu
 from revtone.spectral import RadialMode, ebk_residual
@@ -443,23 +443,35 @@ def test_k1_series_has_the_bits_of_scalar_inversions(aspect, ell13_ev):
     assert actions.k1_series(ev).coeffs.tobytes() == ref.coeffs.tobytes()
 
 
-def test_k1_without_plateau_answers_pointwise(ell13, monkeypatch):
-    # no plateau for K1 (and only for K1): every value is the point-wise one
+def test_k1_without_plateau_reads_the_whole_fit(ell13, monkeypatch, tmp_path, capsys):
+    # no plateau for K1 (and only for K1): every value comes from all the kept terms
     chop = surface._chop
     monkeypatch.setattr(surface, "_chop", lambda coeffs, tol: (
         (len(coeffs), False) if tol == actions._K1_TOL else chop(coeffs, tol)))
     ev = ActionEvaluator(ell13)
-    assert not actions.k1_series(ev).converged
+    series = actions.k1_series(ev)
+    assert not series.converged and series.degree == 512
     chi = angular_symbol(lambda x: x)
     for c in (0.0, 0.3, -0.55, 0.97):
-        E = energy_K(ev, c, 1.0)
-        dE, dc = dI2_dE(ev, c, E), dI2_dc(ev, c, E)
-        u = abs(c) / (E * ell13.a_r0)
-        assert frequencies(ev, c) == (-dc / dE, 1.0 / dE)
-        assert limit_density_unnorm(ev, c) == (1.0 / dE) / np.sqrt((1.0 - u) * (1.0 + u))
-        assert torus_average(ev, chi, c) == c / E
+        s = abs(c)
+        K, slope = (np.polynomial.chebyshev.chebval(2.0 * s - 1.0, cs)
+                    for cs in (series.coeffs, series.slope))
+        u = s / (K * ell13.a_r0)
+        assert K == pytest.approx(energy_K(ev, s, 1.0), rel=1e-13, abs=0.0)
+        assert frequencies(ev, c) == (np.sign(c) * slope, K - s * slope)
+        assert limit_density_unnorm(ev, c) == (K - s * slope) / np.sqrt((1.0 - u) * (1.0 + u))
+        assert torus_average(ev, chi, c) == c / K
     mode = _mode(-7, 20, 20.0)
-    assert ebk_residual(mode, ev) == mode.lam - 20.5 * energy_K(ev, 7 / 20.5, 1.0)
+    K = np.polynomial.chebyshev.chebval(2.0 * 7 / 20.5 - 1.0, series.coeffs)
+    assert ebk_residual(mode, ev) == mode.lam - 20.5 * K
+    # and the CLI still says so
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("profile.kind = ellipsoid\nprofile.aspect = 1.3\nrun.command = density\n"
+                   f"density.n = 20\nrun.out_dir = {tmp_path}\n")
+    capsys.readouterr()
+    assert cli.main(["--config", str(cfg)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"density: warning: no plateau in the energy K1 series, tail {series.tail:.3e}"]
 
 
 # --- torus averages --------------------------------------------------------

@@ -18,7 +18,6 @@ from revtone import (
     radial_symbol,
 )
 from revtone.measures import (
-    _CROSSING_BISECTIONS,
     ConvergenceReport,
     EmpiricalMeasure,
     LimitMeasure,
@@ -31,6 +30,7 @@ from revtone.measures import (
     wasserstein1,
 )
 from revtone.spectral import JointSlice
+from revtone.surface import find_root
 
 import oracles
 
@@ -244,10 +244,57 @@ def test_distances_cdf_call_budget(sphere, sphere_ev):
     counting = dataclasses.replace(lim, cdf=counted)
     mu = empirical_mu(joint_slice(sphere, 50, 2000))
     assert wasserstein1(mu, counting) == wasserstein1(mu, lim)
-    assert len(calls) <= _CROSSING_BISECTIONS + 3
+    assert len(calls) <= 12
     calls.clear()
     assert ks_distance(mu, counting) == ks_distance(mu, lim)
     assert len(calls) == 1
+
+
+@pytest.fixture(scope="module")
+def sphere_slices(sphere):
+    return {ell: joint_slice(sphere, ell, 4000) for ell in (25, 50, 100)}
+
+
+def test_find_root_stops_at_the_cdf_rounding_floor(sphere_ev, sphere_slices):
+    # at ell = 100 Newton reaches the CDF's rounding floor at c = -0.109 from one
+    # side, with a step above 2 eps |c|; bisecting from the far end took 52 passes in all
+    lim = limit_measure_mu(sphere_ev)
+    mu = empirical_mu(sphere_slices[100])
+    lo, hi, level, _, straddle = oracles.w1_segments(mu.positions, mu.weights, lim.cdf)
+    lo, hi, level = lo[straddle], hi[straddle], level[straddle]
+    passes = []
+
+    def f(c):
+        passes.append(c)
+        return lim.cdf(c) - level
+
+    roots = find_root(f, lim.density, lo, hi)
+    assert lo.size == 100 and len(passes) - 2 <= 10
+    assert np.all((lo <= roots) & (roots <= hi))
+    assert np.max(np.abs(lim.cdf(roots) - level)) <= 2.0 * np.finfo(float).eps
+    i = int(np.argmin(np.abs(roots + 0.109)))
+    assert abs(lim.cdf(roots[i]) - level[i]) <= np.spacing(level[i])
+
+
+_CHI = angular_symbol(lambda s: np.asarray(s) ** 2 - 0.2, name="s^2 - 0.2")
+
+
+@pytest.mark.parametrize("profile, what", [
+    ("sphere", "mu"), ("sphere", "cos^2 r"), ("sphere", "chi"),
+    ("ell13", "mu"), ("ell13", "cos r"), ("ell13", "chi")])
+def test_w1_matches_the_bisection_reference(request, profile, what):
+    # on the sphere cos r averages to 0 and has no limit, so cos^2 r stands in
+    ev = request.getfixturevalue(profile + "_ev")
+    slices = request.getfixturevalue(profile + "_slices")
+    syms = {"cos r": radial_symbol(np.cos, name="cos r"),
+            "cos^2 r": radial_symbol(lambda r: np.cos(r) ** 2, name="cos^2 r"), "chi": _CHI}
+    sym = syms.get(what)
+    lim = limit_measure_mu(ev) if sym is None else limit_measure_nu(ev, sym)
+    for ell in (25, 50, 100):
+        sl = slices[ell]
+        emp = empirical_mu(sl) if sym is None else empirical_nu(sl, sym)
+        ref = oracles.bisection_w1(emp.positions, emp.weights, lim.cdf)
+        assert wasserstein1(emp, lim) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def _ks_vs_arcsine(atoms):
