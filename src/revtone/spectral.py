@@ -9,10 +9,10 @@ with u -> 0 at the poles for m != 0 and zero flux for m = 0.  The
 discretization is a flux-conservative second-order scheme on a uniform
 grid pulled back from the poles by delta = L / (10 * grid_size), written
 as a symmetric tridiagonal pencil with weight a(r) and solved by seeded
-Rayleigh-quotient iteration (one dgtsv and two dot products per step,
-stopped by a residual bound); bisection gives the first coarse pair and
-the fallback.  What every m shares is built once per grid size, from one
-sampling of the profile.  LAPACK comes from scipy's f2py module (_lapack).
+Rayleigh-quotient iteration (one dgtsv per step, each after the first at
+the last quotient, stopped by a residual bound); bisection gives the first
+coarse pair and the fallback.  What every m shares is built once per grid
+size, from one sampling of the profile.  LAPACK: scipy's f2py module.
 
 A mirror-symmetric profile (a(L - r) = a(r): the sphere and ellipsoids)
 is sampled on [0, L/2] for a node set of even size, whose pencil splits
@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import math
 import os
+import random
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import machinery, util
 
 import numpy as np
@@ -42,8 +43,7 @@ from .surface import SurfaceProfile
 
 MIN_GRID = 500
 MIN_POINTS_PER_WAVELENGTH = 10.0
-# grid entries below this fraction of the max are treated as pole
-# underflow when counting sign changes
+# grid entries below this fraction of the max count as pole underflow in sign counts
 _NODE_FLOOR = 1e-8
 # A step solves (T - rho) y = x, ||x|| = 1, and 1 / ||y|| bounds the residual of y / ||y||
 # (Parlett, ch. 4): stop at _RQI_TOL of the quotient or at its rounding level _RQI_FLOOR *
@@ -180,15 +180,15 @@ def _lapack():
     return module
 
 
-def eigh_tridiagonal(d, e, select_range, tol):
+def eigh_tridiagonal(d, e, select_range):
     """Eigenpairs lo..hi (ascending) of the symmetric tridiagonal with diagonal d and
-    off-diagonal e: the LAPACK calls of scipy.linalg.eigh_tridiagonal(d, e, select="i",
-    select_range=(lo, hi), tol=tol), dstebz bisection then dstein inverse iteration."""
+    off-diagonal e by the LAPACK calls of scipy.linalg.eigh_tridiagonal(d, e, select="i",
+    select_range=(lo, hi), tol=1e-300): dstebz bisection to its 2 ulp floor, then dstein."""
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise ConvergenceError("non-finite entry in the tridiagonal pencil")
     lo, hi = select_range
     lapack = _lapack()
-    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, tol, "B")
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, 1e-300, "B")
     if info:
         raise ConvergenceError(f"LAPACK dstebz failed (info = {info})")
     w = w[:m]
@@ -205,36 +205,34 @@ def _solve_indices(g: _Grid, m: int, idx_lo: int, idx_hi: int) -> list:
     step, pairs = 1 if g.sets[m != 0].ec is None else 2, {}
     for first in range(idx_lo, min(idx_lo + step, idx_hi + 1)):
         ns, pen = range(first, idx_hi + 1, step), _tridiagonal(g, m, first)
-        # tol below LAPACK's floor of 2 ulp; scipy's default eps * ||T||_1 is about 3e-7
-        vals, vecs = eigh_tridiagonal(pen.diag, pen.off, tol=1e-300,
-                                      select_range=(first // step, ns[-1] // step))
+        vals, vecs = eigh_tridiagonal(pen.diag, pen.off, (first // step, ns[-1] // step))
         pairs.update((n, _pair(float(v), x, pen, g.h, n)) for n, v, x in zip(ns, vals, vecs.T))
     return [pairs[n] for n in range(idx_lo, idx_hi + 1)]
 
 
-def _solve(g: _Grid, m: int, n: int, shift: float, u0: np.ndarray, fixed: int) -> tuple:
-    """Eigenpair n on one grid from u0, as (lambda^2, u, nodes): Rayleigh-quotient steps,
-    the first `fixed` at the given shift; bisection unless they settle on n nodes."""
+def _solve(g: _Grid, m: int, n: int, shift: float, u0: np.ndarray) -> tuple:
+    """Eigenpair n on one grid from u0, as (lambda^2, u, nodes): Rayleigh-quotient steps at the
+    given shift, then at each quotient; a shift that zeroes a pivot is an eigenvalue to rounding
+    and moves off by the rounding floor.  Bisection unless the steps settle on n nodes."""
     dgtsv = _lapack().dgtsv
     pen = _tridiagonal(g, m, n)
     x = pen.sq * u0
     x /= np.sqrt(x @ x)
-    for step in range(fixed + _RQI_STEPS):
+    for _ in range(_RQI_STEPS):
         y, info = dgtsv(pen.off, pen.diag - shift, pen.off, x, overwrite_d=1)[3:]
         if info:
-            break
+            shift += _RQI_FLOOR * (pen.diag @ (x * x))
+            continue
         xy, yy = x @ y, y @ y
-        res, quotient = 1.0 / math.sqrt(yy), shift + xy / yy
+        res, shift = 1.0 / math.sqrt(yy), shift + xy / yy
         x = y * res
-        if res <= _RQI_TOL * abs(quotient) or res <= _RQI_FLOOR * (pen.diag @ (x * x)):
-            # lambda^2 by a product with T: `quotient` carries the solve's rounding (5e-13 at 700)
+        if res <= _RQI_TOL * abs(shift) or res <= _RQI_FLOOR * (pen.diag @ (x * x)):
+            # lambda^2 by a product with T: a quotient carries the solve's rounding (5e-13 at 700)
             tx = pen.diag * x
             tx[:-1] += pen.off * x[1:]
             tx[1:] += pen.off * x[:-1]
             pair = _pair(float(x @ tx), x, pen, g.h, n)
             return pair if pair[2] == n else _solve_indices(g, m, n, n)[0]
-        if step >= fixed - 1:
-            shift = quotient
     return _solve_indices(g, m, n, n)[0]
 
 
@@ -245,18 +243,19 @@ def _extrapolated(values: list) -> float:
 
 
 def _assemble(fine_grid: _Grid, coarse_grid: _Grid, jobs: list) -> list:
-    """Richardson-extrapolated modes for jobs (m, n, coarse pair or None), in order.  A
-    missing coarse pair is solved from a fixed random vector at the coarse lambda^2 of the
-    jobs before, extrapolated (quadratically, for prolate profiles); a fine one from the
-    coarse u at the coarse lambda^2 plus the extrapolated fine - coarse offset (O(h^2) bias)."""
-    start = np.random.default_rng(0).standard_normal(coarse_grid.sets[1].sq.size)
+    """Richardson-extrapolated modes for jobs (m, n, coarse pair or None), in order.  A missing
+    coarse pair is solved from Gaussian draws of random.Random(0) at the coarse lambda^2 of the
+    jobs before, extrapolated (quadratically, for prolate profiles); a fine one from the coarse
+    u at the coarse lambda^2 plus the extrapolated fine - coarse offset (O(h^2) bias)."""
+    rng = random.Random(0)
+    start = np.array([rng.gauss(0.0, 1.0) for _ in range(coarse_grid.sets[1].sq.size)])
     coarse_l2, bias, out = [], [], []
     for m, n, pair in jobs:
         coarse_set, fine_set = coarse_grid.sets[m != 0], fine_grid.sets[m != 0]
-        l2_c, u_c, _ = pair or _solve(coarse_grid, m, n, _extrapolated(coarse_l2), start, 2)
+        l2_c, u_c, _ = pair or _solve(coarse_grid, m, n, _extrapolated(coarse_l2), start)
         j, j1, t = fine_set.seed
         l2_f, u_f, nodes = _solve(fine_grid, m, n, l2_c + _extrapolated(bias),
-                                  u_c[j] + t * (u_c[j1] - u_c[j]), 1)
+                                  u_c[j] + t * (u_c[j1] - u_c[j]))
         coarse_l2.append(l2_c)
         bias.append(l2_f - l2_c)
         lam_f = np.sqrt(max(l2_f, 0.0))
@@ -292,7 +291,7 @@ def joint_slice(p: SurfaceProfile, ell: int, grid_size: int) -> JointSlice:
     grids = _grids(p, grid_size)
     half = _assemble(*grids, [(0, ell, _solve_indices(grids[1], 0, ell, ell)[0])]
                      + [(m, ell - m, None) for m in range(1, ell + 1)])
-    modes = [replace(mode, m=-mode.m) for mode in half[:0:-1]] + half
+    modes = [RadialMode(-v.m, v.n, v.ell, v.lam, v.r, v.u, v.u_at_r0) for v in half[:0:-1]] + half
     return JointSlice(ell=ell, modes=modes, profile=p,
                       restricted_norms={mode.m: restricted_norm(mode, p) for mode in modes})
 
@@ -305,11 +304,12 @@ def restricted_norm(mode: RadialMode, p: SurfaceProfile) -> float:
 
 def radial_matrix_elements(slice_: JointSlice, b) -> list:
     """Diagonal matrix elements of multiplication by b(r) (trapezoid integrals of b u^2 a)
-    in a slice's order m = -ell..ell, from one sampling of a and b and one integral per |m|."""
-    zonal = slice_.modes[slice_.ell]
-    ar, br = np.asarray(slice_.profile.a(zonal.r), float), np.asarray(b(zonal.r), float)
-    half = [float(np.trapezoid(br[k] * mode.u * mode.u * ar[k], mode.r)) for mode, k in
-            zip(slice_.modes[slice_.ell:], [slice(None)] + [slice(1, -1)] * slice_.ell)]
+    in a slice's order m = -ell..ell: one dot per |m| with the weights a b h, ends halved, of
+    its node set (zonal or interior), from one sampling of a and b."""
+    r = slice_.modes[slice_.ell].r
+    w = np.asarray(slice_.profile.a(r), float) * np.asarray(b(r), float) * (r[1] - r[0])
+    weights = [np.concatenate(([0.5 * v[0]], v[1:-1], [0.5 * v[-1]])) for v in (w, w[1:-1])]
+    half = [float(mode.u * mode.u @ weights[mode.m != 0]) for mode in slice_.modes[slice_.ell:]]
     return half[:0:-1] + half
 
 
