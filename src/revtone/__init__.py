@@ -9,7 +9,6 @@ from .actions import (
     SymbolFn,
     action_I2,
     angular_symbol,
-    dI2_dc,
     dI2_dE,
     di2_drho_fd,
     energy_K,
@@ -70,7 +69,7 @@ from .surface import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionEvaluator", "SymbolFn", "action_I2", "angular_symbol", "dI2_dc",
+    "ActionEvaluator", "SymbolFn", "action_I2", "angular_symbol",
     "dI2_dE", "di2_drho_fd", "energy_K", "frequencies",
     "limit_density_unnorm", "liouville_state", "normalization_M",
     "radial_symbol", "torus_average", "turning_points",

@@ -36,7 +36,6 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .errors import (
-    ConvergenceError,
     DegenerateTorusError,
     InvalidParameterError,
     OutsideMomentImageError,
@@ -48,7 +47,6 @@ from .surface import SurfaceProfile, _ChebFit, find_root
 # tanh-sinh nodes of every radial pass: 512 or 1024 move K1 by at most 3.1e-15
 # relative, while 128 loses digits (3.6e-11 at aspect 0.5)
 _QUAD_NODES = 256
-_EPS4 = 4.0 * np.finfo(float).eps
 # relative momentum step of the finite-difference diagnostic di2_drho_fd
 _FD_STEP = 1e-6
 # relative coefficient plateaus that end a limit-series and the K1 build
@@ -119,11 +117,11 @@ def _turning_points(p: SurfaceProfile, c: np.ndarray, E: np.ndarray):
                                    "no oscillation interval")
     n, ca2 = ca.size, np.tile(ca, 2)
 
-    def f(r):
+    def fdf(r, i):
         # a vanishes at the poles by contract; rounding there must not hide a root
-        return np.where((0.0 < r) & (r < p.L), p.a(r) - ca2, -ca2)
+        return np.where((0.0 < r) & (r < p.L), p.a(r) - ca2[i], -ca2[i]), p.a1(r)
 
-    r = find_root(f, p.a1, np.repeat([0.0, p.r0], n), np.repeat([p.r0, p.L], n))
+    r = find_root(fdf, np.repeat([0.0, p.r0], n), np.repeat([p.r0, p.L], n))
     return r[:n], r[n:]
 
 
@@ -214,33 +212,11 @@ def _action_and_slope(ev: ActionEvaluator, c, E):
     return action + np.abs(c), slope
 
 
-def dI2_dc(ev: ActionEvaluator, c, E):
-    """Partial derivative in c, including the (d/dc)|c| = sign(c) term; elementwise.
-
-    A test oracle: at small |c|/E it cancels sign(c) against an integral near -1
-    and loses digits (2.8e-8 relative at aspect 5, s = 0.001)."""
-    c_col = np.reshape(c, (-1, 1))
-
-    def g(r, F):
-        a = np.asarray(ev.profile.a(r), float)
-        return ((-c_col / (a * a)) * _inv_sqrt_weight(F),)
-
-    return np.where(np.equal(c, 0.0), 0.0, _integrate_radial(ev, c, E, g)[0] + np.sign(c))[()]
-
-
 def energy_K(ev: ActionEvaluator, c, I2: float):
-    """Invert I2(c, .) in E by bracketed Newton iteration, elementwise over c.
-
-    The bracket starts open upward, from the larger of pi I2 / L and a
-    point just above |c|/a(r0); the first iterate whose action exceeds I2
-    closes it.  A Newton step that leaves the bracket doubles E while it is
-    open and bisects once it is closed; monotonicity of the action in E
-    makes this safe.  Each iterate is one row of a radial pass for the
-    action and its slope, which the elements still iterating share.  The
-    iteration runs to float resolution: an element stops once its action
-    residual is within 4 eps * I2 or a step moves E by at most 4 eps * E,
-    and ConvergenceError is raised if one has not within 100 steps.
-    """
+    """Invert I2(c, .) in E by `surface.find_root`, elementwise over c, to float resolution:
+    c = 0 and |c| = I2 are closed-form, and the action increases in E above |c|/a(r0), so
+    each other bracket is open upward from there, starting at the larger of pi I2 / L and a
+    point just above it.  The elements still iterating share one radial pass per step."""
     if not np.isfinite(I2) or I2 <= 0.0:
         raise InvalidParameterError(f"action must be positive, got {I2}")
     c = np.asarray(c, float)
@@ -251,26 +227,14 @@ def energy_K(ev: ActionEvaluator, c, I2: float):
     out = np.where(c == 0.0, np.pi * I2 / p.L, np.abs(c) / p.a_r0).ravel()
     live = np.flatnonzero((c != 0.0) & (np.abs(c) != I2))
     cs = c.ravel()[live]
-    lo, hi = np.abs(cs) / p.a_r0 * (1.0 + 1e-14), np.full(live.size, np.inf)
-    E = np.maximum(lo * 1.0000001, np.pi * I2 / p.L)
-    for _ in range(100):
-        if not live.size:
-            return out.reshape(c.shape)[()]
-        action, slope = _action_and_slope(ev, cs, E)
-        f = np.broadcast_to(action - I2, E.shape)
-        lo, hi = np.where(f > 0.0, lo, E), np.where(f > 0.0, E, hi)
-        E_new = E - f / np.maximum(slope, 1e-300)
-        E_new = np.where((lo < E_new) & (E_new < hi), E_new,
-                         np.where(hi < np.inf, 0.5 * (lo + hi), 2.0 * E))
-        done = np.abs(f) <= _EPS4 * I2
-        stepped = ~done & (np.abs(E_new - E) <= _EPS4 * E)
-        out[live[done]], out[live[stepped]] = E[done], E_new[stepped]
-        keep = ~(done | stepped)
-        live, cs, lo, hi, E = live[keep], cs[keep], lo[keep], hi[keep], E_new[keep]
-    if not live.size:
-        return out.reshape(c.shape)[()]
-    raise ConvergenceError(f"energy_K({cs[0]}, {I2}) not converged: "
-                           f"residual {f[keep][0]:.3e} > {_EPS4 * I2:.3e}")
+
+    def fdf(E, i):
+        action, slope = _action_and_slope(ev, cs[i], E)
+        return action - I2, slope
+
+    lo = np.abs(cs) / p.a_r0 * (1.0 + 1e-14)
+    out[live] = find_root(fdf, lo, np.inf, np.maximum(lo * 1.0000001, np.pi * I2 / p.L))
+    return out.reshape(c.shape)[()]
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,7 @@ def wasserstein1(emp: EmpiricalMeasure, lim: LimitMeasure) -> float:
     split = hi.copy()
     if straddle.any():
         a, b, s_level = lo[straddle], hi[straddle], level[straddle]
-        cross = find_root(lambda c: lim.cdf(c) - s_level, lim.density, a, b)
+        cross = find_root(lambda c, i: (lim.cdf(c) - s_level[i], lim.density(c)), a, b)
         split[straddle] = np.clip(cross, a, b)
     # two pieces per segment, split at its crossing; the second is empty without one
     starts, ends = np.concatenate((lo, split)), np.concatenate((split, hi))

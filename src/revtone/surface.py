@@ -41,9 +41,6 @@ class SurfaceProfile:
     # a(L - r) = a(r) and r0 = L / 2, declared by the sphere and ellipsoid constructors only
     mirror: bool = False
 
-    def equator_length(self) -> float:
-        return 2.0 * np.pi * self.a_r0
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -79,50 +76,60 @@ class ValidationReport:
         }
 
 
-def find_root(f, df, lo, hi):
-    """Zero of f in [lo, hi], where f changes sign, by Newton's method on df;
-    elementwise and in lockstep over arrays of brackets (f and df take the
-    array of iterates), a scalar for a scalar bracket.
+def find_root(fdf, lo, hi, x=None):
+    """Zero of f in [lo, hi], where f changes sign, by safeguarded Newton steps;
+    elementwise and in lockstep over arrays of brackets, a scalar for a scalar one.
 
-    A Newton step that leaves the bracket or exceeds half the step before it
-    is replaced by bisection.  An element stops, keeping its value, once its
-    Newton step or its bracket is within the bracket's float resolution, or
-    once it has reached the rounding floor of f: its last step was a Newton
-    step within sqrt(eps) of the bracket's scale and the new Newton step does
-    not halve it, which quadratic convergence rules out above rounding.  (A
-    root of odd multiplicity >= 3 converges linearly and also stops there.)"""
+    fdf(x, i) returns (f, f') at the iterates x of the elements with flat indices i:
+    once at both finite ends (f' unread, its warnings silenced; an exact zero is the
+    root, one sign raises InvalidParameterError), then once per step on the elements
+    still iterating, from x (by default the midpoint).  hi = inf opens the bracket of
+    an increasing f: lo is not evaluated, and x > max(lo, 0) doubles instead of
+    bisecting until f > 0.  A Newton step that leaves the bracket or exceeds half the
+    step before bisects.  An element stops once its Newton step or bracket is within
+    2 eps s, s the largest of the starting finite |lo|, |hi| and every |x|, or at f's
+    rounding floor: a Newton step within sqrt(eps) s followed by one not halving it.
+    An open bracket collapsing with f > 0 throughout, or 200 steps, raise ConvergenceError."""
     lo, hi = np.broadcast_arrays(np.array(lo, float), np.array(hi, float))
-    flo, fhi = (np.broadcast_to(np.asarray(f(v), float), lo.shape) for v in (lo, hi))
+    shape, lo, hi = lo.shape, lo.ravel(), hi.ravel()
+    x = 0.5 * (lo + hi) if x is None else np.broadcast_to(np.array(x, float), shape).ravel()
+    # an open bracket's lo is taken to have f < 0, and its hi f > 0
+    flo, fhi, ends = np.full(lo.shape, -1.0), np.ones(lo.shape), np.flatnonzero(hi < np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = fdf(np.r_[lo[ends], hi[ends]], np.r_[ends, ends])[0] if ends.size else ()
+    flo[ends], fhi[ends] = np.split(np.broadcast_to(np.asarray(f, float), (2 * ends.size,)), 2)
     root, active = np.where(flo == 0.0, lo, hi), (flo != 0.0) & (fhi != 0.0)
     bad = active & ((flo < 0.0) == (fhi < 0.0))
     if np.any(bad):
         raise InvalidParameterError(f"f has one sign on [{float(lo[bad][0])!r}, "
                                     f"{float(hi[bad][0])!r}]: {flo[bad][0]:.3e}, {fhi[bad][0]:.3e}")
-    scale = np.maximum(np.abs(lo), np.abs(hi))
-    res, near = 2.0 * np.finfo(float).eps * scale, np.sqrt(np.finfo(float).eps) * scale
-    x, step_old, newton_old = 0.5 * (lo + hi), hi - lo, np.zeros(lo.shape, bool)
+    verified, (fx, d), newton_old = hi < np.inf, np.zeros((2, lo.size)), np.zeros(lo.size, bool)
+    scale, step_old = np.maximum(np.abs(lo), np.abs(np.where(verified, hi, lo))), hi - lo
     for _ in range(200):
-        if not np.any(active):
-            return root[()]
-        fx, d = np.asarray(f(x), float), np.asarray(df(x), float)
+        i = np.flatnonzero(active)
+        if not i.size:
+            break
+        fx[i], d[i] = fdf(x[i], i)
         below = (fx < 0.0) == (flo < 0.0)
         lo, hi = np.where(active & below, x, lo), np.where(active & ~below, x, hi)
+        verified, scale = verified | (active & below), np.maximum(scale, np.abs(x))
+        res, near = 2.0 * np.finfo(float).eps * scale, np.sqrt(np.finfo(float).eps) * scale
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(d != 0.0, fx / d, np.inf)
         newton = active & (np.abs(step) <= res)
         root, active = np.where(newton, x - step, root), active & ~newton
         stalled = np.abs(step) > 0.5 * np.abs(step_old)
         floor = active & newton_old & (np.abs(step_old) <= near) & stalled
-        root, active = np.where(floor, x, root), active & ~floor
-        bisect = active & (~((lo < x - step) & (x - step < hi)) | stalled)
+        bisect = active & ~floor & (~((lo < x - step) & (x - step < hi)) | stalled)
         closed = bisect & (hi - lo <= res)
-        root, active = np.where(closed, x, root), active & ~closed
-        step = np.where(bisect, x - 0.5 * (lo + hi), step)
+        if np.any(closed & ~verified):
+            raise ConvergenceError("open bracket collapsed with f > 0 at every iterate")
+        root, active = np.where(floor | closed, x, root), active & ~(floor | closed)
+        step = np.where(bisect, x - np.where(hi < np.inf, 0.5 * (lo + hi), 2.0 * x), step)
         x, step_old, newton_old = np.where(active, x - step, x), step, ~bisect
-    if not np.any(active):
-        return root[()]
-    raise ConvergenceError(f"root in [{float(lo[active][0])!r}, {float(hi[active][0])!r}] "
-                           "not resolved in 200 steps")
+    if np.any(active):
+        raise ConvergenceError(f"root near x = {x[active][0]:.17g} not resolved in 200 steps")
+    return root.reshape(shape)[()]
 
 
 def _sign_changes(values: np.ndarray) -> list[int]:
@@ -195,8 +202,7 @@ def make_custom(a, a1, a2, L: float, name: str = "custom",
             raise RejectedProfileError(
                 f"single_sign_change: a' changes sign {len(changes)} times on (0, L), need exactly 1")
         i = changes[0]
-        r0 = find_root(lambda r: float(a1(r)), lambda r: float(a2(r)),
-                       float(grid[i]), float(grid[i + 1]))
+        r0 = find_root(lambda r, _: (a1(r), a2(r)), float(grid[i]), float(grid[i + 1]))
     p = SurfaceProfile(a=a, a1=a1, a2=a2, L=float(L), r0=float(r0),
                        a_r0=float(a(r0)), name=name)
     if check:
@@ -308,7 +314,7 @@ class _EllipsoidMeridian(_ChebFit):
         r = 0.5 * self.L * (1.0 + np.cos(np.pi * js / 512))
         lo = r / max(1.0, self.q) * (1.0 - 1e-8)
         hi = np.minimum(r / min(1.0, self.q) * (1.0 + 1e-8), np.pi)
-        return find_root(lambda s: self._arclength(s) - r, self.speed, lo, hi)
+        return find_root(lambda s, i: (self._arclength(s) - r[i], self.speed(s)), lo, hi)
 
     def t_of_r(self, r):
         x = (2.0 / self.L) * np.asarray(r, float) - 1.0

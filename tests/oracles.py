@@ -239,17 +239,19 @@ def matrix_element_radial(mode, b, p) -> float:
     return float(np.trapezoid(br * mode.u * mode.u * ar, mode.r))
 
 
-def scalar_find_root(f, df, lo: float, hi: float) -> float:
-    """Safeguarded Newton iteration on one bracket, in Python floats.
+def scalar_find_root(fdf, lo: float, hi: float) -> float:
+    """Safeguarded Newton iteration on one bracket, in Python floats; fdf(x)
+    returns (f, f').
 
-    The stopping and safeguard rules of the package's root finder, one
-    scalar at a time: a Newton step that leaves the bracket or exceeds
-    half the step before it becomes a bisection, and the iteration stops
-    once a Newton step or the bracket is within 2 eps max(|lo|, |hi|), or
-    at x once a Newton step within sqrt(eps) max(|lo|, |hi|) is followed by
-    a Newton step that does not halve it (f's rounding floor).
+    The stopping and safeguard rules of the package's root finder on a
+    finite bracket, one scalar at a time: a Newton step that leaves the
+    bracket or exceeds half the step before it becomes a bisection, and
+    the iteration stops once a Newton step or the bracket is within
+    2 eps max(|lo|, |hi|), or at x once a Newton step within
+    sqrt(eps) max(|lo|, |hi|) is followed by a Newton step that does not
+    halve it (f's rounding floor).
     """
-    flo, fhi = f(lo), f(hi)
+    flo, fhi = fdf(lo)[0], fdf(hi)[0]
     if flo == 0.0 or fhi == 0.0:
         return lo if flo == 0.0 else hi
     if (flo < 0.0) == (fhi < 0.0):
@@ -259,12 +261,11 @@ def scalar_find_root(f, df, lo: float, hi: float) -> float:
     x = 0.5 * (lo + hi)
     step_old, newton_old = hi - lo, False
     for _ in range(200):
-        fx = f(x)
+        fx, d = fdf(x)
         if (fx < 0.0) == (flo < 0.0):
             lo = x
         else:
             hi = x
-        d = df(x)
         step = fx / d if d != 0.0 else math.inf
         if abs(step) <= res:
             return x - step

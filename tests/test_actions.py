@@ -17,7 +17,6 @@ from revtone import (
     SymbolFn,
     action_I2,
     angular_symbol,
-    dI2_dc,
     dI2_dE,
     di2_drho_fd,
     energy_K,
@@ -139,6 +138,20 @@ def test_one_radial_pass_gives_the_bits_of_two(ell13_ev):
 def test_dI2_dE_sphere_is_one(sphere_ev):
     for c, E in [(0.0, 1.0), (0.5, 1.0), (-0.8, 2.0), (0.3, 0.5)]:
         assert dI2_dE(sphere_ev, c, E) == pytest.approx(1.0, abs=1e-12)
+
+
+def dI2_dc(ev, c, E):
+    """Partial derivative of I2 in c, including the (d/dc)|c| = sign(c) term, from one
+    radial pass; at small |c|/E it cancels sign(c) against an integral near -1 and
+    loses digits (2.8e-8 relative at aspect 5, s = 0.001)."""
+    c_col = np.reshape(c, (-1, 1))
+
+    def g(r, F):
+        a = np.asarray(ev.profile.a(r), float)
+        return ((-c_col / (a * a)) * actions._inv_sqrt_weight(F),)
+
+    return np.where(np.equal(c, 0.0), 0.0,
+                    actions._integrate_radial(ev, c, E, g)[0] + np.sign(c))[()]
 
 
 def test_dI2_dc_sphere_vanishes(sphere_ev):

@@ -264,11 +264,11 @@ def test_find_root_stops_at_the_cdf_rounding_floor(sphere_ev, sphere_slices):
     lo, hi, level = lo[straddle], hi[straddle], level[straddle]
     passes = []
 
-    def f(c):
+    def fdf(c, i):
         passes.append(c)
-        return lim.cdf(c) - level
+        return lim.cdf(c) - level[i], lim.density(c)
 
-    roots = find_root(f, lim.density, lo, hi)
+    roots = find_root(fdf, lo, hi)
     assert lo.size == 100 and len(passes) - 2 <= 10
     assert np.all((lo <= roots) & (roots <= hi))
     assert np.max(np.abs(lim.cdf(roots) - level)) <= 2.0 * np.finfo(float).eps

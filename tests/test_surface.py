@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from revtone import (
     ConfigError,
+    ConvergenceError,
     InvalidParameterError,
     RejectedProfileError,
     load_profile_table,
@@ -22,7 +23,6 @@ import oracles
 
 def test_round_sphere_geometry(sphere):
     assert sphere.a(np.pi / 2) == pytest.approx(1.0, abs=1e-15)
-    assert sphere.equator_length() == pytest.approx(2 * np.pi, abs=1e-14)
     assert sphere.a1(0.0) == pytest.approx(1.0, abs=1e-15)
     assert sphere.a2(np.pi / 2) == pytest.approx(-1.0, abs=1e-15)
     assert sphere.r0 == pytest.approx(np.pi / 2, abs=1e-13)
@@ -81,7 +81,7 @@ def test_ellipsoid_meridian_stops_at_its_plateau(monkeypatch):
     solves = []
     root = surface.find_root
     monkeypatch.setattr(surface, "find_root",
-                        lambda f, df, lo, hi: solves.append(np.size(lo)) or root(f, df, lo, hi))
+                        lambda fdf, lo, hi: solves.append(np.size(lo)) or root(fdf, lo, hi))
     m = _EllipsoidMeridian(1.3)
     assert m.converged and sum(solves) <= 65 and len(solves) <= 6
     assert m.degree == len(m.coeffs) - 1
@@ -89,23 +89,89 @@ def test_ellipsoid_meridian_stops_at_its_plateau(monkeypatch):
 
 
 def test_find_root_needs_a_sign_change():
-    assert find_root(lambda x: x * x - 2.0, lambda x: 2.0 * x, 0.0, 2.0) == pytest.approx(
+    assert find_root(lambda x, _: (x * x - 2.0, 2.0 * x), 0.0, 2.0) == pytest.approx(
         np.sqrt(2.0), abs=4e-16)
     with pytest.raises(InvalidParameterError):
-        find_root(lambda x: x * x + 1.0, lambda x: 2.0 * x, -1.0, 2.0)
+        find_root(lambda x, _: (x * x + 1.0, 2.0 * x), -1.0, 2.0)
 
 
 def test_find_root_stops_at_float_resolution():
     # f changes sign between two neighbouring floats and never vanishes
     x0 = 1.0 + 2.0 ** -40
-    root = find_root(lambda x: -1.0 if x <= x0 else 1.0, lambda x: 0.0, 0.0, 2.0)
+    root = find_root(lambda x, _: (np.where(x <= x0, -1.0, 1.0), 0.0), 0.0, 2.0)
     assert abs(root - x0) <= 4.0 * np.spacing(2.0)
+
+
+def _recorded(fdf):
+    # fdf that records (x, i) of every call
+    calls = []
+
+    def recorded(x, i):
+        calls.append((np.array(x), np.array(i)))
+        return fdf(x, i)
+
+    return recorded, calls
+
+
+def test_find_root_evaluates_both_finite_ends_in_one_call():
+    # x^2 - 4 on [1, 4] iterates; x on [-1, 0] has its root exactly at hi
+    fdf, calls = _recorded(lambda x, i: (np.where(i == 0, x * x - 4.0, x),
+                                         np.where(i == 0, 2.0 * x, 1.0)))
+    roots = find_root(fdf, [1.0, -1.0], [4.0, 0.0])
+    assert calls[0][0].tolist() == [1.0, -1.0, 4.0, 0.0] and calls[0][1].tolist() == [0, 1, 0, 1]
+    assert roots[0] == pytest.approx(2.0, abs=4e-16) and roots[1] == 0.0
+    assert len(calls) > 2 and all(i.tolist() == [0] for _, i in calls[1:])
+    assert not any(np.isin(x, [1.0, 4.0]).any() for x, _ in calls[1:])
+
+
+def test_find_root_asks_only_for_the_elements_still_iterating():
+    # x - 1/2 stops at its first iterate, x^3 - 2 takes several more
+    power, target = np.array([1.0, 3.0]), np.array([0.5, 2.0])
+    fdf, calls = _recorded(lambda x, i: (x ** power[i] - target[i],
+                                         power[i] * x ** (power[i] - 1.0)))
+    roots = find_root(fdf, [0.0, 0.0], [1.0, 2.0])
+    assert [i.tolist() for _, i in calls[:2]] == [[0, 1, 0, 1], [0, 1]]
+    assert len(calls) > 3 and all(i.tolist() == [1] for _, i in calls[2:])
+    assert roots[0] == 0.5 and roots[1] == pytest.approx(2.0 ** (1.0 / 3.0), rel=4e-16)
+
+
+def test_find_root_opens_upward_from_x():
+    # hi = inf: lo is never evaluated, and the bracket closes at the first f > 0
+    fdf, calls = _recorded(lambda x, i: (x ** 3 - 1000.0, 3.0 * x * x))
+    assert find_root(fdf, 0.0, np.inf, 1.0) == pytest.approx(10.0, rel=4e-16)
+    assert calls[0][0].tolist() == [1.0] and not any(np.any(x == 0.0) for x, _ in calls)
+    # f flat below 8: the Newton step is infinite, so x doubles until it finds a slope
+    fdf, calls = _recorded(lambda x, i: (np.where(x < 8.0, -2.0, x - 10.0),
+                                         np.where(x < 8.0, 0.0, 1.0)))
+    assert find_root(fdf, 0.0, np.inf, 1.0) == 10.0
+    assert [float(x[0]) for x, _ in calls] == [1.0, 2.0, 4.0, 8.0, 10.0]
+    # the scale follows the iterates, so a root far above x is resolved to its own rounding
+    assert find_root(lambda x, i: (np.log(x) - 10.0, 1.0 / x), 0.0, np.inf, 1.0) == (
+        pytest.approx(np.exp(10.0), rel=4e-16))
+
+
+def test_find_root_open_bracket_without_a_root_raises():
+    # f > 0 at every iterate: the bracket collapses onto lo, which was never evaluated
+    with pytest.raises(ConvergenceError, match="collapsed"):
+        find_root(lambda x, i: (1.0 + x, 1.0), 0.0, np.inf, 1.0)
+    # f < 0 and flat everywhere: x doubles until the step budget runs out
+    with pytest.raises(ConvergenceError, match="200 steps"):
+        find_root(lambda x, i: (-1.0, 0.0), 0.0, np.inf, 1.0)
 
 
 def _arctan_cubic(z, k, e):
     # zero at z; arctan makes far Newton steps overshoot, so both safeguards fire
     return (lambda x: np.arctan(k * (x - z)) + e * (x - z) ** 3,
             lambda x: k / (1.0 + (k * (x - z)) ** 2) + 3.0 * e * (x - z) ** 2)
+
+
+def _arctan_cubic_fdf(z, k, e):
+    # the same as (f, f') of the elements i, as find_root asks for them
+    def fdf(x, i):
+        f, df = _arctan_cubic(z[i], k[i], e[i])
+        return f(x), df(x)
+
+    return fdf
 
 
 @given(st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(0.0, 40.0), st.floats(0.0, 40.0),
@@ -116,12 +182,12 @@ def test_lockstep_roots_have_the_bits_of_scalar_solves(brackets):
     lo, hi = z - left, z + right
     keep = lo < hi
     z, lo, hi, k, e = z[keep], lo[keep], hi[keep], k[keep], e[keep]
-    f, df = _arctan_cubic(z, k, e)
-    roots = find_root(f, df, lo, hi)
+    roots = find_root(_arctan_cubic_fdf(z, k, e), lo, hi)
     for i in range(z.size):
         fi, dfi = _arctan_cubic(float(z[i]), float(k[i]), float(e[i]))
-        one = find_root(fi, dfi, float(lo[i]), float(hi[i]))
-        scalar = oracles.scalar_find_root(lambda x: float(fi(x)), lambda x: float(dfi(x)),
+        one = find_root(_arctan_cubic_fdf(z[i:i + 1], k[i:i + 1], e[i:i + 1]),
+                        float(lo[i]), float(hi[i]))
+        scalar = oracles.scalar_find_root(lambda x: (float(fi(x)), float(dfi(x))),
                                           float(lo[i]), float(hi[i]))
         assert np.float64(roots[i]).tobytes() == np.float64(one).tobytes()
         assert np.float64(one).tobytes() == np.float64(scalar).tobytes()
@@ -142,7 +208,7 @@ def test_meridian_has_the_bits_of_scalar_root_solves(aspect):
         r = 0.5 * m.L * (1.0 + np.cos(np.pi * j / 512))
         lo = r / max(1.0, m.q) * (1.0 - 1e-8)
         hi = min(r / min(1.0, m.q) * (1.0 + 1e-8), np.pi)
-        return oracles.scalar_find_root(lambda s: arclength(s) - r, m.speed, lo, hi)
+        return oracles.scalar_find_root(lambda s: (arclength(s) - r, m.speed(s)), lo, hi)
 
     ref = surface._ChebFit(lambda js: [t_at_node(j) for j in js], (np.pi, 0.0),
                            np.finfo(float).eps)
