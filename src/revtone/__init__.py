@@ -50,9 +50,9 @@ from .measures import (
 from .spectral import (
     JointSlice,
     RadialMode,
+    angular_matrix_elements,
     ebk_residual,
     joint_slice,
-    matrix_element_angular,
     radial_modes,
     restricted_norm,
 )
@@ -80,8 +80,8 @@ __all__ = [
     "ConvergenceReport", "EmpiricalMeasure", "LimitMeasure", "convergence_sweep",
     "empirical_mu", "empirical_nu", "ks_distance", "limit_measure_mu",
     "limit_measure_nu", "wasserstein1",
-    "JointSlice", "RadialMode", "ebk_residual", "joint_slice",
-    "matrix_element_angular", "radial_modes", "restricted_norm",
+    "JointSlice", "RadialMode", "angular_matrix_elements", "ebk_residual", "joint_slice",
+    "radial_modes", "restricted_norm",
     "SurfaceProfile", "ValidationReport", "load_profile_table", "make_custom",
     "make_ellipsoid", "make_round_sphere", "validate_profile",
     "RunConfig", "load_config", "parse_config", "parse_expr",

@@ -105,13 +105,16 @@ def angular_symbol(chi: Callable, name: str = "") -> SymbolFn:
 # ---------------------------------------------------------------------------
 # turning points and the stable radicand
 
-def _turning_points(p: SurfaceProfile, c: np.ndarray, E: np.ndarray):
-    """(r1, r2) where a(r) = |c|/E on either side of the equator, elementwise
-    over 1-d arrays, from one lockstep root solve; c = 0 gives (0, L)."""
+def turning_points(ev: ActionEvaluator, c, E):
+    """(r1, r2) where a(r) = |c|/E on either side of the equator, elementwise over c and E
+    from one lockstep root solve, floats for scalars.  c = 0 returns the full interval
+    (0, L) by convention; tori with |c| >= E * a(r0) have no radial oscillation and are
+    rejected."""
+    p, (c, E) = ev.profile, np.broadcast_arrays(np.asarray(c, float), np.asarray(E, float))
     bad = ~((E > 0.0) & np.isfinite(E))
     if np.any(bad):
         raise InvalidParameterError(f"energy must be positive, got {E[bad][0]}")
-    ca = np.abs(c) / E
+    ca = (np.abs(c) / E).ravel()
     if np.any(ca >= p.a_r0):
         raise DegenerateTorusError(f"|c|/E = {np.max(ca):.6g} >= a(r0) = {p.a_r0:.6g}: "
                                    "no oscillation interval")
@@ -122,17 +125,7 @@ def _turning_points(p: SurfaceProfile, c: np.ndarray, E: np.ndarray):
         return np.where((0.0 < r) & (r < p.L), p.a(r) - ca2[i], -ca2[i]), p.a1(r)
 
     r = find_root(fdf, np.repeat([0.0, p.r0], n), np.repeat([p.r0, p.L], n))
-    return r[:n], r[n:]
-
-
-def turning_points(ev: ActionEvaluator, c: float, E: float) -> tuple[float, float]:
-    """Solve a(r) = |c|/E on both sides of the equator.
-
-    c = 0 returns the full interval (0, L) by convention; tori with
-    |c| >= E * a(r0) have no radial oscillation and are rejected.
-    """
-    r1, r2 = _turning_points(ev.profile, np.array([c], float), np.array([E], float))
-    return float(r1[0]), float(r2[0])
+    return r[:n].reshape(c.shape)[()], r[n:].reshape(c.shape)[()]
 
 
 def _radicand(p: SurfaceProfile, ca, E, r1, r2, r, d1, d2):
@@ -167,7 +160,7 @@ def _integrate_radial(ev: ActionEvaluator, c, E, g) -> tuple:
     c, E = (np.broadcast_to(np.asarray(v, float), shape).reshape(-1, 1) for v in (c, E))
     p = ev.profile
     x, w, sigma = tanh_sinh_rule(_QUAD_NODES)
-    r1, r2 = (v[:, None] for v in _turning_points(p, c[:, 0], E[:, 0]))
+    r1, r2 = (v[:, None] for v in turning_points(ev, c[:, 0], E[:, 0]))
     r, d1, d2, half = map_to_interval(r1, r2, x, sigma)
     # c = 0: the radicand is E^2 over (0, L)
     F, t = np.broadcast_to(E * E, r.shape).copy(), c[:, 0] != 0.0
@@ -176,17 +169,22 @@ def _integrate_radial(ev: ActionEvaluator, c, E, g) -> tuple:
     return tuple((half[:, 0] * s / np.pi).reshape(shape)[()] for s in sums)
 
 
-def action_I2(ev: ActionEvaluator, c: float, E: float) -> float:
-    """Second action at angular momentum c and energy E."""
-    if E <= 0.0 or not np.isfinite(E):
-        raise InvalidParameterError(f"energy must be positive, got {E}")
-    ca = abs(c) / E
-    if ca > ev.profile.a_r0:
-        raise OutsideMomentImageError(
-            f"|c| = {abs(c):.6g} exceeds E*a(r0) = {E * ev.profile.a_r0:.6g}")
-    if ca == ev.profile.a_r0:
-        return abs(c)
-    return _action_and_slope(ev, c, E)[0]
+def action_I2(ev: ActionEvaluator, c, E):
+    """Second action at angular momentum c and energy E, elementwise, floats for scalars:
+    |c| where |c|/E = a(r0), else one radial pass over the other elements."""
+    c, E = np.broadcast_arrays(np.asarray(c, float), np.asarray(E, float))
+    shape, c, E = c.shape, c.ravel(), E.ravel()
+    bad = ~((E > 0.0) & np.isfinite(E))
+    if np.any(bad):
+        raise InvalidParameterError(f"energy must be positive, got {E[bad][0]}")
+    ca, a0 = np.abs(c) / E, ev.profile.a_r0
+    if np.any(ca > a0):
+        i = np.flatnonzero(ca > a0)[0]
+        raise OutsideMomentImageError(f"|c| = {abs(c[i]):.6g} exceeds E*a(r0) = {E[i] * a0:.6g}")
+    out, inner = np.abs(c), ca != a0
+    if inner.any():
+        out[inner] = _action_and_slope(ev, c[inner], E[inner])[0]
+    return out.reshape(shape)[()]
 
 
 def _inv_sqrt_weight(F):
@@ -297,30 +295,27 @@ def limit_density_unnorm(ev: ActionEvaluator, c):
     return (omega2 / np.sqrt((1.0 - u) * (1.0 + u)))[()]
 
 
-def equator_momentum(ev: ActionEvaluator, c: float) -> float:
-    """Radial momentum rho over the equator on the torus I2 = 1."""
-    E = energy_K(ev, c, 1.0)
-    a0 = ev.profile.a_r0
-    rad = (E - abs(c) / a0) * (E + abs(c) / a0)
-    return float(np.sqrt(max(rad, 0.0)))
+def equator_momentum(ev: ActionEvaluator, c):
+    """Radial momentum rho over the equator on the torus I2 = 1, elementwise over c."""
+    E, ca = energy_K(ev, c, 1.0), np.abs(c) / ev.profile.a_r0
+    return np.sqrt(np.maximum((E - ca) * (E + ca), 0.0))[()]
 
 
-def di2_drho_fd(ev: ActionEvaluator, c: float) -> float:
-    """Centered finite difference of I2 in rho through E(rho) at I2 = 1.
+def di2_drho_fd(ev: ActionEvaluator, c):
+    """Centered finite difference of I2 in rho through E(rho) at I2 = 1, elementwise over c.
 
     rho parametrizes covectors over the equator via
     E(rho) = sqrt(rho^2 + c^2/a(r0)^2); the analytic value of the
     derivative is sqrt(1 - c^2/(E a(r0))^2) / omega2.
     """
-    a0 = ev.profile.a_r0
+    c = np.asarray(c, float)
     rho = equator_momentum(ev, c)
-    if rho <= 0.0:
-        raise DegenerateTorusError(f"no equator-transverse momentum at c = {c}")
+    if np.any(rho <= 0.0):
+        raise DegenerateTorusError(f"no equator-transverse momentum at c = {c[rho <= 0.0][0]}")
     h = _FD_STEP * rho
-    ca2 = (c / a0) ** 2
-    E_plus = np.sqrt((rho + h) ** 2 + ca2)
-    E_minus = np.sqrt((rho - h) ** 2 + ca2)
-    return (action_I2(ev, c, E_plus) - action_I2(ev, c, E_minus)) / (2.0 * h)
+    E = np.sqrt(np.stack((rho + h, rho - h)) ** 2 + (c / ev.profile.a_r0) ** 2)
+    I_plus, I_minus = action_I2(ev, c, E)
+    return ((I_plus - I_minus) / (2.0 * h))[()]
 
 
 # ---------------------------------------------------------------------------

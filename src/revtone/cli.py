@@ -216,11 +216,9 @@ def _sphere_checks(cfg: _config.RunConfig):
 
     def check_action_identity():
         ratios = [0.0] + [s * 0.1 * k for k in range(1, 10) for s in (1.0, -1.0)] + [0.99, -0.99]
-        worst = 0.0
-        for energy in (0.5, 1.0, 3.0):
-            for ratio in ratios:
-                worst = max(worst, abs(_actions.action_I2(ev, ratio * energy, energy) - energy))
-        return worst, 1e-10, "max |I2(c, E) - E| over the c/E grid"
+        E = np.array([[0.5], [1.0], [3.0]])
+        return float(np.max(np.abs(_actions.action_I2(ev, np.multiply(ratios, E), E) - E))), \
+            1e-10, "max |I2(c, E) - E| over the c/E grid"
 
     def check_density_closed_form():
         cs = np.linspace(-0.999, 0.999, 401)

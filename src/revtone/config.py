@@ -2,9 +2,9 @@
 
 Lines are `section.key = value`, `#` starts a comment, blank lines are
 skipped.  The keys are those of `_KEYS`, and any other is rejected as
-unknown.  Every value is parsed and range-checked as it is read, with
-the line and column of the offending token, so a config either loads
-completely or fails loudly before any computation starts.
+unknown, as is a key given twice.  Every value is parsed and range-checked
+as it is read, with the line and column of the offending token, so a config
+either loads completely or fails loudly before any computation starts.
 """
 from __future__ import annotations
 
@@ -116,6 +116,8 @@ def parse_config(text: str) -> RunConfig:
         if full not in _KEYS:
             raise ConfigError(f"unknown key {full!r}", line=lineno, col=m.start(1) + 1)
         block, name, parse = _KEYS[full]
+        if name in blocks[block]:
+            raise ConfigError(f"{full} given twice", line=lineno, col=m.start(1) + 1)
         try:
             blocks[block][name] = parse(raw)
         except ValueError as exc:

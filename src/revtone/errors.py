@@ -37,7 +37,8 @@ class LabelingError(RevtoneError):
 
 
 class ConvergenceError(RevtoneError):
-    """An iteration ran out of steps before reaching its tolerance."""
+    """An iteration ran out of steps before reaching its tolerance, or a fit sampled a
+    non-finite value."""
 
 
 class ResolutionError(RevtoneError):

@@ -34,7 +34,8 @@ _SEGMENT_GL_NODES = 32
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
-    """Atomic measure on [-1, 1] with one atom per angular number.
+    """Atomic measure on [-1, 1]: atoms at ascending `positions`, one per angular number,
+    with `weights`.
 
     Weights are normalized to sum to 1 whenever the raw mass is
     nonzero; a negative raw mass (symbol negative on the allowed
@@ -46,17 +47,10 @@ class EmpiricalMeasure:
     defined.
     """
 
-    atoms: list
+    positions: np.ndarray
+    weights: np.ndarray
     total_mass_raw: float
     signed: bool = False
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.array([c for c, _ in self.atoms])
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for _, w in self.atoms])
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,11 +63,6 @@ class LimitMeasure:
     mass_constant: float
 
 
-def _make_atoms(ms: np.ndarray, weights: np.ndarray, ell: int):
-    order = np.argsort(ms / ell, kind="stable")
-    return [(float(ms[i] / ell), float(weights[i])) for i in order]
-
-
 def empirical_mu(slice_: _spectral.JointSlice) -> EmpiricalMeasure:
     """Equator-norm measure of a multiplet; raw mass is the norm sum."""
     ms = np.array(sorted(slice_.restricted_norms.keys()))
@@ -82,22 +71,17 @@ def empirical_mu(slice_: _spectral.JointSlice) -> EmpiricalMeasure:
     if total <= 0.0:
         raise DegenerateMeasureError(
             f"all {len(w)} equator norms vanish at ell = {slice_.ell}")
-    return EmpiricalMeasure(atoms=_make_atoms(ms, w / total, slice_.ell),
-                            total_mass_raw=total)
+    return EmpiricalMeasure(ms / slice_.ell, w / total, total)
 
 
 def empirical_nu(slice_: _spectral.JointSlice, sym: _actions.SymbolFn) -> EmpiricalMeasure:
     """Matrix-element measure of a multiplet for a radial or angular symbol."""
-    w = (_spectral.radial_matrix_elements(slice_, sym.fn) if sym.kind == "radial_mult"
-         else [_spectral.matrix_element_angular(mode, sym.fn) for mode in slice_.modes])
-    ms, w = np.array([mode.m for mode in slice_.modes]), np.array(w)
+    elements = (_spectral.radial_matrix_elements if sym.kind == "radial_mult"
+                else _spectral.angular_matrix_elements)
+    w, ms = elements(slice_, sym.fn), np.array([mode.m for mode in slice_.modes])
     total = float(np.sum(w))
-    scale = float(np.sum(np.abs(w)))
-    if abs(total) <= 1e-12 * max(scale, 1e-300):
-        return EmpiricalMeasure(atoms=_make_atoms(ms, w, slice_.ell),
-                                total_mass_raw=total, signed=True)
-    return EmpiricalMeasure(atoms=_make_atoms(ms, w / total, slice_.ell),
-                            total_mass_raw=total)
+    signed = abs(total) <= 1e-12 * max(float(np.sum(np.abs(w))), 1e-300)
+    return EmpiricalMeasure(ms / slice_.ell, w if signed else w / total, total, signed)
 
 
 def limit_measure_mu(ev: _actions.ActionEvaluator) -> LimitMeasure:

@@ -302,7 +302,7 @@ def restricted_norm(mode: RadialMode, p: SurfaceProfile) -> float:
     return p.a_r0 * mode.u_at_r0 * mode.u_at_r0
 
 
-def radial_matrix_elements(slice_: JointSlice, b) -> list:
+def radial_matrix_elements(slice_: JointSlice, b) -> np.ndarray:
     """Diagonal matrix elements of multiplication by b(r) (trapezoid integrals of b u^2 a)
     in a slice's order m = -ell..ell: one dot per |m| with the weights a b h, ends halved, of
     its node set (zonal or interior), from one sampling of a and b."""
@@ -310,19 +310,20 @@ def radial_matrix_elements(slice_: JointSlice, b) -> list:
     w = np.asarray(slice_.profile.a(r), float) * np.asarray(b(r), float) * (r[1] - r[0])
     weights = [np.concatenate(([0.5 * v[0]], v[1:-1], [0.5 * v[-1]])) for v in (w, w[1:-1])]
     half = [float(mode.u * mode.u @ weights[mode.m != 0]) for mode in slice_.modes[slice_.ell:]]
-    return half[:0:-1] + half
+    return np.array(half[:0:-1] + half)
 
 
-def matrix_element_angular(mode: RadialMode, chi) -> float:
-    """Diagonal matrix element of chi applied to the momentum ratio m/lambda."""
-    if mode.lam <= 0.0:
+def angular_matrix_elements(slice_: JointSlice, chi) -> np.ndarray:
+    """Diagonal matrix elements of chi applied to the momentum ratio m / lambda, in a
+    slice's order m = -ell..ell, from one call of chi on every ratio."""
+    m, lam = np.array([(mode.m, mode.lam) for mode in slice_.modes]).T
+    if np.any(lam <= 0.0):
         raise InvalidParameterError("angular matrix element needs lambda > 0")
-    return float(chi(mode.m / mode.lam))
+    return np.broadcast_to(np.asarray(chi(m / lam), float), m.shape)
 
 
-def ebk_residual(modes, ev: _actions.ActionEvaluator):
+def ebk_residual(modes, ev: _actions.ActionEvaluator) -> np.ndarray:
     """lambda minus the semiclassical K(m, ell + 1/2) = (ell + 1/2) K1(|m| / (ell + 1/2)),
-    for one RadialMode, or as an array for a sequence of them from one K1 lookup."""
-    ell, m, lam = np.array([(mode.ell, mode.m, mode.lam) for mode in np.ravel(modes)]).T
-    res = lam - (ell + 0.5) * _actions._unit_torus(ev, np.abs(m) / (ell + 0.5))[0]
-    return res if np.ndim(modes) else float(res[0])
+    for each of a sequence of RadialModes, from one K1 lookup."""
+    ell, m, lam = np.array([(mode.ell, mode.m, mode.lam) for mode in modes]).T
+    return lam - (ell + 0.5) * _actions._unit_torus(ev, np.abs(m) / (ell + 0.5))[0]

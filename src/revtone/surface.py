@@ -234,6 +234,8 @@ def _chop(coeffs: np.ndarray, tol: float) -> tuple[int, bool]:
     coefficient is kept."""
     n = len(coeffs)
     env = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
+    if env[0] == 0.0:  # the zero series: a plateau from the first term
+        return 1, True
     env = env / env[0]
     # first j (1-based) whose envelope is followed by a plateau
     for j in range(2, n + 1):
@@ -259,7 +261,8 @@ class _ChebFit:
     j, on nested Lobatto points N = 16, 32, ..., 512 (all samples reused, a level's new ones
     in one call), up to the first N with a coefficient plateau at relative tol; x = 1 and -1
     take `ends`, x < 0 is not sampled if even.  `tail` is the largest coefficient cut or, with
-    no plateau (`converged` False, the fit kept whole), the largest in its upper half."""
+    no plateau (`converged` False, the fit kept whole), the largest in its upper half.  A
+    non-finite sample raises ConvergenceError."""
 
     def __init__(self, sample, ends: tuple, tol: float, even: bool = False):
         g = np.full(513, np.nan)
@@ -268,6 +271,9 @@ class _ChebFit:
             idx = np.arange(0, 513, 512 // n)
             new = idx[np.isnan(g[idx]) & ~(even & (idx > 256))]
             g[new] = sample(new)
+            bad = new[~np.isfinite(g[new])]
+            if bad.size:
+                raise ConvergenceError(f"non-finite sample {g[bad[0]]} at node {bad[0]} of 512")
             if even:
                 g[257:512] = g[255:0:-1]
             coeffs = _lobatto_coefficients(g[idx])
@@ -354,8 +360,9 @@ def read_table(path: str, what: str, min_rows: int):
     """Cubic spline through a two-column text table of x and y.
 
     `#` starts a comment and blank lines are skipped; x must strictly
-    increase.  An unreadable file or a malformed table raises ConfigError
-    naming `what` and, where there is one, the offending row.
+    increase and every value be finite.  An unreadable file or a malformed
+    table raises ConfigError naming `what` and, where there is one, the
+    offending row.
     """
     from scipy.interpolate import CubicSpline
 
@@ -371,8 +378,11 @@ def read_table(path: str, what: str, min_rows: int):
             continue
         try:
             x, y = map(float, text.split())
+            if not np.isfinite((x, y)).all():
+                raise ValueError
         except ValueError:
-            raise ConfigError(f"{what} row {lineno}: expected two numbers, got {text!r}") from None
+            raise ConfigError(f"{what} row {lineno}: expected two finite numbers, got {text!r}"
+                              ) from None
         rows.append((x, y, lineno))
     if len(rows) < min_rows:
         raise ConfigError(f"{what} needs at least {min_rows} rows, got {len(rows)}")

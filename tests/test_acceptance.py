@@ -126,7 +126,7 @@ def test_06_sphere_w1_decay_and_solver_agreement(acceptance_log, sphere, sphere_
     for ell in (25, 50, 100, 200, 400):
         atoms, _ = oracles.sphere_mu_atoms(ell)
         w1_oracle[ell] = wasserstein1(
-            EmpiricalMeasure(atoms=atoms, total_mass_raw=1.0), lim)
+            EmpiricalMeasure(*np.transpose(atoms), total_mass_raw=1.0), lim)
     seq = [w1_oracle[ell] for ell in (25, 50, 100, 200, 400)]
     decreasing = all(b < a for a, b in zip(seq, seq[1:]))
 

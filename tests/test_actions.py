@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -14,6 +15,7 @@ from revtone import (
     InvalidParameterError,
     OutsideMomentImageError,
     OutsideOpenIntervalError,
+    SignedMeasureError,
     SymbolFn,
     action_I2,
     angular_symbol,
@@ -96,6 +98,25 @@ def test_turning_points_degenerate_at_threshold(sphere_ev):
         turning_points(sphere_ev, 1.0, 1.0)
     with pytest.raises(DegenerateTorusError):
         turning_points(sphere_ev, 1.5, 1.0)
+
+
+def test_arrays_have_the_bits_of_per_element_calls(sphere_ev, ell13_ev):
+    # elementwise over arrays, floats for scalars, each element as if called alone;
+    # c = 0 is closed-form, as are |c|/E = a(r0) for the action and |c| = 1 at the equator
+    for ev in (sphere_ev, ell13_ev):
+        a0 = ev.profile.a_r0
+        c, E = np.array([0.0, 0.3, -0.7, 0.4 * a0, -0.9 * a0, 1e-6]), \
+            np.array([1.0, 1.0, 2.5, 0.4, 0.9, 1.0])
+        for fn, args in ((actions.action_I2, (c, E)),
+                         (actions.turning_points, (c[[0, 1, 2, 5]], E[[0, 1, 2, 5]])),
+                         (actions.equator_momentum, (np.array([0.0, 0.5, -0.3, 1.0, -1.0, 0.99]),)),
+                         (actions.di2_drho_fd, (np.array([0.0, 0.5, -0.3, 0.99]),))):
+            whole = np.array(fn(ev, *args))
+            single = [fn(ev, *(float(v[i]) for v in args)) for i in range(args[0].size)]
+            assert whole.tobytes() == np.array(single).T.tobytes(), fn.__name__
+            assert all(isinstance(v, float) for v in np.ravel(single))
+            grid = np.array(fn(ev, *(np.reshape(v, (2, -1)) for v in args)))
+            assert grid.reshape(whole.shape).tobytes() == whole.tobytes(), fn.__name__
 
 
 # --- the action and its derivatives ---------------------------------------
@@ -431,7 +452,7 @@ def test_k1_series_matches_the_pointwise_oracle(aspect, ell13_ev):
     for m in range(-100, 101, 20):
         mode = _mode(m, 100, 100.0)
         pointwise = mode.lam - energy_K(ev, float(m), 100.5)
-        assert abs(ebk_residual(mode, ev) - pointwise) <= 1e-12
+        assert abs(ebk_residual([mode], ev)[0] - pointwise) <= 1e-12
 
 
 def test_k1_series_converges_from_few_inversions(ell13, monkeypatch):
@@ -476,7 +497,7 @@ def test_k1_without_plateau_reads_the_whole_fit(ell13, monkeypatch, tmp_path, ca
         assert torus_average(ev, chi, c) == c / K
     mode = _mode(-7, 20, 20.0)
     K = np.polynomial.chebyshev.chebval(2.0 * 7 / 20.5 - 1.0, series.coeffs)
-    assert ebk_residual(mode, ev) == mode.lam - 20.5 * K
+    assert ebk_residual([mode], ev)[0] == mode.lam - 20.5 * K
     # and the CLI still says so
     cfg = tmp_path / "run.cfg"
     cfg.write_text("profile.kind = ellipsoid\nprofile.aspect = 1.3\nrun.command = density\n"
@@ -574,6 +595,22 @@ def test_radial_nu_series_samples_half_the_interval(sphere, monkeypatch):
     full = actions._SinSeries(lambda c: actions.torus_average(ev, sym, c), 0.0, even=False)
     assert len(calls) == 256 + 511
     assert np.array_equal(even.coeffs, full.coeffs)
+
+
+def test_zero_symbol_nu_series_stops_at_the_first_level(sphere_ev, monkeypatch):
+    # 0 * r: all-zero coefficients are a one-term plateau at N = 16 (8 samples of the even
+    # series), not 256 samples without one; the vanishing state then has no limit
+    calls = []
+    average = actions.torus_average
+    monkeypatch.setattr(actions, "torus_average",
+                        lambda ev, sym, c: calls.extend(np.ravel(c)) or average(ev, sym, c))
+    zero = radial_symbol(lambda r: 0.0 * np.asarray(r), name="0*r")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = actions.nu_series(sphere_ev, zero)
+    assert len(calls) == 8 and series.converged and series.degree == 0
+    with pytest.raises(SignedMeasureError):
+        limit_measure_nu(sphere_ev, zero)
 
 
 # --- the equator derivative identity ---------------------------------------

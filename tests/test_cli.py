@@ -81,6 +81,21 @@ def test_missing_profile_table_is_config_error(tmp_path, capsys, command):
     assert "cannot read profile table" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("table, row, command", [
+    ("profile", "nan 0.8", "validate"), ("profile", "1 inf", "density"),
+    ("symbol", "1 nan", "converge")])
+def test_non_finite_table_row_is_config_error(tmp_path, capsys, table, row, command):
+    rows = ["0 0", "0.5 0.4", row, "2 0.4", "2.5 0.3", "3 0.1", "3.1 0.04", "3.14159 0"]
+    path = _write(tmp_path / "t.dat", "\n".join(rows) + "\n")
+    source = (f"profile.kind = custom_table\nprofile.table_path = {path}\n" if table == "profile"
+              else f"symbol.kind = radial_mult\nsymbol.table_path = {path}\nrun.ells = 10\n")
+    cfg = _write(tmp_path / "run.cfg", source + f"run.command = {command}\n"
+                 f"spectral.grid_size = 500\nrun.out_dir = {tmp_path}\n")
+    assert main(["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"{table} table row 3" in err and "Traceback" not in err
+
+
 # --- density ---------------------------------------------------------------
 
 def test_density_table_matches_closed_form(tmp_path):
@@ -294,6 +309,19 @@ def test_long_symbol_expression_is_config_error_in_a_fresh_process(tmp_path):
     assert done.returncode == 2, done.stderr[-500:]
     assert "nested" in done.stderr and "Traceback" not in done.stderr
     assert not (tmp_path / "converge.json").exists()
+
+
+def test_non_finite_series_sample_is_numerical_failure(tmp_path, capsys):
+    # the torus averages of 1/(r - pi/2) are infinite; no nan may reach converge.csv
+    cfg = _write(tmp_path / "run.cfg",
+                 "profile.kind = round_sphere\nspectral.grid_size = 500\n"
+                 "run.command = converge\nrun.ells = 10, 20\n"
+                 f"run.out_dir = {tmp_path}\n"
+                 "symbol.kind = radial_mult\nsymbol.expr = 1/(r - pi/2)\n")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert main(["--config", cfg]) == 3
+    assert "ConvergenceError: non-finite sample" in capsys.readouterr().err
+    assert not (tmp_path / "converge.csv").exists()
 
 
 def test_converge_partial_failure(tmp_path):

@@ -100,6 +100,13 @@ def test_ells_must_ascend():
         parse_config("run.ells = 3, three\n")
 
 
+def test_key_given_twice_is_rejected_at_its_second_line():
+    with pytest.raises(ConfigError) as err:
+        parse_config("run.command = density\nprofile.kind = round_sphere\n"
+                     "run.command = validate\n")
+    assert str(err.value).startswith("line 3, col 1: run.command given twice")
+
+
 def test_custom_table_requires_path():
     with pytest.raises(ConfigError):
         parse_config("profile.kind = custom_table\n")

@@ -14,7 +14,6 @@ from revtone import (
     joint_slice,
     make_ellipsoid,
     make_round_sphere,
-    matrix_element_angular,
     radial_symbol,
 )
 from revtone.measures import (
@@ -40,6 +39,16 @@ ARCSINE = LimitMeasure(density=oracles.arcsine_density,
                        cdf=np.vectorize(oracles.arcsine_cdf), mass_constant=np.pi)
 
 
+def _measure(atoms):
+    """A unit-mass EmpiricalMeasure from (position, weight) pairs in ascending order."""
+    return EmpiricalMeasure(*np.transpose(atoms), total_mass_raw=1.0)
+
+
+def _weights(emp):
+    """A measure's weights keyed by position."""
+    return dict(zip(emp.positions.tolist(), emp.weights.tolist()))
+
+
 def _staircase(atoms):
     def cdf(c):
         return float(sum(w for pos, w in atoms if pos <= c))
@@ -51,8 +60,8 @@ def _staircase(atoms):
 def test_mu_three_atoms(sphere, sphere_ev):
     mu = empirical_mu(joint_slice(sphere, 1, 2000))
     assert mu.total_mass_raw == pytest.approx(1.5, abs=1e-6)
-    assert [c for c, _ in mu.atoms] == [-1.0, 0.0, 1.0]
-    weights = dict(mu.atoms)
+    assert mu.positions.tolist() == [-1.0, 0.0, 1.0]
+    weights = _weights(mu)
     assert weights[-1.0] == pytest.approx(0.5, abs=1e-6)
     assert weights[0.0] <= 1e-10
     assert weights[1.0] == pytest.approx(0.5, abs=1e-6)
@@ -60,7 +69,7 @@ def test_mu_three_atoms(sphere, sphere_ev):
 
 def test_mu_central_weight_ell2(sphere, sphere_ev):
     mu = empirical_mu(joint_slice(sphere, 2, 2000))
-    weights = dict(mu.atoms)
+    weights = _weights(mu)
     assert weights[0.0] == pytest.approx(
         oracles.EXACT_EQUATOR_NORMS[(2, 0)] / mu.total_mass_raw, abs=1e-6)
 
@@ -68,8 +77,8 @@ def test_mu_central_weight_ell2(sphere, sphere_ev):
 def test_mu_symmetric_and_normalized(sphere, sphere_ev, ell13_slices):
     for mu in (empirical_mu(joint_slice(sphere, 5, 1000)),
                empirical_mu(ell13_slices[25])):
-        weights = dict(mu.atoms)
-        for c, w in mu.atoms:
+        weights = _weights(mu)
+        for c, w in weights.items():
             assert weights[-c] == w
         assert float(np.sum(mu.weights)) == pytest.approx(1.0, abs=1e-12)
 
@@ -90,7 +99,7 @@ def test_nu_uniform_for_unit_symbol(sphere, sphere_ev):
 
 def test_nu_angular_squared_ell1(sphere, sphere_ev):
     nu = empirical_nu(joint_slice(sphere, 1, 2000), SQUARED)
-    weights = dict(nu.atoms)
+    weights = _weights(nu)
     assert weights[-1.0] == pytest.approx(0.5, abs=1e-6)
     assert weights[0.0] == 0.0
     assert weights[1.0] == pytest.approx(0.5, abs=1e-6)
@@ -192,7 +201,7 @@ def test_limit_nu_zero_mass_raises(sphere_ev):
 # --- distances -------------------------------------------------------------
 
 def test_ks_single_atom_vs_arcsine(sphere_ev):
-    emp = EmpiricalMeasure(atoms=[(0.0, 1.0)], total_mass_raw=1.0)
+    emp = _measure([(0.0, 1.0)])
     assert ks_distance(emp, limit_measure_mu(sphere_ev)) == pytest.approx(0.5, abs=1e-9)
 
 
@@ -200,19 +209,18 @@ def test_ks_quantile_atoms(sphere_ev):
     k = 10
     atoms = [(float(np.sin(np.pi * ((j - 0.5) / k - 0.5))), 1.0 / k)
              for j in range(1, k + 1)]
-    assert ks_distance(EmpiricalMeasure(atoms=atoms, total_mass_raw=1.0),
-                       limit_measure_mu(sphere_ev)) <= 1.0 / k
+    assert ks_distance(_measure(atoms), limit_measure_mu(sphere_ev)) <= 1.0 / k
 
 
 def test_w1_identical_staircase_is_zero(sphere, sphere_ev):
     mu = empirical_mu(joint_slice(sphere, 3, 1000))
-    lim = LimitMeasure(density=lambda c: 0.0, cdf=np.vectorize(_staircase(mu.atoms)),
+    lim = LimitMeasure(density=lambda c: 0.0, cdf=np.vectorize(_staircase(_weights(mu).items())),
                        mass_constant=1.0)
     assert wasserstein1(mu, lim) == 0.0
 
 
 def test_w1_separated_atoms(sphere_ev):
-    emp = EmpiricalMeasure(atoms=[(0.0, 1.0)], total_mass_raw=1.0)
+    emp = _measure([(0.0, 1.0)])
     step = LimitMeasure(density=lambda c: 0.0,
                         cdf=np.vectorize(lambda c: 1.0 if c >= 1.0 else 0.0),
                         mass_constant=1.0)
@@ -227,7 +235,7 @@ def test_w1_three_atom_anchor(sphere, sphere_ev):
 
 def test_w1_reflection_invariance(sphere, sphere_ev):
     mu = empirical_mu(joint_slice(sphere, 6, 1000))
-    reflected = sorted((-c, w) for c, w in mu.atoms)
+    reflected = sorted((-c, w) for c, w in _weights(mu).items())
     lim = LimitMeasure(density=lambda c: 0.0, cdf=np.vectorize(_staircase(reflected)),
                        mass_constant=1.0)
     assert wasserstein1(mu, lim) == 0.0
@@ -319,7 +327,7 @@ _POSITIONS = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
 def test_distances_vs_exact_arcsine(raw):
     total = sum(w for _, w in raw)
     atoms = sorted((c, w / total) for c, w in raw)
-    emp = EmpiricalMeasure(atoms=atoms, total_mass_raw=1.0)
+    emp = _measure(atoms)
     assert abs(wasserstein1(emp, ARCSINE) - oracles.arcsine_w1(atoms)) <= 1e-5
     assert abs(ks_distance(emp, ARCSINE) - _ks_vs_arcsine(atoms)) <= 1e-14
 
@@ -338,9 +346,8 @@ def test_trace_identity_two_routes(sphere, sphere_ev):
     def f(c):
         return c ** 4 - 0.3 * c + 0.2
 
-    via_atoms = float(sum(w * f(c) for c, w in nu.atoms))
-    raw = [(mode.m, matrix_element_angular(mode, SQUARED.fn))
-           for mode in sl.modes]
+    via_atoms = float(sum(w * f(c) for c, w in zip(nu.positions, nu.weights)))
+    raw = [(mode.m, float(SQUARED.fn(mode.m / mode.lam))) for mode in sl.modes]
     total = sum(v for _, v in raw)
     via_trace = float(sum(v * f(m / sl.ell) for m, v in raw) / total)
     assert abs(via_atoms - via_trace) <= 1e-12

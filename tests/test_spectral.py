@@ -15,11 +15,11 @@ from revtone import (
     InvalidParameterError,
     LabelingError,
     ResolutionError,
+    angular_matrix_elements,
     ebk_residual,
     joint_slice,
     make_custom,
     make_ellipsoid,
-    matrix_element_angular,
     radial_modes,
     restricted_norm,
 )
@@ -466,25 +466,73 @@ def test_radial_matrix_elements_match_per_mode(ell13, ell13_slices):
         assert abs(value - ref) <= 1e-14 * abs(ref)
 
 
-def test_matrix_element_angular_values(sphere, sphere_ev):
+def test_angular_matrix_elements_values(sphere):
     sl = joint_slice(sphere, 10, 4000)
-    beam = next(mode for mode in sl.modes if mode.m == 10)
-    zonal = next(mode for mode in sl.modes if mode.m == 0)
-    assert matrix_element_angular(beam, lambda s: s) \
+    beam, zonal = sl.ell + 10, sl.ell
+    assert angular_matrix_elements(sl, lambda s: s)[beam] \
         == pytest.approx(10 / np.sqrt(110), abs=1e-5)
-    assert matrix_element_angular(beam, lambda s: np.ones_like(np.asarray(s))) \
-        == pytest.approx(1.0)
-    assert matrix_element_angular(zonal, lambda s: s * s) == 0.0
+    assert np.all(angular_matrix_elements(sl, lambda s: 1.0) == 1.0)
+    assert angular_matrix_elements(sl, lambda s: s * s)[zonal] == 0.0
+    # in the slice's order, each the ratio of its own mode
+    ratios = angular_matrix_elements(sl, lambda s: s)
+    assert np.array_equal(ratios, [mode.m / mode.lam for mode in sl.modes])
+
+
+# --- the Rayleigh-Ritz oracle on ellipsoids --------------------------------
+
+@pytest.mark.parametrize("ell", [5, 25, 100])
+def test_ritz_oracle_sphere_identity(ell):
+    for m in (0, 1, ell // 2, ell):
+        lam2, norm = oracles.ritz_modes(1.0, m, ell - m)
+        assert lam2 == pytest.approx(ell * (ell + 1.0), rel=1e-12)
+        assert norm == pytest.approx(oracles.equator_norm(ell, m), abs=1e-12)
+
+
+@pytest.mark.parametrize("aspect", [0.5, 1.3, 5.0])
+def test_ritz_oracle_converges(aspect):
+    # what the oracle accepts at ell = 100 (n + 160, or n + 240 at aspect 5) agrees with
+    # the largest basis it allows, n + 400
+    for m in (0, 50, 100):
+        lam2, norm = oracles.ritz_modes(aspect, m, 100 - m)
+        ref_lam2, ref_norm = oracles._ritz(aspect, m, 100 - m, 500 - m)
+        assert abs(lam2 - ref_lam2) <= 1e-12 * ref_lam2 and abs(norm - ref_norm) <= 1e-11
+
+
+def test_ritz_oracle_raises_when_the_basis_does_not_settle(monkeypatch):
+    monkeypatch.setattr(oracles, "_ritz", lambda q, m, n, K: (float(K), 0.0))
+    with pytest.raises(ArithmeticError, match="at K = n \\+ 400"):
+        oracles.ritz_modes.__wrapped__(2.0, 0, 3)
+
+
+# max over every m of joint_slice's grid-4000 error against the oracle, doubled:
+# lambda^2 relative and restricted norm absolute
+_RITZ_BOUNDS = {
+    (0.5, 25): (3.2e-8, 4.2e-8), (0.5, 50): (1.1e-7, 8.0e-7), (0.5, 100): (2.8e-7, 1.3e-5),
+    (1.3, 25): (3.2e-8, 2.8e-8), (1.3, 50): (1.1e-7, 5.4e-7), (1.3, 100): (2.4e-7, 8.2e-6),
+    (5.0, 25): (3.2e-8, 1.3e-8), (5.0, 50): (1.1e-7, 2.8e-7), (5.0, 100): (3.4e-7, 5.0e-6),
+}
+
+
+@pytest.mark.parametrize("aspect", [0.5, 1.3, 5.0])
+def test_joint_slice_within_bounds_of_ritz_oracle(aspect, ell13, ell13_slices):
+    p = ell13 if aspect == 1.3 else make_ellipsoid(aspect)
+    for ell in (25, 50, 100):
+        sl = ell13_slices[ell] if aspect == 1.3 else joint_slice(p, ell, 4000)
+        bound_lam2, bound_norm = _RITZ_BOUNDS[aspect, ell]
+        for m in (k * ell // 10 for k in range(11)):
+            lam2, norm = oracles.ritz_modes(aspect, m, ell - m)
+            assert abs(sl.modes[ell + m].lam ** 2 / lam2 - 1.0) <= bound_lam2, (ell, m)
+            assert abs(sl.restricted_norms[m] - norm) <= bound_norm, (ell, m)
 
 
 # --- semiclassical residuals -----------------------------------------------
 
 def test_ebk_residual_sphere(sphere, sphere_ev):
     modes10 = radial_modes(sphere, 0, 10, 4000)
-    res10 = ebk_residual(modes10[10], sphere_ev)
+    res10 = ebk_residual(modes10[10:], sphere_ev)[0]
     assert res10 == pytest.approx(np.sqrt(110.0) - 10.5, abs=1e-5)
     modes100 = radial_modes(sphere, 0, 100, 4000)
-    res100 = ebk_residual(modes100[100], sphere_ev)
+    res100 = ebk_residual(modes100[100:], sphere_ev)[0]
     assert res100 == pytest.approx(np.sqrt(10100.0) - 100.5, abs=1e-4)
 
 
@@ -494,15 +542,15 @@ def test_ebk_residual_reads_k1_without_inversions(ell13_ev, ell13_slices, monkey
     energy = actions.energy_K
     monkeypatch.setattr(actions, "energy_K",
                         lambda ev, c, I2: calls.append(c) or energy(ev, c, I2))
-    residuals = [ebk_residual(mode, ell13_ev) for mode in ell13_slices[25].modes]
-    assert calls == [] and max(map(abs, residuals)) <= 0.05
+    residuals = ebk_residual(ell13_slices[25].modes, ell13_ev)
+    assert calls == [] and np.max(np.abs(residuals)) <= 0.05
 
 
 def test_ebk_residual_shrinks_on_ellipsoid(ell13, ell13_ev):
     res = {}
     for ell in (10, 20, 40):
         mode = radial_modes(ell13, 0, ell, 4000)[ell]
-        res[ell] = abs(ebk_residual(mode, ell13_ev))
+        res[ell] = abs(ebk_residual([mode], ell13_ev)[0])
     assert res[40] <= 0.05
     assert res[40] < res[20] < res[10]
 

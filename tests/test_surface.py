@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -311,6 +313,27 @@ def test_profile_table_rejects_malformed_row(tmp_path):
     path.write_text("0.0 0.0\n0.5\n1.0 0.0\n")
     with pytest.raises(ConfigError):
         load_profile_table(str(path))
+
+
+@pytest.mark.parametrize("row", ["nan 0.8", "1 inf", "0.7 -inf"])
+def test_profile_table_rejects_non_finite_row(tmp_path, row):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"0.0 0.0\n0.5 0.4\n{row}\n2.0 0.4\n")
+    with pytest.raises(ConfigError, match="row 3"):
+        surface.read_table(str(path), "profile table", 4)
+
+
+def test_chebyshev_fit_rejects_non_finite_sample():
+    with pytest.raises(ConvergenceError, match="non-finite sample"):
+        surface._ChebFit(lambda js: np.where(js == 64, np.inf, 1.0), (1.0, 1.0), 1e-10)
+
+
+def test_zero_series_is_a_one_term_plateau():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert surface._chop(np.zeros(17), 1e-10) == (1, True)
+        fit = surface._ChebFit(lambda js: np.zeros(len(js)), (0.0, 0.0), 1e-10)
+    assert fit.converged and fit.degree == 0 and fit.tail == 0.0
 
 
 @settings(max_examples=8)
