@@ -6,9 +6,10 @@ and --command override file values.  Exit codes: 0 success, 1
 verification failure, 2 configuration error, 3 numerical failure or any
 other unexpected error.
 
-All writes go through a temp-file-and-rename so partial outputs never
-land under their final names, and all floats are emitted via repr so
-identical configs reproduce artifacts byte for byte.
+All writes go through one temp-file-and-rename, which also creates the
+output directory, so partial outputs never land under their final names;
+all floats are emitted via repr so identical configs reproduce artifacts
+byte for byte.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from . import config as _config
 from . import measures as _measures
 from . import spectral as _spectral
 from .errors import ConfigError, ExprError, RejectedProfileError, RevtoneError
-from .surface import load_profile_table, make_round_sphere, validate_profile
+from .surface import CheckResult, ValidationReport, make_round_sphere, validate_profile
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -47,6 +48,7 @@ def _fmt(value) -> str:
 
 
 def _atomic_write(path: str, text: str):
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -68,37 +70,37 @@ def _strip_nan(obj):
     return obj
 
 
-def _write_json(path: str, obj):
-    _atomic_write(path, json.dumps(_strip_nan(obj), indent=2, sort_keys=True) + "\n")
+def _write_json(out_dir: str, name: str, obj):
+    _atomic_write(os.path.join(out_dir, name),
+                  json.dumps(_strip_nan(obj), indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: str, header: list, rows: list):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _write_csv(out_dir: str, name: str, header: list, rows: list):
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    _atomic_write(os.path.join(out_dir, name), "\n".join(lines) + "\n")
+
+
+def _write_errors(out_dir: str, failures: dict) -> int:
+    """errors.json of the ells that failed, and the exit code of a partial failure."""
+    _write_json(out_dir, "errors.json", failures)
+    return EXIT_NUMERICAL
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_validate(cfg: _config.RunConfig) -> int:
-    out = os.path.join(cfg.out_dir, "validation.json")
     try:
-        if cfg.profile.kind == "custom_table":
-            profile = load_profile_table(cfg.profile.table_path, check=False)
-        else:
-            profile = _profile(cfg, "validate")
+        report = validate_profile(_profile(cfg, "validate"))
     except RejectedProfileError as exc:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        _write_json(out, {"profile": cfg.profile.kind, "passed": False, "error": str(exc)})
-        print(f"validate: FAIL ({exc})")
-        return EXIT_VERIFY_FAILED
-    report = validate_profile(profile)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_json(out, report.as_dict())
-    status = "PASS" if report.passed else "FAIL"
-    print(f"validate {profile.name}: {status}")
+        if exc.report is None:
+            _write_json(cfg.out_dir, "validation.json",
+                        {"profile": cfg.profile.kind, "passed": False, "error": str(exc)})
+            print(f"validate: FAIL ({exc})")
+            return EXIT_VERIFY_FAILED
+        report = exc.report
+    _write_json(cfg.out_dir, "validation.json", report.as_dict())
+    print(f"validate {report.profile_name}: {'PASS' if report.passed else 'FAIL'}")
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
@@ -125,9 +127,7 @@ def cmd_density(cfg: _config.RunConfig) -> int:
     cs = np.array([-1.0 + 2.0 * k / n for k in range(1, n)])
     unnorm = _actions.limit_density_unnorm(ev, cs)
     rows = [(c, f, f / mass, cdf) for c, f, cdf in zip(cs, unnorm, lim.cdf(cs))]
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_csv(os.path.join(cfg.out_dir, "density.csv"),
-               ["c", "density_unnorm", "density_norm", "cdf"], rows)
+    _write_csv(cfg.out_dir, "density.csv", ["c", "density_unnorm", "density_norm", "cdf"], rows)
     print(f"density: {len(rows)} rows for {profile.name}, mass constant {mass!r}")
     return EXIT_OK
 
@@ -138,23 +138,19 @@ def cmd_spectrum(cfg: _config.RunConfig) -> int:
     profile = _profile(cfg, "spectrum")
     ev = _config.build_evaluator(cfg, profile)
     _warn_without_plateau("spectrum", "energy K1", _actions.k1_series(ev))
-    os.makedirs(cfg.out_dir, exist_ok=True)
     failures = {}
     for ell in cfg.ells:
         try:
             slice_ = _spectral.joint_slice(profile, ell, cfg.spectral.grid_size)
             rows = [(mode.ell, mode.m, mode.n, mode.lam, slice_.restricted_norms[mode.m], res)
                     for mode, res in zip(slice_.modes, _spectral.ebk_residual(slice_.modes, ev))]
-            _write_csv(os.path.join(cfg.out_dir, f"slice_{ell}.csv"),
+            _write_csv(cfg.out_dir, f"slice_{ell}.csv",
                        ["ell", "m", "n", "lambda", "restricted_norm", "ebk_residual"], rows)
             print(f"spectrum: wrote slice_{ell}.csv ({len(rows)} modes)")
         except RevtoneError as exc:
             failures[str(ell)] = f"{type(exc).__name__}: {exc}"
             print(f"spectrum: ell = {ell} failed: {exc}", file=sys.stderr)
-    if failures:
-        _write_json(os.path.join(cfg.out_dir, "errors.json"), failures)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return _write_errors(cfg.out_dir, failures) if failures else EXIT_OK
 
 
 def cmd_converge(cfg: _config.RunConfig) -> int:
@@ -169,16 +165,14 @@ def cmd_converge(cfg: _config.RunConfig) -> int:
     _warn_without_plateau("converge", "density", _actions.mu_series(ev))
     if sym is not None:
         _warn_without_plateau("converge", "nu", _actions.nu_series(ev, sym))
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_json(os.path.join(cfg.out_dir, "converge.json"), report.as_dict())
+    _write_json(cfg.out_dir, "converge.json", report.as_dict())
     cols = ["ell", "M_ell", "M_ell_over_ell", "ks_mu", "w1_mu", "ks_nu", "w1_nu"]
     rows = [tuple(row.get(c) for c in cols) for row in report.rows]
-    _write_csv(os.path.join(cfg.out_dir, "converge.csv"), cols, rows)
+    _write_csv(cfg.out_dir, "converge.csv", cols, rows)
     failures = {str(r["ell"]): r["error"] for r in report.rows if "error" in r}
     if failures:
-        _write_json(os.path.join(cfg.out_dir, "errors.json"), failures)
         print(f"converge: {len(failures)} of {len(report.rows)} ells failed", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _write_errors(cfg.out_dir, failures)
     print(f"converge: {len(report.rows)} ells, W1 fit exponent "
           f"{report.fit['w1_exponent']:.3f}")
     return EXIT_OK
@@ -253,26 +247,20 @@ def _sphere_checks(cfg: _config.RunConfig):
 
 
 def cmd_verify_sphere(cfg: _config.RunConfig) -> int:
-    results = []
+    checks = []
     for name, fn in _sphere_checks(cfg):
         try:
             residual, tolerance, detail = fn()
-            passed = residual <= tolerance
-            entry = {"name": name, "passed": passed, "residual": residual,
-                     "tolerance": tolerance, "detail": detail}
+            check = CheckResult(name, residual <= tolerance, residual, detail, tolerance)
         except RevtoneError as exc:
-            entry = {"name": name, "passed": False, "residual": None, "tolerance": None,
-                     "detail": f"{type(exc).__name__}: {exc}"}
-        results.append(entry)
-        status = "PASS" if entry["passed"] else "FAIL"
-        res = "" if entry["residual"] is None else f" (residual {entry['residual']:.3e})"
-        print(f"verify-sphere {entry['name']}: {status}{res}")
-    all_passed = all(e["passed"] for e in results)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_json(os.path.join(cfg.out_dir, "verify.json"),
-                {"profile": "round_sphere", "grid_size": cfg.spectral.grid_size,
-                 "passed": all_passed, "checks": results})
-    return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
+            check = CheckResult(name, False, None, f"{type(exc).__name__}: {exc}")
+        checks.append(check)
+        res = "" if check.residual is None else f" (residual {check.residual:.3e})"
+        print(f"verify-sphere {name}: {'PASS' if check.passed else 'FAIL'}{res}")
+    report = ValidationReport("round_sphere", tuple(checks))
+    _write_json(cfg.out_dir, "verify.json",
+                {**report.as_dict(), "grid_size": cfg.spectral.grid_size})
+    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
 # ---------------------------------------------------------------------------

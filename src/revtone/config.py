@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from . import actions as _actions
 from . import expr as _expr
+from . import spectral as _spectral
 from .errors import ConfigError
 from .surface import load_profile_table, make_ellipsoid, make_round_sphere, read_table
 
@@ -89,7 +90,7 @@ _KEYS = {
     "profile.kind": ("profile", "kind", _choice(PROFILE_KINDS)),
     "profile.aspect": ("profile", "aspect", _aspect),
     "profile.table_path": ("profile", "table_path", str),
-    "spectral.grid_size": ("spectral", "grid_size", _int_at_least(8)),
+    "spectral.grid_size": ("spectral", "grid_size", _int_at_least(_spectral.MIN_GRID)),
     "symbol.kind": ("symbol", "kind", _choice(_actions.SYMBOL_KINDS)),
     "symbol.expr": ("symbol", "expr", str),
     "symbol.table_path": ("symbol", "table_path", str),

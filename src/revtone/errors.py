@@ -13,8 +13,13 @@ class InvalidParameterError(RevtoneError, ValueError):
 class RejectedProfileError(RevtoneError):
     """A candidate meridian profile violated a structural invariant.
 
-    The message names the first invariant that failed.
+    The message names the first invariant that failed; `report` is the whole
+    ValidationReport, or None when r0 could not be located.
     """
+
+    def __init__(self, message: str, report=None):
+        self.report = report
+        super().__init__(message)
 
 
 class DegenerateTorusError(RevtoneError):

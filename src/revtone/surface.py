@@ -11,7 +11,7 @@ cache that does not change them, like the ellipsoid's last t(r), is fine).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,8 +46,9 @@ class SurfaceProfile:
 class CheckResult:
     name: str
     passed: bool
-    residual: float
+    residual: float | None  # None if the check raised
     detail: str = ""
+    tolerance: float | None = None  # None if the check has no scalar bound
 
 
 @dataclass(frozen=True)
@@ -59,21 +60,9 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def first_failure(self) -> CheckResult | None:
-        for c in self.checks:
-            if not c.passed:
-                return c
-        return None
-
     def as_dict(self) -> dict:
-        return {
-            "profile": self.profile_name,
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "residual": c.residual, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
+        return {"profile": self.profile_name, "passed": self.passed,
+                "checks": [asdict(c) for c in self.checks]}
 
 
 def find_root(fdf, lo, hi, x=None):
@@ -156,11 +145,11 @@ def validate_profile(p: SurfaceProfile) -> ValidationReport:
 
     res = max(abs(float(p.a(0.0))), abs(float(p.a(L))))
     checks.append(CheckResult("endpoint_zero", res <= zero_tol, res,
-                              f"|a| at poles vs tolerance {zero_tol:.3e}"))
+                              f"|a| at poles vs tolerance {zero_tol:.3e}", zero_tol))
 
     res = max(abs(float(p.a1(0.0)) - 1.0), abs(float(p.a1(L)) + 1.0))
     checks.append(CheckResult("pole_slope", res <= SLOPE_TOL, res,
-                              "a'(0) = +1 and a'(L) = -1"))
+                              "a'(0) = +1 and a'(L) = -1", SLOPE_TOL))
 
     amin = float(np.min(a_int))
     checks.append(CheckResult("interior_positive", amin > 0.0, amin,
@@ -175,22 +164,22 @@ def validate_profile(p: SurfaceProfile) -> ValidationReport:
     curv = float(p.a2(p.r0))
     ok = slope_res <= SLOPE_TOL and curv < 0.0
     checks.append(CheckResult("critical_point", ok, slope_res,
-                              f"a'(r0) = 0 and a''(r0) = {curv:.6g} < 0"))
+                              f"a'(r0) = 0 and a''(r0) = {curv:.6g} < 0", SLOPE_TOL))
 
-    gap = float(np.max(a_int)) - p.a_r0
-    checks.append(CheckResult("max_dominates", gap <= max(zero_tol, 1e-12 * p.a_r0), gap,
-                              "sampled a never exceeds a(r0)"))
+    gap, tol = float(np.max(a_int)) - p.a_r0, max(zero_tol, 1e-12 * p.a_r0)
+    checks.append(CheckResult("max_dominates", gap <= tol, gap,
+                              "sampled a never exceeds a(r0)", tol))
 
     return ValidationReport(p.name, tuple(checks))
 
 
 def make_custom(a, a1, a2, L: float, name: str = "custom",
-                r0: float | None = None, check: bool = True) -> SurfaceProfile:
+                r0: float | None = None) -> SurfaceProfile:
     """Build a profile from explicit callables for a, a', a''.
 
-    r0 is located as the root of a' unless supplied.  With check=True
-    (the default) the profile is validated and a RejectedProfileError
-    names the first violated invariant.
+    r0 is located as the root of a' unless supplied.  The profile is
+    validated: a RejectedProfileError names the first violated invariant
+    and carries the whole report, or no report if r0 cannot be located.
     """
     if not (np.isfinite(L) and L > 0.0):
         raise InvalidParameterError(f"profile length must be positive, got {L}")
@@ -205,11 +194,11 @@ def make_custom(a, a1, a2, L: float, name: str = "custom",
         r0 = find_root(lambda r, _: (a1(r), a2(r)), float(grid[i]), float(grid[i + 1]))
     p = SurfaceProfile(a=a, a1=a1, a2=a2, L=float(L), r0=float(r0),
                        a_r0=float(a(r0)), name=name)
-    if check:
-        report = validate_profile(p)
-        bad = report.first_failure()
-        if bad is not None:
-            raise RejectedProfileError(f"{bad.name}: {bad.detail} (residual {bad.residual:.3e})")
+    report = validate_profile(p)
+    bad = next((c for c in report.checks if not c.passed), None)
+    if bad is not None:
+        raise RejectedProfileError(f"{bad.name}: {bad.detail} (residual {bad.residual:.3e})",
+                                   report)
     return p
 
 
@@ -270,7 +259,8 @@ class _ChebFit:
         for n in (16, 32, 64, 128, 256, 512):
             idx = np.arange(0, 513, 512 // n)
             new = idx[np.isnan(g[idx]) & ~(even & (idx > 256))]
-            g[new] = sample(new)
+            with np.errstate(all="ignore"):  # a non-finite sample raises below
+                g[new] = sample(new)
             bad = new[~np.isfinite(g[new])]
             if bad.size:
                 raise ConvergenceError(f"non-finite sample {g[bad[0]]} at node {bad[0]} of 512")
@@ -392,16 +382,16 @@ def read_table(path: str, what: str, min_rows: int):
     return CubicSpline([row[0] for row in rows], [row[1] for row in rows])
 
 
-def load_profile_table(path: str, check: bool = True) -> SurfaceProfile:
+def load_profile_table(path: str) -> SurfaceProfile:
     """Profile from a two-column text table of r and a(r).
 
     Rows must have strictly increasing r starting at 0; a cubic spline
     supplies the derivatives.  Structural problems raise ConfigError
-    naming the offending row.
+    naming the offending row; make_custom validates the profile.
     """
     spline = read_table(path, "profile table", 8)
     r = spline.x
     if abs(r[0]) > 1e-12 * max(r[-1], 1.0):
         raise ConfigError(f"profile table: first r must be 0, got {r[0]!r}")
     return make_custom(spline, spline.derivative(1), spline.derivative(2), float(r[-1]),
-                       name="custom_table", check=check)
+                       name="custom_table")

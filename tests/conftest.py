@@ -5,11 +5,16 @@ from __future__ import annotations
 
 import os
 
-import pytest
-from hypothesis import HealthCheck, settings
+# BLAS runs single-threaded, as in the benchmark: the suite's small dense solves are
+# slower under a thread pool on few cores.  Set before revtone imports numpy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-import revtone
-from revtone import ActionEvaluator, joint_slice, make_ellipsoid, make_round_sphere
+import pytest  # noqa: E402
+from hypothesis import HealthCheck, settings  # noqa: E402
+
+import revtone  # noqa: E402
+from revtone import ActionEvaluator, joint_slice, make_ellipsoid, make_round_sphere  # noqa: E402
 
 # `revtone` subprocesses import the package from the same src as the suite,
 # with or without PYTHONPATH set by the caller

@@ -96,6 +96,26 @@ def test_non_finite_table_row_is_config_error(tmp_path, capsys, table, row, comm
     assert f"{table} table row 3" in err and "Traceback" not in err
 
 
+def test_validate_failing_table_writes_every_check(tmp_path, capsys):
+    # a(L) = 1e-3: only endpoint_zero fails; the writer creates the missing --out directory
+    r = np.linspace(0.0, np.pi, 2001)
+    x = r / np.pi
+    table = tmp_path / "lifted.dat"
+    np.savetxt(table, np.column_stack([r, np.sin(r) + 1e-3 * x * x * (3.0 - 2.0 * x)]))
+    cfg = _write(tmp_path / "run.cfg", f"profile.kind = custom_table\n"
+                 f"profile.table_path = {table}\nrun.command = validate\n")
+    out = tmp_path / "new" / "dir"
+    assert main(["--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().out == "validate custom_table: FAIL\n"
+    report = json.load(open(out / "validation.json"))
+    assert report["profile"] == "custom_table" and report["passed"] is False
+    checks = {ch["name"]: ch for ch in report["checks"]}
+    assert len(checks) == 6
+    assert {name for name, ch in checks.items() if not ch["passed"]} == {"endpoint_zero"}
+    assert checks["endpoint_zero"]["residual"] > checks["endpoint_zero"]["tolerance"]
+    assert checks["interior_positive"]["tolerance"] is None
+
+
 # --- density ---------------------------------------------------------------
 
 def test_density_table_matches_closed_form(tmp_path):
@@ -311,16 +331,20 @@ def test_long_symbol_expression_is_config_error_in_a_fresh_process(tmp_path):
     assert not (tmp_path / "converge.json").exists()
 
 
-def test_non_finite_series_sample_is_numerical_failure(tmp_path, capsys):
-    # the torus averages of 1/(r - pi/2) are infinite; no nan may reach converge.csv
+def test_non_finite_series_sample_is_numerical_failure(tmp_path):
+    # the torus averages of 1/(r - pi/2) are infinite; no nan may reach converge.csv, and
+    # numpy's divide-by-zero warning from sampling the symbol must not reach stderr
     cfg = _write(tmp_path / "run.cfg",
                  "profile.kind = round_sphere\nspectral.grid_size = 500\n"
                  "run.command = converge\nrun.ells = 10, 20\n"
                  f"run.out_dir = {tmp_path}\n"
                  "symbol.kind = radial_mult\nsymbol.expr = 1/(r - pi/2)\n")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        assert main(["--config", cfg]) == 3
-    assert "ConvergenceError: non-finite sample" in capsys.readouterr().err
+    done = subprocess.run([sys.executable, "-m", "revtone", "--config", cfg],
+                          capture_output=True, text=True)
+    assert done.returncode == 3
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("numerical failure: ConvergenceError: non-finite sample")
     assert not (tmp_path / "converge.csv").exists()
 
 
@@ -355,7 +379,7 @@ def test_verify_sphere_passes(tmp_path):
 
 def test_verify_sphere_coarse_grid_fails(tmp_path):
     cfg = _write(tmp_path / "run.cfg",
-                 "profile.kind = round_sphere\nspectral.grid_size = 100\n"
+                 "profile.kind = round_sphere\nspectral.grid_size = 500\n"
                  "run.command = verify-sphere\n"
                  f"run.out_dir = {tmp_path}\n")
     assert subprocess.run(
@@ -363,7 +387,20 @@ def test_verify_sphere_coarse_grid_fails(tmp_path):
         capture_output=True, text=True).returncode == 1
     rep = json.load(open(tmp_path / "verify.json"))
     assert rep["passed"] is False
-    assert any(not ch["passed"] for ch in rep["checks"])
+    failed = [ch for ch in rep["checks"] if not ch["passed"]]
+    assert {ch["name"] for ch in failed} == {"eigenvalue_ladder", "legendre_restricted_norms"}
+    assert all(ch["residual"] > ch["tolerance"] for ch in failed)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "converge", "verify-sphere"])
+def test_grid_below_solver_minimum_is_config_error(tmp_path, capsys, command):
+    cfg = _write(tmp_path / "run.cfg",
+                 "profile.kind = round_sphere\nspectral.grid_size = 499\n"
+                 f"run.command = {command}\nrun.ells = 10\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: line 2, col 22: spectral.grid_size: must be >= 500, got 499\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_legendre_norm_helper_matches_oracle():

@@ -81,6 +81,7 @@ def test_malformed_line_rejected():
 
 @pytest.mark.parametrize("line", [
     "spectral.grid_size = 4",
+    "spectral.grid_size = 499",
     "profile.aspect = -1",
     "profile.aspect = 0",
     "density.n = 4",

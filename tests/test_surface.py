@@ -33,7 +33,7 @@ def test_round_sphere_geometry(sphere):
 def test_round_sphere_validates(sphere):
     report = validate_profile(sphere)
     assert report.passed
-    assert report.first_failure() is None
+    assert all(c.passed for c in report.checks)
 
 
 def test_ellipsoid_unit_aspect_reduces_to_sphere(sphere):
@@ -250,8 +250,9 @@ def test_make_custom_rejects_two_maxima():
         h = 1e-6
         return (a1(r + h) - a1(r - h)) / (2 * h)
 
-    with pytest.raises(RejectedProfileError):
+    with pytest.raises(RejectedProfileError) as err:
         make_custom(a, a1, a2, np.pi)
+    assert err.value.report is None  # r0 cannot be located
 
 
 def test_make_custom_asymmetric_bump_accepted():
@@ -274,11 +275,12 @@ def test_make_custom_asymmetric_bump_accepted():
 def test_validation_report_flags_oscillating_profile():
     # sin(2r) on [0, pi]: closes at both ends but fails convexity;
     # r0 is pinned by hand because automatic location needs a unique max
-    report = validate_profile(
+    with pytest.raises(RejectedProfileError) as err:
         make_custom(lambda r: np.sin(2 * r), lambda r: 2 * np.cos(2 * r),
-                    lambda r: -4 * np.sin(2 * r), np.pi, r0=np.pi / 4,
-                    check=False))
+                    lambda r: -4 * np.sin(2 * r), np.pi, r0=np.pi / 4)
+    report = err.value.report
     assert not report.passed
+    assert str(err.value).startswith(next(c.name for c in report.checks if not c.passed))
     failed = {c.name for c in report.checks if not c.passed}
     assert "single_sign_change" in failed
 
