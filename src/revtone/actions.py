@@ -13,7 +13,8 @@ derivatives of K.  By homogeneity K(c, I2) = I2 K1(|c| / I2); each
 evaluator fits K1(s) = K(s, 1) on [0, 1] once, which frequencies, limit
 densities, torus averages and EBK residuals read in place of inversions
 (energy_K stays the oracle).  K1 and the limit series of the density and
-torus averages are surface._ChebFit fits, sampled a level at a time:
+torus averages are surface._ChebFit fits, sampled a level at a time and
+read through their `series`, a numpy Chebyshev, its deriv and its integ:
 passes, inversions and lookups are elementwise over arrays of c, a pass
 is an (n x 257) node array with one lockstep turning-point solve, and
 each row keeps the bits of a one-element pass.
@@ -33,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 from .errors import (
     DegenerateTorusError,
@@ -238,27 +238,21 @@ def energy_K(ev: ActionEvaluator, c, I2: float):
 # ---------------------------------------------------------------------------
 # the unit-torus energy K1
 
-class _EnergySeries(_ChebFit):
-    """K1(s) = energy_K(s, 1) in x = 2 s - 1, ends K1(0) = pi / L, K1(1) = 1 / a(r0)."""
-
-    def __init__(self, ev: ActionEvaluator):
-        p = ev.profile
-        super().__init__(lambda js: energy_K(ev, np.cos(np.pi * js / 1024) ** 2, 1.0),
-                         (1.0 / p.a_r0, np.pi / p.L), _K1_TOL)
-        self.slope = 2.0 * _cheb.chebder(self.coeffs)
-
-
-def k1_series(ev: ActionEvaluator) -> _EnergySeries:
-    """K1 cached in ev, with its degree, tail and convergence."""
-    return _cached(ev, "k1_series", lambda: _EnergySeries(ev))
+def k1_series(ev: ActionEvaluator) -> _ChebFit:
+    """K1(s) = energy_K(s, 1) on [0, 1], ends K1(0) = pi / L, K1(1) = 1 / a(r0), cached in
+    ev, with its degree, tail and convergence."""
+    p = ev.profile
+    return _cached(ev, "k1_series", lambda: _ChebFit(
+        lambda js: energy_K(ev, np.cos(np.pi * js / 1024) ** 2, 1.0),
+        (1.0 / p.a_r0, np.pi / p.L), _K1_TOL, domain=(0.0, 1.0)))
 
 
 def _unit_torus(ev: ActionEvaluator, s):
     """(K1, K1', omega2 = K1 - s K1') at s = |c| < 1, elementwise, from the K1 series;
     a fit that reached no plateau (none has, aspect 0.2 to 50) is used whole, and the
     CLI warns."""
-    series = k1_series(ev)
-    K, slope = (_cheb.chebval(2.0 * s - 1.0, cs) for cs in (series.coeffs, series.slope))
+    series = k1_series(ev).series
+    K, slope = series(s), series.deriv()(s)
     return K, slope, K - s * slope
 
 
@@ -359,9 +353,9 @@ class _SinSeries(_ChebFit):
             return f(c) * np.sqrt((1.0 - c) * (1.0 + c))
 
         super().__init__(sample, (end, end), _SERIES_TOL, even)
-        self._anti = _cheb.chebint(self.coeffs)
-        self._lo = float(_cheb.chebval(-1.0, self._anti))
-        self.total = (np.pi / 2.0) * (float(_cheb.chebval(1.0, self._anti)) - self._lo)
+        self._anti = self.series.integ()
+        self._lo = float(self._anti(-1.0))
+        self.total = (np.pi / 2.0) * (float(self._anti(1.0)) - self._lo)
 
     def cdf(self, c: float | np.ndarray) -> float | np.ndarray:
         """Integral of f from -1 to c over its total, elementwise over c in [-1, 1]."""
@@ -370,12 +364,12 @@ class _SinSeries(_ChebFit):
             raise OutsideOpenIntervalError(
                 f"cdf argument must lie in [-1, 1], got {np.asarray(c)[outside][0]}")
         u = np.arcsin(c) / (np.pi / 2.0)
-        return (np.pi / 2.0) * (_cheb.chebval(u, self._anti) - self._lo) / self.total
+        return (np.pi / 2.0) * (self._anti(u) - self._lo) / self.total
 
     def density(self, c: float | np.ndarray) -> float | np.ndarray:
         """f over its total, the derivative of cdf, elementwise over c in (-1, 1)."""
         u = np.arcsin(c) / (np.pi / 2.0)
-        return _cheb.chebval(u, self.coeffs) / np.sqrt((1.0 - c) * (1.0 + c)) / self.total
+        return self.series(u) / np.sqrt((1.0 - c) * (1.0 + c)) / self.total
 
 
 def _mu_end(p: SurfaceProfile) -> float:

@@ -91,7 +91,8 @@ def _write_errors(out_dir: str, failures: dict) -> int:
 
 def cmd_validate(cfg: _config.RunConfig) -> int:
     try:
-        report = validate_profile(_profile(cfg, "validate"))
+        profile = _profile(cfg, "validate")
+        report = profile.report or validate_profile(profile)
     except RejectedProfileError as exc:
         if exc.report is None:
             _write_json(cfg.out_dir, "validation.json",

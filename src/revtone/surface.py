@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
+from numpy.polynomial import Chebyshev
 
 from .errors import ConfigError, ConvergenceError, InvalidParameterError, RejectedProfileError
 from .quadrature import gauss_legendre_rule
@@ -38,6 +38,8 @@ class SurfaceProfile:
     name: str = "custom"
     # an ellipsoid's arclength fit, which a, a1, a2 read (its degree, tail, convergence)
     meridian: "_ChebFit | None" = field(default=None, repr=False, compare=False)
+    # make_custom's validation of the profile; None for the round sphere
+    report: "ValidationReport | None" = field(default=None, repr=False, compare=False)
     # a(L - r) = a(r) and r0 = L / 2, declared by the sphere and ellipsoid constructors only
     mirror: bool = False
 
@@ -199,7 +201,7 @@ def make_custom(a, a1, a2, L: float, name: str = "custom",
     if bad is not None:
         raise RejectedProfileError(f"{bad.name}: {bad.detail} (residual {bad.residual:.3e})",
                                    report)
-    return p
+    return replace(p, report=report)
 
 
 def make_round_sphere() -> SurfaceProfile:
@@ -249,11 +251,13 @@ class _ChebFit:
     """Chebyshev fit through sample(js), the values at x_j = cos(pi j / 512) for an array of
     j, on nested Lobatto points N = 16, 32, ..., 512 (all samples reused, a level's new ones
     in one call), up to the first N with a coefficient plateau at relative tol; x = 1 and -1
-    take `ends`, x < 0 is not sampled if even.  `tail` is the largest coefficient cut or, with
-    no plateau (`converged` False, the fit kept whole), the largest in its upper half.  A
-    non-finite sample raises ConvergenceError."""
+    take `ends`, x < 0 is not sampled if even.  `series` is the fit as a numpy Chebyshev on
+    `domain`, mapped onto x in [-1, 1], and `coeffs` its coefficients.  `tail` is the largest
+    coefficient cut or, with no plateau (`converged` False, the fit kept whole), the largest
+    in its upper half.  A non-finite sample raises ConvergenceError."""
 
-    def __init__(self, sample, ends: tuple, tol: float, even: bool = False):
+    def __init__(self, sample, ends: tuple, tol: float, even: bool = False,
+                 domain: tuple = (-1.0, 1.0)):
         g = np.full(513, np.nan)
         g[[0, 512]] = ends
         for n in (16, 32, 64, 128, 256, 512):
@@ -270,7 +274,8 @@ class _ChebFit:
             keep, self.converged = _chop(coeffs, tol)
             if self.converged:
                 break
-        self.coeffs, self.degree = coeffs[:keep], keep - 1
+        self.series, self.degree = Chebyshev(coeffs[:keep], domain), keep - 1
+        self.coeffs = self.series.coef
         self.tail = float(np.max(np.abs(coeffs[keep if self.converged else len(coeffs) // 2:])))
 
 
@@ -279,7 +284,7 @@ class _EllipsoidMeridian(_ChebFit):
 
     With the ellipse parameter t in [0, pi] the distance from the axis is
     sin t and the speed is s(t) = sqrt(cos^2 t + q^2 sin^2 t).  t(r), the
-    inverse of r(t) = integral of s, is a `_ChebFit` in x = 2 r / L - 1 with
+    inverse of r(t) = integral of s, is a `_ChebFit` on [0, L] with
     ends t(L) = pi, t(0) = 0, stopped at the plateau of rounding noise: at
     aspect 1.3 it takes 63 root solves (one lockstep call per level) and
     keeps 42 terms, at 0.5 and 5 255 solves and about 160 terms.  Outside
@@ -292,7 +297,7 @@ class _EllipsoidMeridian(_ChebFit):
         self._gl, self._last = gauss_legendre_rule(96), (None, None)
         self.L = float(self._arclength(np.pi))
         self.r_equator = float(self._arclength(np.pi / 2))
-        super().__init__(self._t_at_nodes, (np.pi, 0.0), np.finfo(float).eps)
+        super().__init__(self._t_at_nodes, (np.pi, 0.0), np.finfo(float).eps, domain=(0.0, self.L))
 
     def speed(self, t):
         ct, st = np.cos(t), np.sin(t)
@@ -313,13 +318,13 @@ class _EllipsoidMeridian(_ChebFit):
         return find_root(lambda s, i: (self._arclength(s) - r[i], self.speed(s)), lo, hi)
 
     def t_of_r(self, r):
-        x = (2.0 / self.L) * np.asarray(r, float) - 1.0
+        r = np.asarray(r, float)
         # root solves ask for a, then a', at the same points, so the last t is kept (read
-        # once); below 8 points a loop over floats is faster than chebval on an array
-        key, last = (np.shape(x), np.asarray(x).tobytes()), self._last
+        # once); below 8 points a loop over floats is faster than the series on an array
+        key, last = (r.shape, r.tobytes()), self._last
         if last[0] != key:
-            t = (_cheb.chebval(x, self.coeffs) if np.size(x) >= 8 else
-                 np.reshape([_cheb.chebval(v, self.coeffs) for v in np.ravel(x)], np.shape(x)))
+            t = (self.series(r) if r.size >= 8 else
+                 np.reshape([self.series(v) for v in r.ravel()], r.shape))
             last = self._last = key, np.asarray(np.clip(t, 0.0, np.pi))
             last[1].setflags(write=False)
         return last[1][()]

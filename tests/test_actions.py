@@ -488,8 +488,8 @@ def test_k1_without_plateau_reads_the_whole_fit(ell13, monkeypatch, tmp_path, ca
     chi = angular_symbol(lambda x: x)
     for c in (0.0, 0.3, -0.55, 0.97):
         s = abs(c)
-        K, slope = (np.polynomial.chebyshev.chebval(2.0 * s - 1.0, cs)
-                    for cs in (series.coeffs, series.slope))
+        K, slope = (np.polynomial.chebyshev.chebval(2.0 * s - 1.0, cs) for cs in
+                    (series.coeffs, 2.0 * np.polynomial.chebyshev.chebder(series.coeffs)))
         u = s / (K * ell13.a_r0)
         assert K == pytest.approx(energy_K(ev, s, 1.0), rel=1e-13, abs=0.0)
         assert frequencies(ev, c) == (np.sign(c) * slope, K - s * slope)
@@ -506,6 +506,32 @@ def test_k1_without_plateau_reads_the_whole_fit(ell13, monkeypatch, tmp_path, ca
     assert cli.main(["--config", str(cfg)]) == 0
     err = capsys.readouterr().err.splitlines()
     assert err == [f"density: warning: no plateau in the energy K1 series, tail {series.tail:.3e}"]
+
+
+def test_series_domain_maps_keep_the_bits_of_the_explicit_maps(ell13, ell13_ev):
+    # the meridian on [0, L] and the mu series on [-1, 1] evaluate through numpy's
+    # Chebyshev; its domain map (offset -1, scale 2 / L) rounds like (2 / L) r - 1
+    cheb = np.polynomial.chebyshev
+    m, L = ell13.meridian, ell13.L
+
+    def t_ref(r):
+        return np.clip(cheb.chebval((2.0 / L) * np.asarray(r, float) - 1.0, m.coeffs), 0.0, np.pi)
+
+    rng = np.random.default_rng(5)
+    for r in (0.0, L, 0.5 * L, *rng.uniform(0.0, L, 5)):
+        assert m.t_of_r(r).tobytes() == t_ref(r).tobytes()
+    for n in (*range(1, 8), 8, 9, 40):
+        r = rng.uniform(0.0, L, n)
+        assert m.t_of_r(r).tobytes() == t_ref(r).tobytes()
+    series = actions.mu_series(ell13_ev)
+    anti = cheb.chebint(series.coeffs)
+    lo = cheb.chebval(-1.0, anti)
+    total = (np.pi / 2.0) * (cheb.chebval(1.0, anti) - lo)
+    c = np.r_[-1.0, 0.0, 1.0, np.linspace(-1.0, 1.0, 41), rng.uniform(-1.0, 1.0, 50)]
+    u = np.arcsin(c) / (np.pi / 2.0)
+    assert series.total == total
+    cdf = (np.pi / 2.0) * (cheb.chebval(u, anti) - lo) / total
+    assert series.cdf(c).tobytes() == cdf.tobytes()
 
 
 # --- torus averages --------------------------------------------------------

@@ -116,6 +116,31 @@ def test_validate_failing_table_writes_every_check(tmp_path, capsys):
     assert checks["interior_positive"]["tolerance"] is None
 
 
+@pytest.mark.parametrize("kind", ["round_sphere", "ellipsoid", "custom_table"])
+def test_validate_checks_the_profile_once(tmp_path, monkeypatch, kind):
+    # make_custom's report is the one written; only the round sphere has none
+    calls = []
+    validate = surface.validate_profile
+
+    def counted(p):
+        calls.append(p.name)
+        return validate(p)
+
+    monkeypatch.setattr(surface, "validate_profile", counted)
+    monkeypatch.setattr(cli, "validate_profile", counted)
+    r = np.linspace(0.0, np.pi, 2001)
+    table = tmp_path / "sin.dat"
+    np.savetxt(table, np.column_stack([r, np.sin(r)]))
+    source = {"round_sphere": "", "ellipsoid": "profile.aspect = 1.3\n",
+              "custom_table": f"profile.table_path = {table}\n"}[kind]
+    cfg = _write(tmp_path / "run.cfg",
+                 f"profile.kind = {kind}\n{source}run.command = validate\n")
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    report = json.load(open(tmp_path / "validation.json"))
+    assert report["profile"] == calls[0] and report["passed"] is True
+
+
 # --- density ---------------------------------------------------------------
 
 def test_density_table_matches_closed_form(tmp_path):
