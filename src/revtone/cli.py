@@ -96,7 +96,7 @@ def cmd_validate(cfg: _config.RunConfig) -> int:
     except RejectedProfileError as exc:
         if exc.report is None:
             _write_json(cfg.out_dir, "validation.json",
-                        {"profile": cfg.profile.kind, "passed": False, "error": str(exc)})
+                        {"profile": cfg.profile_kind, "passed": False, "error": str(exc)})
             print(f"validate: FAIL ({exc})")
             return EXIT_VERIFY_FAILED
         report = exc.report
@@ -134,15 +134,13 @@ def cmd_density(cfg: _config.RunConfig) -> int:
 
 
 def cmd_spectrum(cfg: _config.RunConfig) -> int:
-    if not cfg.ells:
-        raise ConfigError("run.ells is required for the spectrum command")
     profile = _profile(cfg, "spectrum")
     ev = _config.build_evaluator(cfg, profile)
     _warn_without_plateau("spectrum", "energy K1", _actions.k1_series(ev))
     failures = {}
     for ell in cfg.ells:
         try:
-            slice_ = _spectral.joint_slice(profile, ell, cfg.spectral.grid_size)
+            slice_ = _spectral.joint_slice(profile, ell, cfg.grid_size)
             rows = [(mode.ell, mode.m, mode.n, mode.lam, slice_.restricted_norms[mode.m], res)
                     for mode, res in zip(slice_.modes, _spectral.ebk_residual(slice_.modes, ev))]
             _write_csv(cfg.out_dir, f"slice_{ell}.csv",
@@ -155,13 +153,11 @@ def cmd_spectrum(cfg: _config.RunConfig) -> int:
 
 
 def cmd_converge(cfg: _config.RunConfig) -> int:
-    if not cfg.ells:
-        raise ConfigError("run.ells is required for the converge command")
     profile = _profile(cfg, "converge")
     ev = _config.build_evaluator(cfg, profile)
     sym = _config.build_symbol(cfg)
     report = _measures.convergence_sweep(ev, list(cfg.ells), sym,
-                                         grid_size=cfg.spectral.grid_size)
+                                         grid_size=cfg.grid_size)
     _warn_without_plateau("converge", "energy K1", _actions.k1_series(ev))
     _warn_without_plateau("converge", "density", _actions.mu_series(ev))
     if sym is not None:
@@ -201,7 +197,7 @@ def legendre_equator_norm(ell: int, m: int) -> float:
 def _sphere_checks(cfg: _config.RunConfig):
     profile = make_round_sphere()
     ev = _config.build_evaluator(cfg, profile)
-    grid = cfg.spectral.grid_size
+    grid = cfg.grid_size
     slices = {}
 
     def get_slice(ell):
@@ -260,7 +256,7 @@ def cmd_verify_sphere(cfg: _config.RunConfig) -> int:
         print(f"verify-sphere {name}: {'PASS' if check.passed else 'FAIL'}{res}")
     report = ValidationReport("round_sphere", tuple(checks))
     _write_json(cfg.out_dir, "verify.json",
-                {**report.as_dict(), "grid_size": cfg.spectral.grid_size})
+                {**report.as_dict(), "grid_size": cfg.grid_size})
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
@@ -294,6 +290,8 @@ def main(argv=None) -> int:
             cfg = replace(cfg, command=args.command)
         if cfg.command is None:
             raise ConfigError("no command given (run.command or --command)")
+        if cfg.command in ("spectrum", "converge") and not cfg.ells:
+            raise ConfigError(f"run.ells is required for the {cfg.command} command")
         return _DISPATCH[cfg.command](cfg)
     except (ConfigError, ExprError, RejectedProfileError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ either loads completely or fails loudly before any computation starts.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import actions as _actions
 from . import expr as _expr
@@ -24,31 +24,17 @@ _LINE = re.compile(r"^\s*([A-Za-z_]+)\s*\.\s*([A-Za-z_]+)\s*=\s*(.*?)\s*$")
 
 
 @dataclass(frozen=True)
-class ProfileConfig:
-    kind: str = "round_sphere"
-    aspect: float = 1.0
-    table_path: str | None = None
-
-
-@dataclass(frozen=True)
-class SpectralConfig:
-    grid_size: int = 4000
-
-
-@dataclass(frozen=True)
-class SymbolConfig:
-    kind: str
-    expr: str | None = None
-    table_path: str | None = None
-
-
-@dataclass(frozen=True)
 class RunConfig:
-    profile: ProfileConfig = field(default_factory=ProfileConfig)
-    spectral: SpectralConfig = field(default_factory=SpectralConfig)
+    """Every settable value of a run, each named after its `section.key`."""
+    profile_kind: str = "round_sphere"
+    profile_aspect: float = 1.0
+    profile_table_path: str | None = None
+    grid_size: int = 4000
+    symbol_kind: str | None = None
+    symbol_expr: str | None = None
+    symbol_table_path: str | None = None
     command: str | None = None
     ells: tuple = ()
-    symbol: SymbolConfig | None = None
     out_dir: str = "out"
     density_n: int = 2000
 
@@ -84,27 +70,26 @@ def _ells(raw: str) -> tuple:
     return ells
 
 
-# `section.key` -> (block, field, value parser raising ValueError); the `run`
-# block holds the top-level RunConfig fields
+# `section.key` -> (RunConfig field, value parser raising ValueError)
 _KEYS = {
-    "profile.kind": ("profile", "kind", _choice(PROFILE_KINDS)),
-    "profile.aspect": ("profile", "aspect", _aspect),
-    "profile.table_path": ("profile", "table_path", str),
-    "spectral.grid_size": ("spectral", "grid_size", _int_at_least(_spectral.MIN_GRID)),
-    "symbol.kind": ("symbol", "kind", _choice(_actions.SYMBOL_KINDS)),
-    "symbol.expr": ("symbol", "expr", str),
-    "symbol.table_path": ("symbol", "table_path", str),
-    "run.command": ("run", "command", _choice(COMMANDS)),
-    "run.ells": ("run", "ells", _ells),
-    "run.out_dir": ("run", "out_dir", str),
-    "density.n": ("run", "density_n", _int_at_least(8)),
+    "profile.kind": ("profile_kind", _choice(PROFILE_KINDS)),
+    "profile.aspect": ("profile_aspect", _aspect),
+    "profile.table_path": ("profile_table_path", str),
+    "spectral.grid_size": ("grid_size", _int_at_least(_spectral.MIN_GRID)),
+    "symbol.kind": ("symbol_kind", _choice(_actions.SYMBOL_KINDS)),
+    "symbol.expr": ("symbol_expr", str),
+    "symbol.table_path": ("symbol_table_path", str),
+    "run.command": ("command", _choice(COMMANDS)),
+    "run.ells": ("ells", _ells),
+    "run.out_dir": ("out_dir", str),
+    "density.n": ("density_n", _int_at_least(8)),
 }
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse config text into a RunConfig, rejecting anything unknown."""
     # keys absent from the text keep the dataclass defaults
-    blocks = {"profile": {}, "spectral": {}, "symbol": {}, "run": {}}
+    values = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         stripped = rawline.split("#", 1)[0]
         if not stripped.strip():
@@ -116,25 +101,24 @@ def parse_config(text: str) -> RunConfig:
         full, raw = f"{m.group(1)}.{m.group(2)}", m.group(3)
         if full not in _KEYS:
             raise ConfigError(f"unknown key {full!r}", line=lineno, col=m.start(1) + 1)
-        block, name, parse = _KEYS[full]
-        if name in blocks[block]:
+        name, parse = _KEYS[full]
+        if name in values:
             raise ConfigError(f"{full} given twice", line=lineno, col=m.start(1) + 1)
         try:
-            blocks[block][name] = parse(raw)
+            values[name] = parse(raw)
         except ValueError as exc:
             raise ConfigError(f"{full}: {exc}", line=lineno,
                               col=(m.start(3) + 1) if raw else m.end(0) + 1) from None
 
-    profile, symbol = blocks["profile"], blocks["symbol"]
-    if profile.get("kind") == "custom_table" and not profile.get("table_path"):
+    cfg = RunConfig(**values)
+    if cfg.profile_kind == "custom_table" and not cfg.profile_table_path:
         raise ConfigError("profile.kind = custom_table needs profile.table_path")
-    if symbol and "kind" not in symbol:
+    # an empty `symbol.expr =` is still a symbol key, so presence is `is not None`
+    if cfg.symbol_kind is None and (cfg.symbol_expr, cfg.symbol_table_path) != (None, None):
         raise ConfigError("symbol block needs symbol.kind")
-    if symbol and bool(symbol.get("expr")) == bool(symbol.get("table_path")):
+    if cfg.symbol_kind is not None and bool(cfg.symbol_expr) == bool(cfg.symbol_table_path):
         raise ConfigError("symbol needs exactly one of symbol.expr or symbol.table_path")
-    return RunConfig(profile=ProfileConfig(**profile),
-                     spectral=SpectralConfig(**blocks["spectral"]),
-                     symbol=SymbolConfig(**symbol) if symbol else None, **blocks["run"])
+    return cfg
 
 
 def load_config(path: str) -> RunConfig:
@@ -147,12 +131,11 @@ def load_config(path: str) -> RunConfig:
 
 
 def build_profile(cfg: RunConfig):
-    p = cfg.profile
-    if p.kind == "round_sphere":
+    if cfg.profile_kind == "round_sphere":
         return make_round_sphere()
-    if p.kind == "ellipsoid":
-        return make_ellipsoid(p.aspect)
-    return load_profile_table(p.table_path)
+    if cfg.profile_kind == "ellipsoid":
+        return make_ellipsoid(cfg.profile_aspect)
+    return load_profile_table(cfg.profile_table_path)
 
 
 def build_evaluator(cfg: RunConfig, profile) -> _actions.ActionEvaluator:
@@ -160,14 +143,11 @@ def build_evaluator(cfg: RunConfig, profile) -> _actions.ActionEvaluator:
 
 
 def build_symbol(cfg: RunConfig) -> _actions.SymbolFn | None:
-    if cfg.symbol is None:
+    if cfg.symbol_kind is None:
         return None
-    sc = cfg.symbol
-    var = "r" if sc.kind == "radial_mult" else "s"
-    if sc.expr is not None:
-        fn = _expr.parse_expr(sc.expr, var)
-        name = sc.expr
+    var = "r" if cfg.symbol_kind == "radial_mult" else "s"
+    if cfg.symbol_expr is not None:
+        fn, name = _expr.parse_expr(cfg.symbol_expr, var), cfg.symbol_expr
     else:
-        fn = read_table(sc.table_path, "symbol table", 4)
-        name = sc.table_path
-    return _actions.SymbolFn(sc.kind, fn, name)
+        fn, name = read_table(cfg.symbol_table_path, "symbol table", 4), cfg.symbol_table_path
+    return _actions.SymbolFn(cfg.symbol_kind, fn, name)

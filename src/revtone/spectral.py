@@ -33,6 +33,7 @@ import random
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import machinery, util
 
 import numpy as np
@@ -242,13 +243,19 @@ def _extrapolated(values: list) -> float:
     return sum(c * v for c, v in zip(((), (1.0,), (-1.0, 2.0), (1.0, -3.0, 3.0))[len(s)], s))
 
 
+@lru_cache(maxsize=8)
+def _gauss_start(size: int) -> np.ndarray:
+    """size Gaussian draws of random.Random(0), drawn once per size; callers only read it."""
+    rng = random.Random(0)
+    return np.array([rng.gauss(0.0, 1.0) for _ in range(size)])
+
+
 def _assemble(fine_grid: _Grid, coarse_grid: _Grid, jobs: list) -> list:
     """Richardson-extrapolated modes for jobs (m, n, coarse pair or None), in order.  A missing
     coarse pair is solved from Gaussian draws of random.Random(0) at the coarse lambda^2 of the
     jobs before, extrapolated (quadratically, for prolate profiles); a fine one from the coarse
     u at the coarse lambda^2 plus the extrapolated fine - coarse offset (O(h^2) bias)."""
-    rng = random.Random(0)
-    start = np.array([rng.gauss(0.0, 1.0) for _ in range(coarse_grid.sets[1].sq.size)])
+    start = _gauss_start(coarse_grid.sets[1].sq.size)
     coarse_l2, bias, out = [], [], []
     for m, n, pair in jobs:
         coarse_set, fine_set = coarse_grid.sets[m != 0], fine_grid.sets[m != 0]

@@ -93,6 +93,13 @@ def test_turning_point_cache_frees_profile_with_evaluator():
     assert ref() is None
 
 
+@pytest.mark.parametrize("fn", [turning_points, action_I2])
+@pytest.mark.parametrize("E", [0.0, -1.0, np.nan, np.inf, [1.0, -np.inf]])
+def test_non_positive_or_non_finite_energy_rejected(sphere_ev, fn, E):
+    with pytest.raises(InvalidParameterError, match="energy must be positive"):
+        fn(sphere_ev, 0.5, E)
+
+
 def test_turning_points_degenerate_at_threshold(sphere_ev):
     with pytest.raises(DegenerateTorusError):
         turning_points(sphere_ev, 1.0, 1.0)
@@ -258,6 +265,12 @@ def test_energy_homogeneity(ell13_ev):
     base = energy_K(ell13_ev, 0.4, 1.0)
     for t in (0.5, 2.0, 10.0):
         assert energy_K(ell13_ev, 0.4 * t, t) == pytest.approx(t * base, abs=1e-9 * t)
+
+
+@pytest.mark.parametrize("I2", [0.0, -1.0, np.nan, np.inf])
+def test_energy_rejects_non_positive_or_non_finite_action(sphere_ev, I2):
+    with pytest.raises(InvalidParameterError, match="action must be positive"):
+        energy_K(sphere_ev, 0.0, I2)
 
 
 def test_energy_outside_image(sphere_ev):
@@ -644,6 +657,13 @@ def test_zero_symbol_nu_series_stops_at_the_first_level(sphere_ev, monkeypatch):
 def test_equator_momentum_sphere(sphere_ev):
     assert equator_momentum(sphere_ev, 0.0) == pytest.approx(1.0, abs=1e-12)
     assert equator_momentum(sphere_ev, 0.6) == pytest.approx(0.8, abs=1e-10)
+
+
+@pytest.mark.parametrize("c", [1.0, -1.0, [0.3, 1.0]])
+def test_di2_drho_fd_rejects_the_equator_circle(sphere_ev, c):
+    # |c| = E a(r0) at I2 = 1 leaves no momentum transverse to the equator
+    with pytest.raises(DegenerateTorusError, match="no equator-transverse momentum at c = "):
+        di2_drho_fd(sphere_ev, c)
 
 
 def test_derivative_identity_sample(sphere_ev):

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from revtone import joint_slice, make_round_sphere
+from revtone import ConvergenceError, joint_slice, make_round_sphere
 from revtone import actions, cli, surface
 from revtone.cli import legendre_equator_norm, main
 
@@ -114,6 +114,20 @@ def test_validate_failing_table_writes_every_check(tmp_path, capsys):
     assert {name for name, ch in checks.items() if not ch["passed"]} == {"endpoint_zero"}
     assert checks["endpoint_zero"]["residual"] > checks["endpoint_zero"]["tolerance"]
     assert checks["interior_positive"]["tolerance"] is None
+
+
+def test_validate_table_without_a_single_maximum_writes_the_error(tmp_path, capsys):
+    # a = sin(r) (1 + 0.9 sin^2(2r)): a' changes sign three times, so r0 cannot be located
+    r = np.linspace(0.0, np.pi, 2001)
+    table = tmp_path / "two_maxima.dat"
+    np.savetxt(table, np.column_stack([r, np.sin(r) * (1.0 + 0.9 * np.sin(2.0 * r) ** 2)]))
+    cfg = _write(tmp_path / "run.cfg", f"profile.kind = custom_table\n"
+                 f"profile.table_path = {table}\nrun.command = validate\n")
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 1
+    error = "single_sign_change: a' changes sign 3 times on (0, L), need exactly 1"
+    assert capsys.readouterr().out == f"validate: FAIL ({error})\n"
+    report = json.load(open(tmp_path / "validation.json"))
+    assert report == {"profile": "custom_table", "passed": False, "error": error}
 
 
 @pytest.mark.parametrize("kind", ["round_sphere", "ellipsoid", "custom_table"])
@@ -402,6 +416,22 @@ def test_verify_sphere_passes(tmp_path):
         assert ch["passed"] and ch["residual"] <= ch["tolerance"]
 
 
+def test_verify_sphere_records_a_raising_check_as_failed(tmp_path, capsys, monkeypatch):
+    def no_slice(p, ell, grid_size):
+        raise ConvergenceError("no slice")
+
+    monkeypatch.setattr(cli._spectral, "joint_slice", no_slice)
+    cfg = _write(tmp_path / "run.cfg", "spectral.grid_size = 500\nrun.command = verify-sphere\n")
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[3:] == ["verify-sphere eigenvalue_ladder: FAIL",
+                       "verify-sphere legendre_restricted_norms: FAIL"]
+    checks = {ch["name"]: ch for ch in json.load(open(tmp_path / "verify.json"))["checks"]}
+    for name in ("eigenvalue_ladder", "legendre_restricted_norms"):
+        assert checks[name] == {"name": name, "passed": False, "residual": None,
+                                "detail": "ConvergenceError: no slice", "tolerance": None}
+
+
 def test_verify_sphere_coarse_grid_fails(tmp_path):
     cfg = _write(tmp_path / "run.cfg",
                  "profile.kind = round_sphere\nspectral.grid_size = 500\n"
@@ -455,6 +485,22 @@ def test_unexpected_exception_is_numerical_failure(tmp_path, capsys, monkeypatch
                  f"profile.kind = round_sphere\nrun.command = density\nrun.out_dir = {tmp_path}\n")
     assert main(["--config", cfg]) == 3
     assert "ZeroDivisionError" in capsys.readouterr().err
+
+
+def test_missing_config_file_is_config_error(tmp_path, capsys):
+    assert main(["--config", str(tmp_path / "absent.cfg"), "--command", "density"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "converge"])
+def test_ells_are_required_after_the_command_override(tmp_path, capsys, command):
+    # the config's own command needs no ells; the override's does, and nothing is written
+    cfg = _write(tmp_path / "run.cfg", "run.command = density\ndensity.n = 20\n")
+    assert main(["--config", cfg, "--command", command, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: run.ells is required for the {command} command\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_command_is_config_error(tmp_path, capsys):

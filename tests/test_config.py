@@ -25,8 +25,8 @@ density.n = 500
 
 def test_defaults():
     cfg = parse_config("profile.kind = round_sphere\n")
-    assert cfg.profile.kind == "round_sphere"
-    assert cfg.spectral.grid_size == 4000
+    assert cfg.profile_kind == "round_sphere"
+    assert cfg.grid_size == 4000
     assert cfg.command is None
     assert cfg.ells == ()
     assert cfg.out_dir == "out"
@@ -36,13 +36,13 @@ def test_defaults():
 
 def test_full_config_parses():
     cfg = parse_config(FULL)
-    assert cfg.profile.kind == "ellipsoid"
-    assert cfg.profile.aspect == pytest.approx(1.3)
-    assert cfg.spectral.grid_size == 2000
+    assert cfg.profile_kind == "ellipsoid"
+    assert cfg.profile_aspect == pytest.approx(1.3)
+    assert cfg.grid_size == 2000
     assert cfg.command == "converge"
     assert cfg.ells == (10, 20, 40)
     assert cfg.out_dir == "results"
-    assert cfg.symbol is not None and cfg.symbol.kind == "angular_ratio"
+    assert cfg.symbol_kind == "angular_ratio"
     assert cfg.density_n == 500
 
 
@@ -116,6 +116,9 @@ def test_custom_table_requires_path():
 def test_symbol_needs_kind_and_exactly_one_source():
     with pytest.raises(ConfigError):
         parse_config("symbol.expr = s^2\n")
+    # an empty value still makes a symbol block
+    with pytest.raises(ConfigError, match="^symbol block needs symbol.kind$"):
+        parse_config("symbol.expr =\n")
     with pytest.raises(ConfigError):
         parse_config("symbol.kind = angular_ratio\n")
     with pytest.raises(ConfigError):

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import json
 import os
+import random
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -90,6 +92,11 @@ def test_mode_normalization(sphere):
 def test_grid_size_validated(sphere):
     with pytest.raises(InvalidParameterError):
         radial_modes(sphere, 0, 2, 400)
+
+
+def test_radial_modes_requires_non_negative_n_max(sphere):
+    with pytest.raises(InvalidParameterError, match="n_max must be >= 0, got -1"):
+        radial_modes(sphere, 0, -1, 1000)
 
 
 def test_resolution_guard_fires(sphere):
@@ -214,6 +221,32 @@ def test_bad_seed_falls_back_to_labelled_bisection(sphere, sphere_ev, monkeypatc
         assert (mode.m, mode.n, mode.ell) == (ref.m, ref.n, ref.ell)
         assert _recount_sign_changes(mode.u) == mode.n
         assert abs(mode.lam - ref.lam) <= 1e-12 * ref.lam
+
+
+def test_solve_bisects_when_the_steps_do_not_settle(sphere, monkeypatch):
+    # one Rayleigh-quotient step from a start without nodes cannot settle on n = 7, so the
+    # solve returns the bisection pair
+    fine, _ = spectral._grids(sphere, 4000)
+    ref = spectral._solve_indices(fine, 3, 7, 7)[0]
+    monkeypatch.setattr(spectral, "_RQI_STEPS", 1)
+    calls = _count_bisections(monkeypatch)
+    l2, u, nodes = spectral._solve(fine, 3, 7, 0.95 * ref[0], np.ones(fine.sets[1].sq.size))
+    assert calls == [len(fine.sets[1].diag)]
+    assert l2 == ref[0] and np.array_equal(u, ref[1]) and nodes == ref[2] == 7
+
+
+def test_coarse_start_is_drawn_once_per_size(sphere, monkeypatch):
+    # every coarse solve of a missing pair starts from the same Gaussian draws of
+    # random.Random(0), drawn on the first slice of each coarse size only
+    monkeypatch.setattr(spectral, "_gauss_start", functools.lru_cache(
+        spectral._gauss_start.__wrapped__))
+    for ell in (3, 4, 5):
+        joint_slice(sphere, ell, 1000)
+    joint_slice(sphere, 3, 2000)
+    info = spectral._gauss_start.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+    rng = random.Random(0)
+    assert np.array_equal(spectral._gauss_start(499), [rng.gauss(0.0, 1.0) for _ in range(499)])
 
 
 def test_node_count_mismatch_raises_labeling_error(sphere, monkeypatch):
@@ -464,6 +497,13 @@ def test_radial_matrix_elements_match_per_mode(ell13, ell13_slices):
     for value, mode in zip(batched, sl.modes):
         ref = oracles.matrix_element_radial(mode, b, ell13)
         assert abs(value - ref) <= 1e-14 * abs(ref)
+
+
+def test_angular_matrix_elements_need_positive_lambda(sphere):
+    sl = joint_slice(sphere, 2, 1000)
+    zero = dataclasses.replace(sl, modes=[dataclasses.replace(sl.modes[0], lam=0.0)])
+    with pytest.raises(InvalidParameterError, match="needs lambda > 0"):
+        angular_matrix_elements(zero, lambda s: s)
 
 
 def test_angular_matrix_elements_values(sphere):

@@ -229,6 +229,12 @@ def test_ellipsoid_rejects_bad_aspect():
         make_ellipsoid(0.0)
 
 
+@pytest.mark.parametrize("L", [0.0, -np.pi, np.nan, np.inf])
+def test_make_custom_rejects_non_positive_length(L):
+    with pytest.raises(InvalidParameterError, match="profile length must be positive"):
+        make_custom(np.sin, np.cos, lambda r: -np.sin(r), L)
+
+
 def test_make_custom_sphere_equivalent(sphere):
     p = make_custom(np.sin, np.cos, lambda r: -np.sin(r), np.pi)
     assert p.r0 == pytest.approx(sphere.r0, abs=1e-12)
@@ -308,6 +314,33 @@ def test_profile_table_rejects_decreasing_r(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_profile_table(str(path))
     assert "row" in str(err.value)
+
+
+def test_read_table_skips_comment_and_blank_rows(tmp_path):
+    r = np.linspace(0.0, np.pi, 9)
+    rows = [f"{x!r} {y!r}" for x, y in zip(r.tolist(), np.sin(r).tolist())]
+    plain, commented = tmp_path / "plain.txt", tmp_path / "commented.txt"
+    plain.write_text("\n".join(rows) + "\n")
+    commented.write_text("# r a(r)\n\n" + "\n".join(f"{row}  # node {i}\n   \n# skipped"
+                                                      for i, row in enumerate(rows)) + "\n")
+    ref, spline = (surface.read_table(str(path), "profile table", 8) for path in (plain, commented))
+    assert np.array_equal(spline.x, ref.x) and np.array_equal(spline.c, ref.c)
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["0 0", "0.5 0.4", "0.4 0.6", "1 0.8", "1.5 1", "2 0.8", "2.5 0.5", "3 0"],
+     "profile table row 3: x = 0.4 does not increase past 0.5"),
+    (["0 0", "0.5 0.4", "# a comment", "0.5 0.6", "1 0.8", "1.5 1", "2 0.8", "2.5 0.5", "3 0"],
+     "profile table row 4: x = 0.5 does not increase past 0.5"),
+    (["0.1 0", "0.5 0.4", "1 0.8", "1.5 1", "2 0.8", "2.5 0.5", "3 0.2", "3.1 0"],
+     "profile table: first r must be 0, got "),
+])
+def test_profile_table_rejects_bad_abscissae(tmp_path, rows, message):
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ConfigError) as err:
+        load_profile_table(str(path))
+    assert str(err.value).startswith(message)
 
 
 def test_profile_table_rejects_malformed_row(tmp_path):
