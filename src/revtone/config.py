@@ -116,7 +116,7 @@ def parse_config(text: str) -> RunConfig:
     # an empty `symbol.expr =` is still a symbol key, so presence is `is not None`
     if cfg.symbol_kind is None and (cfg.symbol_expr, cfg.symbol_table_path) != (None, None):
         raise ConfigError("symbol block needs symbol.kind")
-    if cfg.symbol_kind is not None and bool(cfg.symbol_expr) == bool(cfg.symbol_table_path):
+    if cfg.symbol_kind is not None and (cfg.symbol_expr is None) == (cfg.symbol_table_path is None):
         raise ConfigError("symbol needs exactly one of symbol.expr or symbol.table_path")
     return cfg
 

@@ -13,11 +13,12 @@ class InvalidParameterError(RevtoneError, ValueError):
 class RejectedProfileError(RevtoneError):
     """A candidate meridian profile violated a structural invariant.
 
-    The message names the first invariant that failed; `report` is the whole
-    ValidationReport, or None when r0 could not be located.
+    The message names the first invariant that failed; `report` is the
+    ValidationReport of every check run, which ends after the four checks
+    that need no r0 when r0 could not be located.
     """
 
-    def __init__(self, message: str, report=None):
+    def __init__(self, message: str, report):
         self.report = report
         super().__init__(message)
 

@@ -129,27 +129,28 @@ def _sign_changes(values: np.ndarray) -> list[int]:
     return nz[:-1][np.sign(values[nz[:-1]]) != np.sign(values[nz[1:]])].tolist()
 
 
-def validate_profile(p: SurfaceProfile) -> ValidationReport:
-    """Check the structural invariants of a convex profile.
+def _admit(a, a1, a2, L: float, name: str, r0: float | None = None,
+           a_r0: float | None = None) -> tuple[float | None, float | None, ValidationReport]:
+    """(r0, a(r0), report): the structural invariants of the convex profile a on [0, L].
 
-    Runs sampled checks on a uniform grid of N_VALIDATION_SAMPLES points
-    plus exact checks at the poles and the recorded equator.  Each check
-    reports the residual actually measured so failures are diagnosable.
+    a and a' are sampled once, on a uniform grid of N_VALIDATION_SAMPLES points; the other
+    checks are exact, at the poles and at r0.  Without r0 it is the root of a' in the bracket
+    of its single sign change on that grid; with no single sign change r0 and a(r0) are None
+    and the report ends after the four checks that need no r0.  Each check reports the
+    residual actually measured so failures are diagnosable.
     """
-    L = p.L
     zero_tol = ZERO_TOL_FACTOR * L
     r_grid = np.linspace(0.0, L, N_VALIDATION_SAMPLES)
-    interior = r_grid[1:-1]
-    a_int = np.asarray(p.a(interior), float)
-    a1_grid = np.asarray(p.a1(r_grid), float)
+    a_int = np.asarray(a(r_grid[1:-1]), float)
+    a1_grid = np.asarray(a1(r_grid), float)
 
     checks = []
 
-    res = max(abs(float(p.a(0.0))), abs(float(p.a(L))))
+    res = max(abs(float(a(0.0))), abs(float(a(L))))
     checks.append(CheckResult("endpoint_zero", res <= zero_tol, res,
                               f"|a| at poles vs tolerance {zero_tol:.3e}", zero_tol))
 
-    res = max(abs(float(p.a1(0.0)) - 1.0), abs(float(p.a1(L)) + 1.0))
+    res = max(abs(float(a1(0.0)) - 1.0), abs(float(a1(L)) + 1.0))
     checks.append(CheckResult("pole_slope", res <= SLOPE_TOL, res,
                               "a'(0) = +1 and a'(L) = -1", SLOPE_TOL))
 
@@ -162,17 +163,30 @@ def validate_profile(p: SurfaceProfile) -> ValidationReport:
     checks.append(CheckResult("single_sign_change", ok, float(len(changes)),
                               "a' must change sign exactly once, + to -"))
 
-    slope_res = abs(float(p.a1(p.r0)))
-    curv = float(p.a2(p.r0))
+    if r0 is None:
+        if len(changes) != 1:
+            return None, None, ValidationReport(name, tuple(checks))
+        i = changes[0]
+        r0 = find_root(lambda r, _: (a1(r), a2(r)), float(r_grid[i]), float(r_grid[i + 1]))
+    r0 = float(r0)
+    a_r0 = float(a(r0)) if a_r0 is None else a_r0
+
+    slope_res = abs(float(a1(r0)))
+    curv = float(a2(r0))
     ok = slope_res <= SLOPE_TOL and curv < 0.0
     checks.append(CheckResult("critical_point", ok, slope_res,
                               f"a'(r0) = 0 and a''(r0) = {curv:.6g} < 0", SLOPE_TOL))
 
-    gap, tol = float(np.max(a_int)) - p.a_r0, max(zero_tol, 1e-12 * p.a_r0)
+    gap, tol = float(np.max(a_int)) - a_r0, max(zero_tol, 1e-12 * a_r0)
     checks.append(CheckResult("max_dominates", gap <= tol, gap,
                               "sampled a never exceeds a(r0)", tol))
 
-    return ValidationReport(p.name, tuple(checks))
+    return r0, a_r0, ValidationReport(name, tuple(checks))
+
+
+def validate_profile(p: SurfaceProfile) -> ValidationReport:
+    """Check the structural invariants of a convex profile at its recorded r0 and a(r0)."""
+    return _admit(p.a, p.a1, p.a2, p.L, p.name, p.r0, p.a_r0)[2]
 
 
 def make_custom(a, a1, a2, L: float, name: str = "custom",
@@ -180,28 +194,17 @@ def make_custom(a, a1, a2, L: float, name: str = "custom",
     """Build a profile from explicit callables for a, a', a''.
 
     r0 is located as the root of a' unless supplied.  The profile is
-    validated: a RejectedProfileError names the first violated invariant
-    and carries the whole report, or no report if r0 cannot be located.
+    validated in the same pass: a RejectedProfileError names the first
+    violated invariant and carries the report.
     """
     if not (np.isfinite(L) and L > 0.0):
         raise InvalidParameterError(f"profile length must be positive, got {L}")
-    if r0 is None:
-        grid = np.linspace(0.0, L, 4097)[1:-1]
-        a1_vals = np.asarray(a1(grid), float)
-        changes = _sign_changes(a1_vals)
-        if len(changes) != 1:
-            raise RejectedProfileError(
-                f"single_sign_change: a' changes sign {len(changes)} times on (0, L), need exactly 1")
-        i = changes[0]
-        r0 = find_root(lambda r, _: (a1(r), a2(r)), float(grid[i]), float(grid[i + 1]))
-    p = SurfaceProfile(a=a, a1=a1, a2=a2, L=float(L), r0=float(r0),
-                       a_r0=float(a(r0)), name=name)
-    report = validate_profile(p)
+    r0, a_r0, report = _admit(a, a1, a2, float(L), name, r0)
     bad = next((c for c in report.checks if not c.passed), None)
     if bad is not None:
         raise RejectedProfileError(f"{bad.name}: {bad.detail} (residual {bad.residual:.3e})",
                                    report)
-    return replace(p, report=report)
+    return SurfaceProfile(a, a1, a2, float(L), r0, a_r0, name, report=report)
 
 
 def make_round_sphere() -> SurfaceProfile:
@@ -397,6 +400,6 @@ def load_profile_table(path: str) -> SurfaceProfile:
     spline = read_table(path, "profile table", 8)
     r = spline.x
     if abs(r[0]) > 1e-12 * max(r[-1], 1.0):
-        raise ConfigError(f"profile table: first r must be 0, got {r[0]!r}")
+        raise ConfigError(f"profile table: first r must be 0, got {float(r[0])!r}")
     return make_custom(spline, spline.derivative(1), spline.derivative(2), float(r[-1]),
                        name="custom_table")

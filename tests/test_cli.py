@@ -60,14 +60,16 @@ def test_validate_bad_aspect_is_config_error(tmp_path, capsys):
 
 
 def test_validate_decreasing_table_names_row(tmp_path, capsys):
-    rows = ["0.0 0.0", "0.5 0.4", "0.4 0.6", "1.0 0.0"]
+    # enough rows to pass the row count, so only the increase check can reject it
+    rows = ["0.0 0.0", "0.5 0.4", "1.0 0.8", "1.5 1.0", "2.0 0.8", "1.9 0.7", "2.5 0.5", "3.0 0.0"]
     table = _write(tmp_path / "bad.dat", "\n".join(rows) + "\n")
     cfg = _write(tmp_path / "run.cfg",
                  "profile.kind = custom_table\n"
                  f"profile.table_path = {table}\n"
                  f"run.command = validate\nrun.out_dir = {tmp_path}\n")
     assert main(["--config", cfg]) == 2
-    assert "row" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error: profile table row 6: x = 1.9 does not increase past 2.0\n")
 
 
 @pytest.mark.parametrize("command", ["validate", "density"])
@@ -118,30 +120,51 @@ def test_validate_failing_table_writes_every_check(tmp_path, capsys):
 
 def test_validate_table_without_a_single_maximum_writes_the_error(tmp_path, capsys):
     # a = sin(r) (1 + 0.9 sin^2(2r)): a' changes sign three times, so r0 cannot be located
+    # and the report ends after the four checks that need no r0; the spline's end slopes
+    # also miss +-1 by 6.9e-10
     r = np.linspace(0.0, np.pi, 2001)
     table = tmp_path / "two_maxima.dat"
     np.savetxt(table, np.column_stack([r, np.sin(r) * (1.0 + 0.9 * np.sin(2.0 * r) ** 2)]))
     cfg = _write(tmp_path / "run.cfg", f"profile.kind = custom_table\n"
                  f"profile.table_path = {table}\nrun.command = validate\n")
     assert main(["--config", cfg, "--out", str(tmp_path)]) == 1
-    error = "single_sign_change: a' changes sign 3 times on (0, L), need exactly 1"
-    assert capsys.readouterr().out == f"validate: FAIL ({error})\n"
+    assert capsys.readouterr().out == "validate custom_table: FAIL\n"
     report = json.load(open(tmp_path / "validation.json"))
-    assert report == {"profile": "custom_table", "passed": False, "error": error}
+    assert report["profile"] == "custom_table" and report["passed"] is False
+    checks = report["checks"]
+    assert [ch["name"] for ch in checks] == ["endpoint_zero", "pole_slope", "interior_positive",
+                                             "single_sign_change"]
+    assert [ch["passed"] for ch in checks] == [True, False, True, False]
+    assert checks[3]["residual"] == 3.0
+
+
+@pytest.mark.parametrize("table, exit_code, failed", [
+    ("sin", 0, set()), ("steep", 1, {"pole_slope"}),
+    ("two_maxima", 1, {"pole_slope", "single_sign_change"})])
+def test_validate_writes_one_schema(tmp_path, table, exit_code, failed):
+    r = np.linspace(0.0, np.pi, 2001)
+    a = {"sin": np.sin(r), "steep": 1.01 * np.sin(r),
+         "two_maxima": np.sin(r) * (1.0 + 0.9 * np.sin(2.0 * r) ** 2)}[table]
+    np.savetxt(tmp_path / "t.dat", np.column_stack([r, a]))
+    cfg = _write(tmp_path / "run.cfg", f"profile.kind = custom_table\n"
+                 f"profile.table_path = {tmp_path / 't.dat'}\nrun.command = validate\n")
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == exit_code
+    report = json.load(open(tmp_path / "validation.json"))
+    assert set(report) == {"profile", "passed", "checks"}
+    assert {ch["name"] for ch in report["checks"] if not ch["passed"]} == failed
 
 
 @pytest.mark.parametrize("kind", ["round_sphere", "ellipsoid", "custom_table"])
 def test_validate_checks_the_profile_once(tmp_path, monkeypatch, kind):
-    # make_custom's report is the one written; only the round sphere has none
+    # make_custom's report is the one written; only the round sphere is checked by validate
     calls = []
-    validate = surface.validate_profile
+    admit = surface._admit
 
-    def counted(p):
-        calls.append(p.name)
-        return validate(p)
+    def counted(a, a1, a2, L, name, *args):
+        calls.append(name)
+        return admit(a, a1, a2, L, name, *args)
 
-    monkeypatch.setattr(surface, "validate_profile", counted)
-    monkeypatch.setattr(cli, "validate_profile", counted)
+    monkeypatch.setattr(surface, "_admit", counted)
     r = np.linspace(0.0, np.pi, 2001)
     table = tmp_path / "sin.dat"
     np.savetxt(table, np.column_stack([r, np.sin(r)]))

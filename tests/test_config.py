@@ -124,6 +124,9 @@ def test_symbol_needs_kind_and_exactly_one_source():
     with pytest.raises(ConfigError):
         parse_config("symbol.kind = angular_ratio\nsymbol.expr = s\n"
                      "symbol.table_path = t.txt\n")
+    # an empty expr is still a source, so it and a table are two
+    with pytest.raises(ConfigError, match="^symbol needs exactly one of"):
+        parse_config("symbol.kind = angular_ratio\nsymbol.expr =\nsymbol.table_path = t.txt\n")
 
 
 def test_build_profile_and_evaluator():

@@ -258,7 +258,32 @@ def test_make_custom_rejects_two_maxima():
 
     with pytest.raises(RejectedProfileError) as err:
         make_custom(a, a1, a2, np.pi)
-    assert err.value.report is None  # r0 cannot be located
+    # r0 cannot be located, so the report ends after the four checks that need none
+    checks = err.value.report.checks
+    assert [c.name for c in checks] == ["endpoint_zero", "pole_slope", "interior_positive",
+                                        "single_sign_change"]
+    assert [c.passed for c in checks] == [True, True, True, False]
+    assert checks[3].residual == 3.0
+    assert str(err.value) == ("single_sign_change: a' must change sign exactly once, + to - "
+                              "(residual 3.000e+00)")
+
+
+def test_make_custom_samples_a1_on_one_grid(monkeypatch):
+    # locating r0 reuses the validation grid's sign change: one sampling, one decision
+    shapes, counts = [], []
+    sign_changes = surface._sign_changes
+    monkeypatch.setattr(surface, "_sign_changes",
+                        lambda values: counts.append(1) or sign_changes(values))
+
+    def a1(r):
+        shapes.append(np.shape(r))
+        return np.cos(r)
+
+    p = make_custom(np.sin, a1, lambda r: -np.sin(r), np.pi)
+    assert p.r0 == pytest.approx(np.pi / 2, abs=1e-15) and p.report.passed
+    # beyond the one grid only scalars and find_root's 1- and 2-point iterates
+    assert [shape for shape in shapes if np.prod(shape) > 2] == [(surface.N_VALIDATION_SAMPLES,)]
+    assert len(counts) == 1
 
 
 def test_make_custom_asymmetric_bump_accepted():
@@ -309,11 +334,12 @@ def test_profile_table_roundtrip(tmp_path, sphere):
 
 
 def test_profile_table_rejects_decreasing_r(tmp_path):
+    # enough rows to pass the row count, so only the increase check can reject it
     path = tmp_path / "bad.txt"
-    path.write_text("0.0 0.0\n0.5 0.4\n0.4 0.5\n1.0 0.0\n")
+    path.write_text("0.0 0.0\n0.5 0.4\n1.0 0.8\n1.5 1.0\n1.4 0.9\n2.0 0.8\n2.5 0.5\n3.0 0.0\n")
     with pytest.raises(ConfigError) as err:
         load_profile_table(str(path))
-    assert "row" in str(err.value)
+    assert str(err.value) == "profile table row 5: x = 1.4 does not increase past 1.5"
 
 
 def test_read_table_skips_comment_and_blank_rows(tmp_path):
@@ -333,14 +359,14 @@ def test_read_table_skips_comment_and_blank_rows(tmp_path):
     (["0 0", "0.5 0.4", "# a comment", "0.5 0.6", "1 0.8", "1.5 1", "2 0.8", "2.5 0.5", "3 0"],
      "profile table row 4: x = 0.5 does not increase past 0.5"),
     (["0.1 0", "0.5 0.4", "1 0.8", "1.5 1", "2 0.8", "2.5 0.5", "3 0.2", "3.1 0"],
-     "profile table: first r must be 0, got "),
+     "profile table: first r must be 0, got 0.1"),
 ])
 def test_profile_table_rejects_bad_abscissae(tmp_path, rows, message):
     path = tmp_path / "bad.txt"
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(ConfigError) as err:
         load_profile_table(str(path))
-    assert str(err.value).startswith(message)
+    assert str(err.value) == message
 
 
 def test_profile_table_rejects_malformed_row(tmp_path):
