@@ -30,6 +30,7 @@ from .errors import (
     LabelingError,
     OutsideMomentImageError,
     OutsideOpenIntervalError,
+    PlateauWarning,
     RejectedProfileError,
     ResolutionError,
     RevtoneError,
@@ -75,7 +76,7 @@ __all__ = [
     "radial_symbol", "torus_average", "turning_points",
     "ConfigError", "ConvergenceError", "DegenerateMeasureError", "DegenerateTorusError",
     "ExprError", "InvalidParameterError", "LabelingError", "OutsideMomentImageError",
-    "OutsideOpenIntervalError", "RejectedProfileError", "ResolutionError",
+    "OutsideOpenIntervalError", "PlateauWarning", "RejectedProfileError", "ResolutionError",
     "RevtoneError", "SignedMeasureError",
     "ConvergenceReport", "EmpiricalMeasure", "LimitMeasure", "convergence_sweep",
     "empirical_mu", "empirical_nu", "ks_distance", "limit_measure_mu",

@@ -243,14 +243,13 @@ def k1_series(ev: ActionEvaluator) -> _ChebFit:
     ev, with its degree, tail and convergence."""
     p = ev.profile
     return _cached(ev, "k1_series", lambda: _ChebFit(
-        lambda js: energy_K(ev, np.cos(np.pi * js / 1024) ** 2, 1.0),
+        "energy K1", lambda js: energy_K(ev, np.cos(np.pi * js / 1024) ** 2, 1.0),
         (1.0 / p.a_r0, np.pi / p.L), _K1_TOL, domain=(0.0, 1.0)))
 
 
 def _unit_torus(ev: ActionEvaluator, s):
-    """(K1, K1', omega2 = K1 - s K1') at s = |c| < 1, elementwise, from the K1 series;
-    a fit that reached no plateau (none has, aspect 0.2 to 50) is used whole, and the
-    CLI warns."""
+    """(K1, K1', omega2 = K1 - s K1') at s = |c| < 1, elementwise, from the K1 series,
+    used whole if it reached no plateau (none has, aspect 0.2 to 50)."""
     series = k1_series(ev).series
     K, slope = series(s), series.deriv()(s)
     return K, slope, K - s * slope
@@ -346,13 +345,13 @@ class _SinSeries(_ChebFit):
     its antiderivative makes the CDF of f in c closed-form.  The
     weight takes the rounded c, to cancel the blow-up of f at that point."""
 
-    def __init__(self, f, end: float, even: bool):
+    def __init__(self, name: str, f, end: float, even: bool):
         def sample(js):
             # u_j = cos(pi j / 512) as a sine: exact at u = 0 and odd in u
             c = np.sin(0.5 * np.pi * np.sin(np.pi * (256 - js) / 512))
             return f(c) * np.sqrt((1.0 - c) * (1.0 + c))
 
-        super().__init__(sample, (end, end), _SERIES_TOL, even)
+        super().__init__(name, sample, (end, end), _SERIES_TOL, even)
         self._anti = self.series.integ()
         self._lo = float(self._anti(-1.0))
         self.total = (np.pi / 2.0) * (float(self._anti(1.0)) - self._lo)
@@ -382,14 +381,14 @@ def _mu_end(p: SurfaceProfile) -> float:
 def mu_series(ev: ActionEvaluator) -> _SinSeries:
     """The limit density's series, cached in ev, with its degree, tail and convergence."""
     return _cached(ev, "mu_series", lambda: _SinSeries(
-        lambda c: limit_density_unnorm(ev, c), _mu_end(ev.profile), even=True))
+        "density", lambda c: limit_density_unnorm(ev, c), _mu_end(ev.profile), even=True))
 
 
 def nu_series(ev: ActionEvaluator, sym: SymbolFn) -> _SinSeries:
     """The torus averages' series, cached in ev by the SymbolFn's identity; bounded, so
     g(+-1) = 0.  A radial average depends on c only through |c|: c >= 0 is sampled."""
     return _cached(ev, ("nu_series", sym), lambda: _SinSeries(
-        lambda c: torus_average(ev, sym, c), 0.0, even=sym.kind == "radial_mult"))
+        "nu", lambda c: torus_average(ev, sym, c), 0.0, even=sym.kind == "radial_mult"))
 
 
 def normalization_M(ev: ActionEvaluator) -> float:

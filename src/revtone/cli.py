@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import traceback
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from . import actions as _actions
 from . import config as _config
 from . import measures as _measures
 from . import spectral as _spectral
-from .errors import ConfigError, ExprError, RejectedProfileError, RevtoneError
+from .errors import ConfigError, ExprError, PlateauWarning, RejectedProfileError, RevtoneError
 from .surface import CheckResult, ValidationReport, make_round_sphere, validate_profile
 
 EXIT_OK = 0
@@ -91,7 +92,7 @@ def _write_errors(out_dir: str, failures: dict) -> int:
 
 def cmd_validate(cfg: _config.RunConfig) -> int:
     try:
-        profile = _profile(cfg, "validate")
+        profile = _config.build_profile(cfg)
         report = profile.report or validate_profile(profile)
     except RejectedProfileError as exc:
         report = exc.report
@@ -100,42 +101,25 @@ def cmd_validate(cfg: _config.RunConfig) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
-def _warn_without_plateau(command: str, name: str, series):
-    if series is not None and not series.converged:
-        print(f"{command}: warning: no plateau in the {name} series, tail {series.tail:.3e}",
-              file=sys.stderr)
-
-
-def _profile(cfg: _config.RunConfig, command: str):
-    profile = _config.build_profile(cfg)
-    _warn_without_plateau(command, "meridian", profile.meridian)
-    return profile
-
-
 def cmd_density(cfg: _config.RunConfig) -> int:
-    profile = _profile(cfg, "density")
-    ev = _config.build_evaluator(cfg, profile)
+    ev = _config.build_evaluator(cfg, _config.build_profile(cfg))
     n = cfg.density_n
-    _warn_without_plateau("density", "energy K1", _actions.k1_series(ev))
     lim = _measures.limit_measure_mu(ev)
     mass = lim.mass_constant
-    _warn_without_plateau("density", "density", _actions.mu_series(ev))
     cs = np.array([-1.0 + 2.0 * k / n for k in range(1, n)])
     unnorm = _actions.limit_density_unnorm(ev, cs)
     rows = [(c, f, f / mass, cdf) for c, f, cdf in zip(cs, unnorm, lim.cdf(cs))]
     _write_csv(cfg.out_dir, "density.csv", ["c", "density_unnorm", "density_norm", "cdf"], rows)
-    print(f"density: {len(rows)} rows for {profile.name}, mass constant {mass!r}")
+    print(f"density: {len(rows)} rows for {ev.profile.name}, mass constant {mass!r}")
     return EXIT_OK
 
 
 def cmd_spectrum(cfg: _config.RunConfig) -> int:
-    profile = _profile(cfg, "spectrum")
-    ev = _config.build_evaluator(cfg, profile)
-    _warn_without_plateau("spectrum", "energy K1", _actions.k1_series(ev))
+    ev = _config.build_evaluator(cfg, _config.build_profile(cfg))
     failures = {}
     for ell in cfg.ells:
         try:
-            slice_ = _spectral.joint_slice(profile, ell, cfg.grid_size)
+            slice_ = _spectral.joint_slice(ev.profile, ell, cfg.grid_size)
             rows = [(mode.ell, mode.m, mode.n, mode.lam, slice_.restricted_norms[mode.m], res)
                     for mode, res in zip(slice_.modes, _spectral.ebk_residual(slice_.modes, ev))]
             _write_csv(cfg.out_dir, f"slice_{ell}.csv",
@@ -148,15 +132,9 @@ def cmd_spectrum(cfg: _config.RunConfig) -> int:
 
 
 def cmd_converge(cfg: _config.RunConfig) -> int:
-    profile = _profile(cfg, "converge")
-    ev = _config.build_evaluator(cfg, profile)
-    sym = _config.build_symbol(cfg)
-    report = _measures.convergence_sweep(ev, list(cfg.ells), sym,
-                                         grid_size=cfg.grid_size)
-    _warn_without_plateau("converge", "energy K1", _actions.k1_series(ev))
-    _warn_without_plateau("converge", "density", _actions.mu_series(ev))
-    if sym is not None:
-        _warn_without_plateau("converge", "nu", _actions.nu_series(ev, sym))
+    ev = _config.build_evaluator(cfg, _config.build_profile(cfg))
+    sym = _config.build_symbol(cfg, ev.profile)
+    report = _measures.convergence_sweep(ev, list(cfg.ells), sym, grid_size=cfg.grid_size)
     _write_json(cfg.out_dir, "converge.json", report.as_dict())
     cols = ["ell", "M_ell", "M_ell_over_ell", "ks_mu", "w1_mu", "ks_nu", "w1_nu"]
     rows = [tuple(row.get(c) for c in cols) for row in report.rows]
@@ -287,7 +265,13 @@ def main(argv=None) -> int:
             raise ConfigError("no command given (run.command or --command)")
         if cfg.command in ("spectrum", "converge") and not cfg.ells:
             raise ConfigError(f"run.ells is required for the {cfg.command} command")
-        return _DISPATCH[cfg.command](cfg)
+        with warnings.catch_warnings():  # a fit without a plateau: one line, when built
+            warnings.simplefilter("always", PlateauWarning)
+            show = warnings.showwarning
+            warnings.showwarning = lambda message, category, *rest: (
+                print(f"{cfg.command}: warning: {message}", file=sys.stderr)
+                if issubclass(category, PlateauWarning) else show(message, category, *rest))
+            return _DISPATCH[cfg.command](cfg)
     except (ConfigError, ExprError, RejectedProfileError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -142,12 +142,18 @@ def build_evaluator(cfg: RunConfig, profile) -> _actions.ActionEvaluator:
     return _actions.ActionEvaluator(profile)
 
 
-def build_symbol(cfg: RunConfig) -> _actions.SymbolFn | None:
+def build_symbol(cfg: RunConfig, profile) -> _actions.SymbolFn | None:
+    """The run's symbol; as a spline extrapolates, a table must span its argument's domain on
+    `profile`: r in [0, L] for radial_mult, s in [-a(r0), a(r0)] for angular_ratio."""
     if cfg.symbol_kind is None:
         return None
-    var = "r" if cfg.symbol_kind == "radial_mult" else "s"
+    radial = cfg.symbol_kind == "radial_mult"
     if cfg.symbol_expr is not None:
-        fn, name = _expr.parse_expr(cfg.symbol_expr, var), cfg.symbol_expr
+        fn, name = _expr.parse_expr(cfg.symbol_expr, "r" if radial else "s"), cfg.symbol_expr
     else:
         fn, name = read_table(cfg.symbol_table_path, "symbol table", 4), cfg.symbol_table_path
+        lo, hi = (0.0, profile.L) if radial else (-profile.a_r0, profile.a_r0)
+        if fn.x[0] > lo + 1e-9 * (hi - lo) or fn.x[-1] < hi - 1e-9 * (hi - lo):
+            raise ConfigError(f"symbol table {name!r} spans x in {fn.x[[0, -1]].tolist()}, not "
+                              f"the {cfg.symbol_kind} domain [{lo!r}, {hi!r}]")
     return _actions.SymbolFn(cfg.symbol_kind, fn, name)

@@ -6,6 +6,10 @@ class RevtoneError(Exception):
     """Base class for all toolkit errors."""
 
 
+class PlateauWarning(UserWarning):
+    """A Chebyshev fit reached no coefficient plateau, so it is used whole."""
+
+
 class InvalidParameterError(RevtoneError, ValueError):
     """A constructor or operation received an out-of-range parameter."""
 

@@ -208,8 +208,8 @@ def _sweep_row(ev, ell, sym, grid_size, lim_mu, lim_nu):
 
 
 def convergence_sweep(ev: _actions.ActionEvaluator, ells: list,
-                      sym: _actions.SymbolFn | None = None,
-                      grid_size: int = 4000) -> ConvergenceReport:
+                      sym: _actions.SymbolFn | None = None, *,
+                      grid_size: int) -> ConvergenceReport:
     """Distances of the empirical measures to their limits over ells, on
     the evaluator's profile.
 

@@ -11,13 +11,15 @@ cache that does not change them, like the ellipsoid's last t(r), is fine).
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import Chebyshev
 
-from .errors import ConfigError, ConvergenceError, InvalidParameterError, RejectedProfileError
+from .errors import (ConfigError, ConvergenceError, InvalidParameterError, PlateauWarning,
+                     RejectedProfileError)
 from .quadrature import gauss_legendre_rule
 
 SLOPE_TOL = 1e-10
@@ -36,8 +38,6 @@ class SurfaceProfile:
     r0: float
     a_r0: float
     name: str = "custom"
-    # an ellipsoid's arclength fit, which a, a1, a2 read (its degree, tail, convergence)
-    meridian: "_ChebFit | None" = field(default=None, repr=False, compare=False)
     # make_custom's validation of the profile; None for the round sphere
     report: "ValidationReport | None" = field(default=None, repr=False, compare=False)
     # a(L - r) = a(r) and r0 = L / 2, declared by the sphere and ellipsoid constructors only
@@ -256,10 +256,11 @@ class _ChebFit:
     in one call), up to the first N with a coefficient plateau at relative tol; x = 1 and -1
     take `ends`, x < 0 is not sampled if even.  `series` is the fit as a numpy Chebyshev on
     `domain`, mapped onto x in [-1, 1], and `coeffs` its coefficients.  `tail` is the largest
-    coefficient cut or, with no plateau (`converged` False, the fit kept whole), the largest
-    in its upper half.  A non-finite sample raises ConvergenceError."""
+    coefficient cut or, with no plateau (`converged` False, the fit kept whole and a
+    PlateauWarning naming it), the largest in its upper half.  A non-finite sample raises
+    ConvergenceError."""
 
-    def __init__(self, sample, ends: tuple, tol: float, even: bool = False,
+    def __init__(self, name: str, sample, ends: tuple, tol: float, even: bool = False,
                  domain: tuple = (-1.0, 1.0)):
         g = np.full(513, np.nan)
         g[[0, 512]] = ends
@@ -280,6 +281,8 @@ class _ChebFit:
         self.series, self.degree = Chebyshev(coeffs[:keep], domain), keep - 1
         self.coeffs = self.series.coef
         self.tail = float(np.max(np.abs(coeffs[keep if self.converged else len(coeffs) // 2:])))
+        if not self.converged:
+            warnings.warn(f"no plateau in the {name} series, tail {self.tail:.3e}", PlateauWarning)
 
 
 class _EllipsoidMeridian(_ChebFit):
@@ -291,8 +294,8 @@ class _EllipsoidMeridian(_ChebFit):
     ends t(L) = pi, t(0) = 0, stopped at the plateau of rounding noise: at
     aspect 1.3 it takes 63 root solves (one lockstep call per level) and
     keeps 42 terms, at 0.5 and 5 255 solves and about 160 terms.  Outside
-    about [0.3, 14] no plateau appears: all 513 terms are kept and
-    `converged` is False.  a, a', a'' follow from closed forms in t.
+    about [0.3, 14] no plateau appears: all 513 terms are kept, `converged`
+    is False and the fit warns.  a, a', a'' follow from closed forms in t.
     """
 
     def __init__(self, aspect: float):
@@ -300,7 +303,8 @@ class _EllipsoidMeridian(_ChebFit):
         self._gl, self._last = gauss_legendre_rule(96), (None, None)
         self.L = float(self._arclength(np.pi))
         self.r_equator = float(self._arclength(np.pi / 2))
-        super().__init__(self._t_at_nodes, (np.pi, 0.0), np.finfo(float).eps, domain=(0.0, self.L))
+        super().__init__("meridian", self._t_at_nodes, (np.pi, 0.0), np.finfo(float).eps,
+                         domain=(0.0, self.L))
 
     def speed(self, t):
         ct, st = np.cos(t), np.sin(t)
@@ -351,7 +355,7 @@ def make_ellipsoid(aspect: float) -> SurfaceProfile:
         raise InvalidParameterError(f"aspect must be positive, got {aspect}")
     m = _EllipsoidMeridian(aspect)
     return replace(make_custom(m.a, m.a1, m.a2, m.L, name=f"ellipsoid_{aspect:g}",
-                               r0=m.r_equator), meridian=m, mirror=True)
+                               r0=m.r_equator), mirror=True)
 
 
 def read_table(path: str, what: str, min_rows: int):

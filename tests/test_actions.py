@@ -374,8 +374,9 @@ def test_mu_series_stops_early(ell13, monkeypatch):
 
 
 @pytest.mark.parametrize("aspect, converged", [(0.5, True), (2.0, True), (10.0, False)])
-def test_mu_series_records_its_plateau(aspect, converged):
-    series = actions.mu_series(ActionEvaluator(make_ellipsoid(aspect)))
+def test_mu_series_records_its_plateau(aspect, converged, plateau):
+    with plateau(*[] if converged else ["density"]):
+        series = actions.mu_series(ActionEvaluator(make_ellipsoid(aspect)))
     scale = float(np.max(np.abs(series.coeffs)))
     assert series.converged is converged
     if converged:
@@ -485,18 +486,20 @@ def test_k1_series_has_the_bits_of_scalar_inversions(aspect, ell13_ev):
     ev = ell13_ev if aspect == 1.3 else ActionEvaluator(make_ellipsoid(aspect))
     p = ev.profile
     ref = surface._ChebFit(
+        "energy K1",
         lambda js: [energy_K(ev, float(np.cos(np.pi * j / 1024) ** 2), 1.0) for j in js],
         (1.0 / p.a_r0, np.pi / p.L), actions._K1_TOL)
     assert actions.k1_series(ev).coeffs.tobytes() == ref.coeffs.tobytes()
 
 
-def test_k1_without_plateau_reads_the_whole_fit(ell13, monkeypatch, tmp_path, capsys):
+def test_k1_without_plateau_reads_the_whole_fit(ell13, monkeypatch, tmp_path, capsys, plateau):
     # no plateau for K1 (and only for K1): every value comes from all the kept terms
     chop = surface._chop
     monkeypatch.setattr(surface, "_chop", lambda coeffs, tol: (
         (len(coeffs), False) if tol == actions._K1_TOL else chop(coeffs, tol)))
     ev = ActionEvaluator(ell13)
-    series = actions.k1_series(ev)
+    with plateau("energy K1"):
+        series = actions.k1_series(ev)
     assert not series.converged and series.degree == 512
     chi = angular_symbol(lambda x: x)
     for c in (0.0, 0.3, -0.55, 0.97):
@@ -525,7 +528,7 @@ def test_series_domain_maps_keep_the_bits_of_the_explicit_maps(ell13, ell13_ev):
     # the meridian on [0, L] and the mu series on [-1, 1] evaluate through numpy's
     # Chebyshev; its domain map (offset -1, scale 2 / L) rounds like (2 / L) r - 1
     cheb = np.polynomial.chebyshev
-    m, L = ell13.meridian, ell13.L
+    m, L = surface._EllipsoidMeridian(1.3), ell13.L
 
     def t_ref(r):
         return np.clip(cheb.chebval((2.0 / L) * np.asarray(r, float) - 1.0, m.coeffs), 0.0, np.pi)
@@ -556,7 +559,7 @@ def test_torus_average_normalization(sphere_ev, ell13_ev):
             assert torus_average(ev, one, c) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_torus_average_takes_one_pass(sphere, ell13_ev, monkeypatch):
+def test_torus_average_takes_one_pass(sphere, ell13_ev, monkeypatch, plateau):
     # weight and symbol share one radial pass
     one = radial_symbol(lambda r: np.ones_like(np.asarray(r, float)), name="1")
     cos_r = radial_symbol(np.cos, name="cos r")
@@ -571,7 +574,8 @@ def test_torus_average_takes_one_pass(sphere, ell13_ev, monkeypatch):
                 if sym is one:
                     assert average == 1.0
     passes.clear()
-    actions.nu_series(ell13_ev, cos_r)
+    with plateau("nu"):
+        actions.nu_series(ell13_ev, cos_r)
     assert len(passes) == 256
 
 
@@ -608,7 +612,7 @@ def test_torus_average_matches_geodesic_flow_ellipsoid(ell13, ell13_ev):
     assert quad_route == pytest.approx(flow_route, abs=1e-3)
 
 
-def test_liouville_state_values(sphere_ev):
+def test_liouville_state_values(sphere_ev, plateau):
     one = radial_symbol(lambda r: np.ones_like(np.asarray(r, float)), name="1")
     assert liouville_state(sphere_ev, one) == pytest.approx(2.0, abs=1e-9)
     chi2 = angular_symbol(lambda s: s * s, name="s^2")
@@ -617,10 +621,11 @@ def test_liouville_state_values(sphere_ev):
     cos2 = radial_symbol(lambda r: np.cos(r) ** 2, name="cos(r)^2")
     assert liouville_state(sphere_ev, cos2) == pytest.approx(2.0 / 3.0, abs=1e-12)
     bump = radial_symbol(lambda r: 1.0 + np.sin(r), name="1+sin r")
-    assert liouville_state(sphere_ev, bump) > 0.0
+    with plateau("nu"):
+        assert liouville_state(sphere_ev, bump) > 0.0
 
 
-def test_radial_nu_series_samples_half_the_interval(sphere, monkeypatch):
+def test_radial_nu_series_samples_half_the_interval(sphere, monkeypatch, plateau):
     # a radial average depends on c only through |c|: mirrored samples are
     # bit-equal, so the even build equals the full one coefficient for coefficient
     ev = ActionEvaluator(sphere)
@@ -629,9 +634,12 @@ def test_radial_nu_series_samples_half_the_interval(sphere, monkeypatch):
     average = actions.torus_average
     monkeypatch.setattr(actions, "torus_average",
                         lambda ev, sym, c: calls.extend(np.ravel(c)) or average(ev, sym, c))
-    even = actions.nu_series(ev, sym)
+    with plateau("nu"):
+        even = actions.nu_series(ev, sym)
     assert len(calls) == 256 and min(calls) >= 0.0
-    full = actions._SinSeries(lambda c: actions.torus_average(ev, sym, c), 0.0, even=False)
+    with plateau("nu"):
+        full = actions._SinSeries("nu", lambda c: actions.torus_average(ev, sym, c), 0.0,
+                                  even=False)
     assert len(calls) == 256 + 511
     assert np.array_equal(even.coeffs, full.coeffs)
 

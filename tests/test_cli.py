@@ -1,4 +1,3 @@
-import copy
 import csv
 import filecmp
 import json
@@ -6,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -200,16 +201,24 @@ def test_density_table_matches_closed_form(tmp_path):
     assert all(b > a for a, b in zip(cdfs, cdfs[1:]))
 
 
-def test_density_reruns_bit_identical(tmp_path):
-    outs = []
+@pytest.mark.parametrize("text", [
+    pytest.param("profile.kind = ellipsoid\nprofile.aspect = 1.3\nrun.command = density\n"
+                 "density.n = 50\n", id="density"),
+    pytest.param("profile.kind = ellipsoid\nprofile.aspect = 1.3\nrun.command = spectrum\n"
+                 "spectral.grid_size = 500\nrun.ells = 2, 5\n", id="spectrum"),
+    pytest.param("profile.kind = round_sphere\nrun.command = converge\nspectral.grid_size = 500\n"
+                 "run.ells = 5, 10\nsymbol.kind = radial_mult\nsymbol.expr = cos(r)^2\n",
+                 id="converge")])
+def test_density_reruns_bit_identical(tmp_path, text):
+    # every artifact of a rerun, byte for byte
+    cfg = _write(tmp_path / "run.cfg", text)
     for name in ("a", "b"):
-        out = tmp_path / name
-        cfg = _write(tmp_path / f"{name}.cfg",
-                     "profile.kind = ellipsoid\nprofile.aspect = 1.3\n"
-                     f"run.command = density\nrun.out_dir = {out}\ndensity.n = 50\n")
-        assert main(["--config", cfg]) == 0
-        outs.append(out / "density.csv")
-    assert filecmp.cmp(outs[0], outs[1], shallow=False)
+        assert main(["--config", cfg, "--out", str(tmp_path / name)]) == 0
+    names = sorted(os.listdir(tmp_path / "a"))
+    assert names and names == sorted(os.listdir(tmp_path / "b"))
+    match, mismatch, errors = filecmp.cmpfiles(tmp_path / "a", tmp_path / "b", names,
+                                               shallow=False)
+    assert (match, mismatch, errors) == (names, [], [])
 
 
 # --- spectrum --------------------------------------------------------------
@@ -232,18 +241,18 @@ def test_density_warns_once_when_series_has_no_plateau(tmp_path, capsys, monkeyp
     cfg = _write(tmp_path / "run.cfg", text)
     assert main(["--config", cfg, "--out", str(tmp_path / "a")]) == 0
     assert capsys.readouterr().err == ""
-    series = actions.mu_series
-
-    def unconverged(ev):
-        out = copy.copy(series(ev))
-        out.converged = False
-        return out
-
-    monkeypatch.setattr(actions, "mu_series", unconverged)
+    # the density series, forced to reach no plateau, warns as it is built
+    chop = surface._chop
+    monkeypatch.setattr(surface, "_chop", lambda coeffs, tol: (
+        (len(coeffs), False) if tol == actions._SERIES_TOL else chop(coeffs, tol)))
     assert main(["--config", cfg, "--out", str(tmp_path / "b")]) == 0
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "no plateau" in err[0]
-    assert filecmp.cmp(tmp_path / "a" / "density.csv", tmp_path / "b" / "density.csv",
+    assert len(err) == 1 and err[0].startswith("density: warning: no plateau in the density")
+    # the warning, silenced at the fit, changes no artifact
+    monkeypatch.setattr(surface, "warnings", SimpleNamespace(warn=lambda *args: None))
+    assert main(["--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    assert capsys.readouterr().err == ""
+    assert filecmp.cmp(tmp_path / "b" / "density.csv", tmp_path / "c" / "density.csv",
                        shallow=False)
 
 
@@ -345,8 +354,9 @@ def test_converge_warns_once_per_series_without_plateau(tmp_path, capsys, monkey
     code = main(["--config", cfg, "--out", str(tmp_path / "a")])
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("converge: warning: no plateau in the nu series")
-    monkeypatch.setattr(cli, "_warn_without_plateau", lambda *args: None)
+    monkeypatch.setattr(surface, "warnings", SimpleNamespace(warn=lambda *args: None))
     assert main(["--config", cfg, "--out", str(tmp_path / "b")]) == code == 0
+    assert capsys.readouterr().err == ""
     for name in ("converge.csv", "converge.json"):
         assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False)
     monkeypatch.undo()
@@ -354,6 +364,54 @@ def test_converge_warns_once_per_series_without_plateau(tmp_path, capsys, monkey
                     text.replace("ellipsoid", "round_sphere").replace("cos(r)", "cos(r)^2"))
     assert main(["--config", sphere, "--out", str(tmp_path / "c")]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_warnings_precede_a_later_failure(tmp_path, capsys):
+    # the density and nu series of ellipsoid 10 reach no plateau; both are reported as
+    # they are built, before the vanishing average of s stops the run
+    cfg = _write(tmp_path / "run.cfg",
+                 "profile.kind = ellipsoid\nprofile.aspect = 10\nspectral.grid_size = 500\n"
+                 "run.command = converge\nrun.ells = 5\n"
+                 "symbol.kind = angular_ratio\nsymbol.expr = s\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    assert err[0] == "converge: warning: no plateau in the density series, tail 6.845e-07"
+    assert err[1].startswith("converge: warning: no plateau in the nu series, tail ")
+    assert err[2] == ("numerical failure: SignedMeasureError: total average 0.000e+00 "
+                      "vanishes; no normalized limit density exists")
+
+
+def test_other_warnings_keep_their_display(tmp_path, capsys, monkeypatch):
+    # only a PlateauWarning becomes a `command: warning:` line
+    density = cli.cmd_density
+
+    def warn_then_run(cfg):
+        warnings.warn("unrelated", UserWarning)
+        return density(cfg)
+
+    monkeypatch.setitem(cli._DISPATCH, "density", warn_then_run)
+    cfg = _write(tmp_path / "run.cfg", "profile.kind = round_sphere\nrun.command = density\n"
+                 f"density.n = 20\nrun.out_dir = {tmp_path}\n")
+    with pytest.warns(UserWarning, match="unrelated"):
+        assert main(["--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_symbol_table_short_of_its_domain_is_config_error(tmp_path, capsys):
+    # cos(r)^2 tabulated on [0, 1] only: the spline would extrapolate it over (1, pi]
+    x = np.linspace(0.0, 1.0, 21)
+    table = str(tmp_path / "cos2.txt")
+    np.savetxt(table, np.column_stack([x, np.cos(x) ** 2]))
+    cfg = _write(tmp_path / "run.cfg",
+                 "profile.kind = round_sphere\nspectral.grid_size = 1000\n"
+                 "run.command = converge\nrun.ells = 10, 20\n"
+                 f"symbol.kind = radial_mult\nsymbol.table_path = {table}\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: symbol table {table!r} spans x in [0.0, 1.0], not the radial_mult "
+        f"domain [0.0, {np.pi!r}]"]
+    assert not (tmp_path / "out" / "converge.csv").exists()
 
 
 def test_converge_requires_ells(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from revtone import ConfigError, parse_config
+from revtone import ConfigError, make_round_sphere, parse_config
 from revtone.config import RunConfig, build_evaluator, build_profile, build_symbol
 
 
@@ -139,16 +139,16 @@ def test_build_profile_and_evaluator():
 
 def test_build_symbol_kinds():
     radial = parse_config("symbol.kind = radial_mult\nsymbol.expr = sin(r)\n")
-    sym = build_symbol(radial)
+    sym = build_symbol(radial, make_round_sphere())
     assert sym.kind == "radial_mult"
     assert sym.fn(np.pi / 2) == pytest.approx(1.0)
 
     angular = parse_config("symbol.kind = angular_ratio\nsymbol.expr = s^2\n")
-    sym = build_symbol(angular)
+    sym = build_symbol(angular, make_round_sphere())
     assert sym.kind == "angular_ratio"
     assert sym.fn(0.5) == pytest.approx(0.25)
 
-    assert build_symbol(parse_config("profile.kind = round_sphere\n")) is None
+    assert build_symbol(parse_config("profile.kind = round_sphere\n"), make_round_sphere()) is None
 
 
 def test_symbol_table_loaded_from_file(tmp_path):
@@ -156,13 +156,29 @@ def test_symbol_table_loaded_from_file(tmp_path):
     path = tmp_path / "chi.txt"
     np.savetxt(path, np.column_stack([xs, xs ** 2]))
     cfg = parse_config(f"symbol.kind = angular_ratio\nsymbol.table_path = {path}\n")
-    sym = build_symbol(cfg)
+    sym = build_symbol(cfg, make_round_sphere())
     assert sym.fn(0.3) == pytest.approx(0.09, abs=1e-4)
 
 
 def test_symbol_table_rejects_short_or_unsorted(tmp_path):
-    short = tmp_path / "short.txt"
-    short.write_text("0 0\n1 1\n")
-    cfg = parse_config(f"symbol.kind = radial_mult\nsymbol.table_path = {short}\n")
-    with pytest.raises(ConfigError):
-        build_symbol(cfg)
+    # on the sphere r runs over [0, pi] and s over [-1, 1]; a spline would extrapolate
+    # a table short of either end
+    x = np.linspace(0.0, 1.0, 21)
+    s = np.linspace(-0.5, 0.5, 21)
+    cases = [("radial_mult", np.array([[0.0, 0.0], [1.0, 1.0]]),
+              "symbol table needs at least 4 rows, got 2"),
+             ("radial_mult", np.array([[0.0, 0.0], [2.0, 1.0], [1.0, 1.0], [3.0, 0.0]]),
+              "symbol table row 3: x = 1.0 does not increase past 2.0"),
+             ("radial_mult", np.column_stack([x, np.cos(x) ** 2]),
+              "symbol table {path!r} spans x in [0.0, 1.0], not the radial_mult domain "
+              f"[0.0, {np.pi!r}]"),
+             ("angular_ratio", np.column_stack([s, s * s]),
+              "symbol table {path!r} spans x in [-0.5, 0.5], not the angular_ratio domain "
+              "[-1.0, 1.0]")]
+    for k, (kind, rows, message) in enumerate(cases):
+        path = str(tmp_path / f"table{k}.txt")
+        np.savetxt(path, rows)
+        cfg = parse_config(f"symbol.kind = {kind}\nsymbol.table_path = {path}\n")
+        with pytest.raises(ConfigError) as err:
+            build_symbol(cfg, make_round_sphere())
+        assert str(err.value) == message.format(path=path)

@@ -191,8 +191,9 @@ def test_limit_nu_vanishing_equator_symbol(sphere_ev):
         assert np.isfinite(d) and d > 0.0
 
 
-def test_limit_nu_zero_mass_raises(sphere_ev):
-    with pytest.raises(SignedMeasureError):
+def test_limit_nu_zero_mass_raises(sphere_ev, plateau):
+    # the torus averages of cos r are rounding noise, which has no plateau
+    with plateau("nu"), pytest.raises(SignedMeasureError):
         limit_measure_nu(sphere_ev, radial_symbol(np.cos, name="cos"))
     with pytest.raises(SignedMeasureError):
         limit_measure_nu(sphere_ev, angular_symbol(lambda s: np.asarray(s) + 0.0))
@@ -290,14 +291,15 @@ _CHI = angular_symbol(lambda s: np.asarray(s) ** 2 - 0.2, name="s^2 - 0.2")
 @pytest.mark.parametrize("profile, what", [
     ("sphere", "mu"), ("sphere", "cos^2 r"), ("sphere", "chi"),
     ("ell13", "mu"), ("ell13", "cos r"), ("ell13", "chi")])
-def test_w1_matches_the_bisection_reference(request, profile, what):
+def test_w1_matches_the_bisection_reference(request, profile, what, plateau):
     # on the sphere cos r averages to 0 and has no limit, so cos^2 r stands in
     ev = request.getfixturevalue(profile + "_ev")
     slices = request.getfixturevalue(profile + "_slices")
     syms = {"cos r": radial_symbol(np.cos, name="cos r"),
             "cos^2 r": radial_symbol(lambda r: np.cos(r) ** 2, name="cos^2 r"), "chi": _CHI}
     sym = syms.get(what)
-    lim = limit_measure_mu(ev) if sym is None else limit_measure_nu(ev, sym)
+    with plateau(*["nu"] if (profile, what) == ("ell13", "cos r") else []):
+        lim = limit_measure_mu(ev) if sym is None else limit_measure_nu(ev, sym)
     for ell in (25, 50, 100):
         sl = slices[ell]
         emp = empirical_mu(sl) if sym is None else empirical_nu(sl, sym)
