@@ -51,7 +51,6 @@ from .measures import (
 from .spectral import (
     JointSlice,
     RadialMode,
-    angular_matrix_elements,
     ebk_residual,
     joint_slice,
     radial_modes,
@@ -81,7 +80,7 @@ __all__ = [
     "ConvergenceReport", "EmpiricalMeasure", "LimitMeasure", "convergence_sweep",
     "empirical_mu", "empirical_nu", "ks_distance", "limit_measure_mu",
     "limit_measure_nu", "wasserstein1",
-    "JointSlice", "RadialMode", "angular_matrix_elements", "ebk_residual", "joint_slice",
+    "JointSlice", "RadialMode", "ebk_residual", "joint_slice",
     "radial_modes", "restricted_norm",
     "SurfaceProfile", "ValidationReport", "load_profile_table", "make_custom",
     "make_ellipsoid", "make_round_sphere", "validate_profile",

@@ -74,11 +74,11 @@ def empirical_mu(slice_: _spectral.JointSlice) -> EmpiricalMeasure:
     return EmpiricalMeasure(ms / slice_.ell, w / total, total)
 
 
-def empirical_nu(slice_: _spectral.JointSlice, sym: _actions.SymbolFn) -> EmpiricalMeasure:
-    """Matrix-element measure of a multiplet for a radial or angular symbol."""
-    elements = (_spectral.radial_matrix_elements if sym.kind == "radial_mult"
-                else _spectral.angular_matrix_elements)
-    w, ms = elements(slice_, sym.fn), np.array([mode.m for mode in slice_.modes])
+def empirical_nu(slice_: _spectral.JointSlice) -> EmpiricalMeasure:
+    """Matrix-element measure of a multiplet, from the elements of the symbol it was built with."""
+    if slice_.elements is None:
+        raise InvalidParameterError(f"the slice at ell = {slice_.ell} was built without a symbol")
+    w, ms = slice_.elements, np.array([mode.m for mode in slice_.modes])
     total = float(np.sum(w))
     signed = abs(total) <= 1e-12 * max(float(np.sum(np.abs(w))), 1e-300)
     return EmpiricalMeasure(ms / slice_.ell, w if signed else w / total, total, signed)
@@ -188,7 +188,7 @@ def _fit_decay(ells, w1s) -> dict | None:
 
 
 def _sweep_row(ev, ell, sym, grid_size, lim_mu, lim_nu):
-    slice_ = _spectral.joint_slice(ev.profile, ell, grid_size)
+    slice_ = _spectral.joint_slice(ev.profile, ell, grid_size, sym)
     mu = empirical_mu(slice_)
     row = {
         "ell": ell,
@@ -200,7 +200,7 @@ def _sweep_row(ev, ell, sym, grid_size, lim_mu, lim_nu):
         "w1_nu": None,
     }
     if sym is not None:
-        nu = empirical_nu(slice_, sym)
+        nu = empirical_nu(slice_)
         if not nu.signed:
             row["ks_nu"] = ks_distance(nu, lim_nu)
             row["w1_nu"] = wasserstein1(nu, lim_nu)

@@ -23,7 +23,8 @@ half and mirrored with sign (-1)^n, so u(r0) is exactly 0 for odd n.
 Eigenvalues carry an O(h^2) bias with a smooth coefficient, so every
 headline number (lambda^2 and the equator value u(r0)) is Richardson
 extrapolated from the requested grid and its half.  Modes are labeled
-ell = |m| + n with n the interior node count, checked on every solve.
+ell = |m| + n with n the interior node count, checked on every solve.  A
+joint slice keeps no vectors: matrix elements are formed as modes are built.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ import os
 import random
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import machinery, util
 
@@ -55,25 +56,25 @@ _RQI_TOL, _RQI_FLOOR, _RQI_STEPS = 1e-13, 2.0 * np.finfo(float).eps, 8
 
 @dataclass(frozen=True, eq=False)
 class RadialMode:
-    """One radial eigenfunction, normalized so that integral u^2 a dr = 1."""
+    """One radial eigenfunction, integral u^2 a dr = 1; r and u are None in a joint slice."""
 
     m: int
     n: int
     ell: int
     lam: float
-    r: np.ndarray
-    u: np.ndarray
+    r: np.ndarray | None
+    u: np.ndarray | None
     u_at_r0: float
 
 
 @dataclass(frozen=True, eq=False)
 class JointSlice:
-    """All 2 ell + 1 joint modes with |m| <= ell and n = ell - |m|."""
+    """All 2 ell + 1 joint modes (|m| <= ell, n = ell - |m|) and their symbol's elements or None."""
 
     ell: int
     modes: list
     restricted_norms: dict
-    profile: SurfaceProfile
+    elements: np.ndarray | None
 
 
 # The node sets of a uniform grid, zonal (m = 0: all nodes) and interior (m != 0: poles
@@ -250,13 +251,13 @@ def _gauss_start(size: int) -> np.ndarray:
     return np.array([rng.gauss(0.0, 1.0) for _ in range(size)])
 
 
-def _assemble(fine_grid: _Grid, coarse_grid: _Grid, jobs: list) -> list:
-    """Richardson-extrapolated modes for jobs (m, n, coarse pair or None), in order.  A missing
-    coarse pair is solved from Gaussian draws of random.Random(0) at the coarse lambda^2 of the
-    jobs before, extrapolated (quadratically, for prolate profiles); a fine one from the coarse
-    u at the coarse lambda^2 plus the extrapolated fine - coarse offset (O(h^2) bias)."""
+def _assemble(fine_grid: _Grid, coarse_grid: _Grid, jobs: list):
+    """Richardson-extrapolated modes, with vectors, yielded for jobs (m, n, coarse pair or None)
+    in order.  A missing coarse pair is solved from Gaussian draws of random.Random(0) at the
+    coarse lambda^2 of the jobs before, extrapolated (quadratically, for prolate profiles); a fine
+    one from the coarse u at the coarse lambda^2 plus the extrapolated O(h^2) fine - coarse bias."""
     start = _gauss_start(coarse_grid.sets[1].sq.size)
-    coarse_l2, bias, out = [], [], []
+    coarse_l2, bias = [], []
     for m, n, pair in jobs:
         coarse_set, fine_set = coarse_grid.sets[m != 0], fine_grid.sets[m != 0]
         l2_c, u_c, _ = pair or _solve(coarse_grid, m, n, _extrapolated(coarse_l2), start)
@@ -275,9 +276,7 @@ def _assemble(fine_grid: _Grid, coarse_grid: _Grid, jobs: list) -> list:
                                 f"at grid {len(fine_grid.r)} (refine the grid)")
         v0 = (4.0 * _at_r0(u_f, fine_set, n) - _at_r0(u_c, coarse_set, n)) / 3.0
         lam = float(np.sqrt(max((4.0 * l2_f - l2_c) / 3.0, 0.0)))
-        out.append(RadialMode(m=m, n=n, ell=abs(m) + n, lam=lam, r=fine_set.r, u=u_f,
-                              u_at_r0=v0))
-    return out
+        yield RadialMode(m=m, n=n, ell=abs(m) + n, lam=lam, r=fine_set.r, u=u_f, u_at_r0=v0)
 
 
 def radial_modes(p: SurfaceProfile, m: int, n_max: int, grid_size: int) -> list:
@@ -286,20 +285,42 @@ def radial_modes(p: SurfaceProfile, m: int, n_max: int, grid_size: int) -> list:
     if n_max < 0:
         raise InvalidParameterError(f"n_max must be >= 0, got {n_max}")
     grids, m = _grids(p, grid_size), int(m)
-    return _assemble(*grids, [(m, n, pair) for n, pair in
-                              enumerate(_solve_indices(grids[1], m, 0, n_max))])
+    return list(_assemble(*grids, [(m, n, pair) for n, pair in
+                                   enumerate(_solve_indices(grids[1], m, 0, n_max))]))
 
 
-def joint_slice(p: SurfaceProfile, ell: int, grid_size: int) -> JointSlice:
-    """The full multiplet at label ell: modes with n = ell - |m|, |m| <= ell.  The radial
-    operator depends on m^2 only, so negative m reuses the positive-m solve."""
+def _multiplet(p: SurfaceProfile, ell: int, grid_size: int):
+    """The modes m = 0..ell, n = ell - m, of the multiplet at label ell, yielded with vectors."""
+    grids = _grids(p, grid_size)
+    return _assemble(*grids, [(0, ell, _solve_indices(grids[1], 0, ell, ell)[0])]
+                     + [(m, ell - m, None) for m in range(1, ell + 1)])
+
+
+def joint_slice(p: SurfaceProfile, ell: int, grid_size: int,
+                sym: _actions.SymbolFn | None = None) -> JointSlice:
+    """The multiplet at label ell: modes n = ell - |m|, |m| <= ell, without vectors, negative m
+    mirroring positive m (the radial operator depends on m^2).  Elements of b(r): one dot per mode
+    as it is assembled (trapezoid integral of b u^2 a, weights a b h of its node set, ends halved,
+    from one sampling of a and b); of chi: one call on every ratio m / lambda."""
     if ell < 1:
         raise InvalidParameterError(f"ell must be >= 1, got {ell}")
-    grids = _grids(p, grid_size)
-    half = _assemble(*grids, [(0, ell, _solve_indices(grids[1], 0, ell, ell)[0])]
-                     + [(m, ell - m, None) for m in range(1, ell + 1)])
-    modes = [RadialMode(-v.m, v.n, v.ell, v.lam, v.r, v.u, v.u_at_r0) for v in half[:0:-1]] + half
-    return JointSlice(ell=ell, modes=modes, profile=p,
+    radial, half, dots = sym is not None and sym.kind == "radial_mult", [], []
+    for mode in _multiplet(p, ell, grid_size):
+        if radial and not half:  # m = 0 comes first, on all nodes
+            r = mode.r
+            w = np.asarray(p.a(r), float) * np.asarray(sym.fn(r), float) * (r[1] - r[0])
+            weights = [np.concatenate(([0.5 * v[0]], v[1:-1], [0.5 * v[-1]])) for v in (w, w[1:-1])]
+        if radial:
+            dots.append(float(mode.u * mode.u @ weights[mode.m != 0]))
+        half.append(replace(mode, r=None, u=None))
+    modes = [replace(v, m=-v.m) for v in half[:0:-1]] + half
+    elements = np.array(dots[:0:-1] + dots) if radial else None
+    if sym is not None and not radial:
+        m, lam = np.array([(mode.m, mode.lam) for mode in modes]).T
+        if np.any(lam <= 0.0):
+            raise InvalidParameterError("angular matrix element needs lambda > 0")
+        elements = np.broadcast_to(np.asarray(sym.fn(m / lam), float), m.shape)
+    return JointSlice(ell=ell, modes=modes, elements=elements,
                       restricted_norms={mode.m: restricted_norm(mode, p) for mode in modes})
 
 
@@ -307,26 +328,6 @@ def restricted_norm(mode: RadialMode, p: SurfaceProfile) -> float:
     """Squared L^2 norm of the joint eigenfunction over the equator: with the 1/sqrt(2 pi)
     angular factor the theta integral collapses, leaving a(r0) u(r0)^2."""
     return p.a_r0 * mode.u_at_r0 * mode.u_at_r0
-
-
-def radial_matrix_elements(slice_: JointSlice, b) -> np.ndarray:
-    """Diagonal matrix elements of multiplication by b(r) (trapezoid integrals of b u^2 a)
-    in a slice's order m = -ell..ell: one dot per |m| with the weights a b h, ends halved, of
-    its node set (zonal or interior), from one sampling of a and b."""
-    r = slice_.modes[slice_.ell].r
-    w = np.asarray(slice_.profile.a(r), float) * np.asarray(b(r), float) * (r[1] - r[0])
-    weights = [np.concatenate(([0.5 * v[0]], v[1:-1], [0.5 * v[-1]])) for v in (w, w[1:-1])]
-    half = [float(mode.u * mode.u @ weights[mode.m != 0]) for mode in slice_.modes[slice_.ell:]]
-    return np.array(half[:0:-1] + half)
-
-
-def angular_matrix_elements(slice_: JointSlice, chi) -> np.ndarray:
-    """Diagonal matrix elements of chi applied to the momentum ratio m / lambda, in a
-    slice's order m = -ell..ell, from one call of chi on every ratio."""
-    m, lam = np.array([(mode.m, mode.lam) for mode in slice_.modes]).T
-    if np.any(lam <= 0.0):
-        raise InvalidParameterError("angular matrix element needs lambda > 0")
-    return np.broadcast_to(np.asarray(chi(m / lam), float), m.shape)
 
 
 def ebk_residual(modes, ev: _actions.ActionEvaluator) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 
 from revtone import (
     ActionEvaluator,
+    spectral,
     action_I2,
     angular_symbol,
     dI2_dE,
@@ -157,15 +158,15 @@ def test_07_ellipsoid_w1_decay_and_endpoint_frequency(acceptance_log, ell13_ev,
 
 
 def test_08_symbol_measure_convergence(acceptance_log, sphere, sphere_ev,
-                                       ell13_ev, ell13_slices, plateau):
+                                       ell13, ell13_ev, plateau):
     squared = angular_symbol(lambda s: np.asarray(s) ** 2, name="s^2")
-    nu200 = empirical_nu(joint_slice(sphere, 200, 4000), squared)
+    nu200 = empirical_nu(joint_slice(sphere, 200, 4000, squared))
     w1_sphere = wasserstein1(nu200, limit_measure_nu(sphere_ev, squared))
 
     cos_r = radial_symbol(np.cos, name="cos r")
     with plateau("nu"):
         lim = limit_measure_nu(ell13_ev, cos_r)
-    w1 = [wasserstein1(empirical_nu(ell13_slices[ell], cos_r), lim)
+    w1 = [wasserstein1(empirical_nu(joint_slice(ell13, ell, 4000, cos_r)), lim)
           for ell in (25, 50, 100)]
     decreasing = w1[0] > w1[1] > w1[2]
     ok = w1_sphere <= 1e-2 and decreasing
@@ -220,9 +221,9 @@ def test_09_property_battery(acceptance_log, sphere, sphere_ev, ell13,
         return int(np.sum(signs[:-1] * signs[1:] < 0))
 
     counted = all(nodes(mode.u) == mode.n
-                  for sl in (joint_slice(sphere, 12, 2000),
-                             ell13_slices[25])
-                  for mode in sl.modes)
+                  for modes in (spectral._multiplet(sphere, 12, 2000),
+                                spectral._multiplet(ell13, 25, 4000))
+                  for mode in modes)
     checks.append(("node counts", counted))
 
     # m reflection symmetry
@@ -235,10 +236,10 @@ def test_09_property_battery(acceptance_log, sphere, sphere_ev, ell13,
     checks.append(("m reflection 1e-12", sym_ok))
 
     # bit-identical reruns
-    a = joint_slice(sphere, 9, 1000)
-    b = joint_slice(sphere, 9, 1000)
+    a = spectral._multiplet(sphere, 9, 1000)
+    b = spectral._multiplet(sphere, 9, 1000)
     identical = all(ma.lam == mb.lam and np.array_equal(ma.u, mb.u)
-                    for ma, mb in zip(a.modes, b.modes))
+                    for ma, mb in zip(a, b))
     identical &= action_I2(sphere_ev, 0.4, 1.3) == action_I2(sphere_ev, 0.4, 1.3)
     fresh = ActionEvaluator(sphere)
     identical &= action_I2(sphere_ev, 0.4, 1.3) == action_I2(fresh, 0.4, 1.3)
@@ -257,7 +258,7 @@ def test_10_verify_sphere_end_to_end(acceptance_log, tmp_path):
     proc = subprocess.run([sys.executable, "-m", "revtone", "--config", str(cfg)],
                           capture_output=True, text=True)
     dt = time.perf_counter() - t0
-    report = json.load(open(tmp_path / "verify.json"))
+    report = json.loads((tmp_path / "verify.json").read_text())
     residuals_reported = all(ch["residual"] is not None for ch in report["checks"])
     ok = proc.returncode == 0 and dt <= 120.0 and report["passed"] \
         and residuals_reported

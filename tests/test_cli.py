@@ -37,7 +37,7 @@ def test_validate_sphere_passes(tmp_path):
                  "profile.kind = round_sphere\nrun.command = validate\n"
                  f"run.out_dir = {tmp_path}\n")
     assert main(["--config", cfg]) == 0
-    report = json.load(open(tmp_path / "validation.json"))
+    report = json.loads((tmp_path / "validation.json").read_text())
     assert report["passed"] is True
 
 
@@ -110,7 +110,7 @@ def test_validate_failing_table_writes_every_check(tmp_path, capsys):
     out = tmp_path / "new" / "dir"
     assert main(["--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().out == "validate custom_table: FAIL\n"
-    report = json.load(open(out / "validation.json"))
+    report = json.loads((out / "validation.json").read_text())
     assert report["profile"] == "custom_table" and report["passed"] is False
     checks = {ch["name"]: ch for ch in report["checks"]}
     assert len(checks) == 6
@@ -130,7 +130,7 @@ def test_validate_table_without_a_single_maximum_writes_the_error(tmp_path, caps
                  f"profile.table_path = {table}\nrun.command = validate\n")
     assert main(["--config", cfg, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().out == "validate custom_table: FAIL\n"
-    report = json.load(open(tmp_path / "validation.json"))
+    report = json.loads((tmp_path / "validation.json").read_text())
     assert report["profile"] == "custom_table" and report["passed"] is False
     checks = report["checks"]
     assert [ch["name"] for ch in checks] == ["endpoint_zero", "pole_slope", "interior_positive",
@@ -150,7 +150,7 @@ def test_validate_writes_one_schema(tmp_path, table, exit_code, failed):
     cfg = _write(tmp_path / "run.cfg", f"profile.kind = custom_table\n"
                  f"profile.table_path = {tmp_path / 't.dat'}\nrun.command = validate\n")
     assert main(["--config", cfg, "--out", str(tmp_path)]) == exit_code
-    report = json.load(open(tmp_path / "validation.json"))
+    report = json.loads((tmp_path / "validation.json").read_text())
     assert set(report) == {"profile", "passed", "checks"}
     assert {ch["name"] for ch in report["checks"] if not ch["passed"]} == failed
 
@@ -175,7 +175,7 @@ def test_validate_checks_the_profile_once(tmp_path, monkeypatch, kind):
                  f"profile.kind = {kind}\n{source}run.command = validate\n")
     assert main(["--config", cfg, "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
-    report = json.load(open(tmp_path / "validation.json"))
+    report = json.loads((tmp_path / "validation.json").read_text())
     assert report["profile"] == calls[0] and report["passed"] is True
 
 
@@ -307,7 +307,7 @@ def test_spectrum_partial_failure(tmp_path):
                  f"run.out_dir = {tmp_path}\n")
     assert main(["--config", cfg]) == 3
     assert (tmp_path / "slice_10.csv").exists()
-    errors = json.load(open(tmp_path / "errors.json"))
+    errors = json.loads((tmp_path / "errors.json").read_text())
     assert set(errors) == {"110"}
     assert "ResolutionError" in errors["110"]
 
@@ -329,7 +329,7 @@ def test_converge_outputs(tmp_path):
                  f"run.out_dir = {tmp_path}\n"
                  "symbol.kind = angular_ratio\nsymbol.expr = s^2\n")
     assert main(["--config", cfg]) == 0
-    rep = json.load(open(tmp_path / "converge.json"))
+    rep = json.loads((tmp_path / "converge.json").read_text())
     assert rep["profile"] == "round_sphere"
     assert rep["ells"] == [10, 20, 40]
     w1_mu = [row["w1_mu"] for row in rep["rows"]]
@@ -474,9 +474,9 @@ def test_converge_partial_failure(tmp_path):
                  "run.command = converge\nrun.ells = 10, 110\n"
                  f"run.out_dir = {tmp_path}\n")
     assert main(["--config", cfg]) == 3
-    errors = json.load(open(tmp_path / "errors.json"))
+    errors = json.loads((tmp_path / "errors.json").read_text())
     assert "ResolutionError" in errors["110"]
-    rep = json.load(open(tmp_path / "converge.json"))
+    rep = json.loads((tmp_path / "converge.json").read_text())
     assert any("error" in row for row in rep["rows"])
 
 
@@ -488,7 +488,7 @@ def test_verify_sphere_passes(tmp_path):
                  "run.command = verify-sphere\n"
                  f"run.out_dir = {tmp_path}\n")
     assert main(["--config", cfg]) == 0
-    rep = json.load(open(tmp_path / "verify.json"))
+    rep = json.loads((tmp_path / "verify.json").read_text())
     assert rep["passed"] is True
     assert len(rep["checks"]) >= 4
     names = {ch["name"] for ch in rep["checks"]}
@@ -507,7 +507,8 @@ def test_verify_sphere_records_a_raising_check_as_failed(tmp_path, capsys, monke
     out = capsys.readouterr().out.splitlines()
     assert out[3:] == ["verify-sphere eigenvalue_ladder: FAIL",
                        "verify-sphere legendre_restricted_norms: FAIL"]
-    checks = {ch["name"]: ch for ch in json.load(open(tmp_path / "verify.json"))["checks"]}
+    rep = json.loads((tmp_path / "verify.json").read_text())
+    checks = {ch["name"]: ch for ch in rep["checks"]}
     for name in ("eigenvalue_ladder", "legendre_restricted_norms"):
         assert checks[name] == {"name": name, "passed": False, "residual": None,
                                 "detail": "ConvergenceError: no slice", "tolerance": None}
@@ -521,7 +522,7 @@ def test_verify_sphere_coarse_grid_fails(tmp_path):
     assert subprocess.run(
         [sys.executable, "-m", "revtone", "--config", cfg],
         capture_output=True, text=True).returncode == 1
-    rep = json.load(open(tmp_path / "verify.json"))
+    rep = json.loads((tmp_path / "verify.json").read_text())
     assert rep["passed"] is False
     failed = [ch for ch in rep["checks"] if not ch["passed"]]
     assert {ch["name"] for ch in failed} == {"eigenvalue_ladder", "legendre_restricted_norms"}

@@ -84,37 +84,42 @@ def test_mu_symmetric_and_normalized(sphere, sphere_ev, ell13_slices):
 
 
 def test_mu_rejects_dead_slice(sphere):
-    dead = JointSlice(ell=1, modes=[], profile=sphere,
-                      restricted_norms={-1: 0.0, 0: 0.0, 1: 0.0})
+    dead = JointSlice(ell=1, modes=[], restricted_norms={-1: 0.0, 0: 0.0, 1: 0.0},
+                      elements=None)
     with pytest.raises(DegenerateMeasureError):
         empirical_mu(dead)
 
 
 def test_nu_uniform_for_unit_symbol(sphere, sphere_ev):
-    nu = empirical_nu(joint_slice(sphere, 10, 2000), ONE)
+    nu = empirical_nu(joint_slice(sphere, 10, 2000, ONE))
     assert not nu.signed
     assert np.max(np.abs(nu.weights - 1.0 / 21.0)) <= 1e-8
     assert float(np.sum(nu.weights)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_nu_angular_squared_ell1(sphere, sphere_ev):
-    nu = empirical_nu(joint_slice(sphere, 1, 2000), SQUARED)
+    nu = empirical_nu(joint_slice(sphere, 1, 2000, SQUARED))
     weights = _weights(nu)
     assert weights[-1.0] == pytest.approx(0.5, abs=1e-6)
     assert weights[0.0] == 0.0
     assert weights[1.0] == pytest.approx(0.5, abs=1e-6)
 
 
-def test_nu_positive_symbol_positive_weights(ell13_slices):
+def test_nu_positive_symbol_positive_weights(ell13):
     sym = radial_symbol(lambda r: 1.0 + 0.3 * np.sin(r), name="pos")
-    nu = empirical_nu(ell13_slices[25], sym)
+    nu = empirical_nu(joint_slice(ell13, 25, 4000, sym))
     assert not nu.signed
     assert np.all(nu.weights > 0.0)
 
 
+def test_nu_needs_a_slice_built_with_a_symbol(sphere):
+    with pytest.raises(InvalidParameterError, match="built without a symbol"):
+        empirical_nu(joint_slice(sphere, 2, 1000))
+
+
 def test_nu_odd_angular_symbol_is_signed(sphere, sphere_ev):
     odd = angular_symbol(lambda s: np.asarray(s) + 0.0, name="s")
-    nu = empirical_nu(joint_slice(sphere, 4, 1000), odd)
+    nu = empirical_nu(joint_slice(sphere, 4, 1000, odd))
     assert nu.signed
     assert abs(nu.total_mass_raw) <= 1e-15
     lim = limit_measure_mu(sphere_ev)
@@ -293,7 +298,7 @@ _CHI = angular_symbol(lambda s: np.asarray(s) ** 2 - 0.2, name="s^2 - 0.2")
     ("ell13", "mu"), ("ell13", "cos r"), ("ell13", "chi")])
 def test_w1_matches_the_bisection_reference(request, profile, what, plateau):
     # on the sphere cos r averages to 0 and has no limit, so cos^2 r stands in
-    ev = request.getfixturevalue(profile + "_ev")
+    p, ev = request.getfixturevalue(profile), request.getfixturevalue(profile + "_ev")
     slices = request.getfixturevalue(profile + "_slices")
     syms = {"cos r": radial_symbol(np.cos, name="cos r"),
             "cos^2 r": radial_symbol(lambda r: np.cos(r) ** 2, name="cos^2 r"), "chi": _CHI}
@@ -301,8 +306,8 @@ def test_w1_matches_the_bisection_reference(request, profile, what, plateau):
     with plateau(*["nu"] if (profile, what) == ("ell13", "cos r") else []):
         lim = limit_measure_mu(ev) if sym is None else limit_measure_nu(ev, sym)
     for ell in (25, 50, 100):
-        sl = slices[ell]
-        emp = empirical_mu(sl) if sym is None else empirical_nu(sl, sym)
+        emp = (empirical_mu(slices[ell]) if sym is None
+               else empirical_nu(joint_slice(p, ell, 4000, sym)))
         ref = oracles.bisection_w1(emp.positions, emp.weights, lim.cdf)
         assert wasserstein1(emp, lim) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
@@ -335,15 +340,15 @@ def test_distances_vs_exact_arcsine(raw):
 
 
 def test_nu_distances_bounded_by_atom_gap(sphere, sphere_ev):
-    nu = empirical_nu(joint_slice(sphere, 10, 2000), ONE)
+    nu = empirical_nu(joint_slice(sphere, 10, 2000, ONE))
     lim = limit_measure_nu(sphere_ev, ONE)
     assert ks_distance(nu, lim) <= 1.0 / 21.0 + 1e-9
     assert wasserstein1(nu, lim) <= 1.0 / 21.0 + 1e-9
 
 
 def test_trace_identity_two_routes(sphere, sphere_ev):
-    sl = joint_slice(sphere, 10, 2000)
-    nu = empirical_nu(sl, SQUARED)
+    sl = joint_slice(sphere, 10, 2000, SQUARED)
+    nu = empirical_nu(sl)
 
     def f(c):
         return c ** 4 - 0.3 * c + 0.2

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,16 +18,22 @@ from revtone import (
     InvalidParameterError,
     LabelingError,
     ResolutionError,
-    angular_matrix_elements,
+    angular_symbol,
     ebk_residual,
     joint_slice,
     make_custom,
     make_ellipsoid,
     radial_modes,
+    radial_symbol,
     restricted_norm,
 )
 
 import oracles
+
+
+def _multiplet(p, ell, grid_size):
+    """The modes m = 0..ell that joint_slice(p, ell, grid_size) is built from, with vectors."""
+    return list(spectral._multiplet(p, ell, grid_size))
 
 
 def _recount_sign_changes(u):
@@ -74,8 +81,12 @@ def test_grid_convergence_order(sphere):
     assert order >= 1.8
 
 
-def test_mode_invariants(sphere, ell13_slices):
-    modes = list(radial_modes(sphere, 2, 5, 2000)) + list(ell13_slices[25].modes)
+def test_mode_invariants(sphere, ell13, ell13_slices):
+    modes = list(radial_modes(sphere, 2, 5, 2000)) + _multiplet(ell13, 25, 4000)
+    # the slice keeps the multiplet's numbers, and no vectors
+    for mode, ref in zip(ell13_slices[25].modes[25:], modes[6:]):
+        assert (mode.m, mode.n, mode.lam, mode.u_at_r0) == (ref.m, ref.n, ref.lam, ref.u_at_r0)
+        assert mode.r is None and mode.u is None
     for mode in modes:
         assert mode.lam >= 0.0
         assert mode.ell == abs(mode.m) + mode.n
@@ -159,8 +170,10 @@ def test_joint_slice_deterministic(sphere, sphere_ev):
     b = joint_slice(sphere, 6, 1000)
     for ma, mb in zip(a.modes, b.modes):
         assert ma.lam == mb.lam
-        assert np.array_equal(ma.u, mb.u)
     assert a.restricted_norms == b.restricted_norms
+    for ma, mb in zip(_multiplet(sphere, 6, 1000), _multiplet(sphere, 6, 1000)):
+        assert ma.lam == mb.lam
+        assert np.array_equal(ma.u, mb.u)
 
 
 def _count_bisections(monkeypatch):
@@ -215,9 +228,9 @@ def test_bad_seed_falls_back_to_labelled_bisection(sphere, sphere_ev, monkeypatc
 
     monkeypatch.setattr(spectral, "_solve", bad_seed)
     calls = _count_bisections(monkeypatch)
-    sl = joint_slice(sphere, 10, 2000)
+    modes = _multiplet(sphere, 10, 2000)
     assert len(calls) == 3  # m = 0 on the coarse grid, m = 3 on both grids
-    for mode, ref in zip(sl.modes, good.modes):
+    for mode, ref in zip(modes, good.modes[10:]):
         assert (mode.m, mode.n, mode.ell) == (ref.m, ref.n, ref.ell)
         assert _recount_sign_changes(mode.u) == mode.n
         assert abs(mode.lam - ref.lam) <= 1e-12 * ref.lam
@@ -286,9 +299,9 @@ def test_ellipsoid_multiplets_seldom_bisect(monkeypatch, aspect, bound):
     calls = _count_bisections(monkeypatch)
     for ell in (25, 50, 100):
         calls.clear()
-        sl = joint_slice(p, ell, 4000)
+        modes = _multiplet(p, ell, 4000)
         assert len(calls) <= bound, (ell, calls)
-        assert all(_recount_sign_changes(mode.u) == mode.n for mode in sl.modes)
+        assert all(_recount_sign_changes(mode.u) == mode.n for mode in modes)
 
 
 def test_sphere_multiplet_bisects_only_its_zonal_coarse_pair(sphere, monkeypatch):
@@ -413,18 +426,18 @@ def test_split_slices_match_unsplit_ones(request, profile):
     # not.  At grid 2001 the fine grid has an odd node count and takes the whole pencil.
     # u(r0) carries rounding of up to 5e-12 on either path (the unsplit odd modes, whose
     # u(r0) is 0 in exact arithmetic, show it), so the norms a(r0) u(r0)^2, with |u(r0)|
-    # up to 1.7, agree to 2e-11 absolute
+    # up to 1.7, agree to 2e-11 absolute.  Negative m mirrors these modes in a slice
     p = request.getfixturevalue(profile)
     whole_profile = make_custom(p.a, p.a1, p.a2, p.L, r0=p.r0)
     assert p.mirror and not whole_profile.mirror
     for ell, grid in ((25, 4000), (100, 4000), (25, 2001), (100, 2001)):
-        split, whole = joint_slice(p, ell, grid), joint_slice(whole_profile, ell, grid)
-        for mode, ref in zip(split.modes, whole.modes):
+        split, whole = _multiplet(p, ell, grid), _multiplet(whole_profile, ell, grid)
+        for mode, ref in zip(split, whole):
             assert (mode.m, mode.n, mode.ell) == (ref.m, ref.n, ref.ell)
             assert _recount_sign_changes(mode.u) == mode.n
             assert abs(mode.lam - ref.lam) <= 1e-13 * ref.lam
-            norm = split.restricted_norms[mode.m]
-            assert abs(norm - whole.restricted_norms[mode.m]) <= 2e-11
+            norm = restricted_norm(mode, p)
+            assert abs(norm - restricted_norm(ref, whole_profile)) <= 2e-11
             if grid % 2 == 0 and mode.n % 2:
                 assert norm == 0.0
 
@@ -461,8 +474,7 @@ def test_weyl_mass_doubles(sphere, sphere_ev):
 
 
 def test_matrix_element_radial_basics(sphere, sphere_ev):
-    sl = joint_slice(sphere, 1, 2000)
-    zonal = next(mode for mode in sl.modes if mode.m == 0)
+    zonal = _multiplet(sphere, 1, 2000)[0]
     assert oracles.matrix_element_radial(zonal, lambda r: np.ones_like(r), sphere) \
         == pytest.approx(1.0, abs=1e-8)
     # integrand odd about the equator
@@ -472,8 +484,7 @@ def test_matrix_element_radial_basics(sphere, sphere_ev):
 def test_gaussian_beam_avoids_polar_bump(sphere, sphere_ev):
     # mass of the m = ell mode concentrates at the equator, so a bump
     # supported near the pole sees almost none of it
-    sl = joint_slice(sphere, 20, 2000)
-    beam = next(mode for mode in sl.modes if mode.m == 20)
+    beam = _multiplet(sphere, 20, 2000)[20]
 
     def bump(r):
         return np.exp(-((r - np.pi / 8) / (np.pi / 16)) ** 2)
@@ -491,31 +502,54 @@ def test_radial_matrix_elements_match_per_mode(ell13, ell13_slices):
     # one dot with precomputed weights sums in another order than np.trapezoid, and takes h
     # once instead of each node gap: float64 rounding of sums of 4000 positive terms, which
     # typically stays near sqrt(4000) eps = 7e-15 relative (8e-16 measured)
-    sl = ell13_slices[25]
-    batched = spectral.radial_matrix_elements(sl, b)
+    sl = joint_slice(ell13, 25, 4000, radial_symbol(b))
     assert samples == [4000]
-    for value, mode in zip(batched, sl.modes):
-        ref = oracles.matrix_element_radial(mode, b, ell13)
+    assert [mode.lam for mode in sl.modes] == [mode.lam for mode in ell13_slices[25].modes]
+    modes = _multiplet(ell13, 25, 4000)
+    for value, mode in zip(sl.elements, sl.modes):
+        ref = oracles.matrix_element_radial(modes[abs(mode.m)], b, ell13)
         assert abs(value - ref) <= 1e-14 * abs(ref)
 
 
-def test_angular_matrix_elements_need_positive_lambda(sphere):
-    sl = joint_slice(sphere, 2, 1000)
-    zero = dataclasses.replace(sl, modes=[dataclasses.replace(sl.modes[0], lam=0.0)])
+def test_angular_matrix_elements_need_positive_lambda(sphere, monkeypatch):
+    multiplet = spectral._multiplet
+    monkeypatch.setattr(spectral, "_multiplet", lambda *args: (
+        dataclasses.replace(mode, lam=0.0) if mode.m == 0 else mode for mode in multiplet(*args)))
     with pytest.raises(InvalidParameterError, match="needs lambda > 0"):
-        angular_matrix_elements(zero, lambda s: s)
+        joint_slice(sphere, 2, 1000, angular_symbol(lambda s: s))
 
 
 def test_angular_matrix_elements_values(sphere):
-    sl = joint_slice(sphere, 10, 4000)
-    beam, zonal = sl.ell + 10, sl.ell
-    assert angular_matrix_elements(sl, lambda s: s)[beam] \
-        == pytest.approx(10 / np.sqrt(110), abs=1e-5)
-    assert np.all(angular_matrix_elements(sl, lambda s: 1.0) == 1.0)
-    assert angular_matrix_elements(sl, lambda s: s * s)[zonal] == 0.0
-    # in the slice's order, each the ratio of its own mode
-    ratios = angular_matrix_elements(sl, lambda s: s)
+    calls = []
+
+    def elements(chi):
+        sl = joint_slice(sphere, 10, 4000, angular_symbol(lambda s: calls.append(s) or chi(s)))
+        return sl, sl.elements
+
+    beam, zonal = 20, 10
+    assert elements(lambda s: s)[1][beam] == pytest.approx(10 / np.sqrt(110), abs=1e-5)
+    assert np.all(elements(lambda s: 1.0)[1] == 1.0)
+    assert elements(lambda s: s * s)[1][zonal] == 0.0
+    # in the slice's order, each the ratio of its own mode, from one call of chi per slice
+    sl, ratios = elements(lambda s: s)
     assert np.array_equal(ratios, [mode.m / mode.lam for mode in sl.modes])
+    assert len(calls) == 4
+
+
+def test_joint_slice_keeps_no_vectors(sphere):
+    # a slice's traced peak is its grids and one mode's vectors at a time: 26.4 MiB while
+    # every mode's fine vector was kept, 2.0 MiB without; the warm-up slice draws the
+    # coarse start vector of this grid size
+    joint_slice(sphere, 2, 8000)
+    tracemalloc.start()
+    try:
+        sl = joint_slice(sphere, 400, 8000, radial_symbol(np.cos))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sl.modes) == 801 and sl.elements.shape == (801,)
+    assert all(mode.r is None and mode.u is None for mode in sl.modes)
+    assert peak <= 4 * 2 ** 20, peak
 
 
 # --- the Rayleigh-Ritz oracle on ellipsoids --------------------------------
@@ -630,13 +664,13 @@ def test_eigh_tridiagonal_matches_scipy_bit_for_bit(request, profile, which, m, 
 
 def test_public_lapack_module_when_the_extension_is_not_found(sphere, monkeypatch):
     import scipy.linalg
-    good = joint_slice(sphere, 6, 1000)
+    good, good_modes = joint_slice(sphere, 6, 1000), _multiplet(sphere, 6, 1000)
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
     monkeypatch.setattr(spectral, "machinery",
                         SimpleNamespace(PathFinder=SimpleNamespace(find_spec=lambda *args: None)))
     assert spectral._lapack() is scipy.linalg.lapack
     sl = joint_slice(sphere, 6, 1000)
-    for mode, ref in zip(sl.modes, good.modes):
+    for mode, ref in zip(_multiplet(sphere, 6, 1000), good_modes):
         assert (mode.m, mode.n, mode.lam, mode.u_at_r0) == (ref.m, ref.n, ref.lam, ref.u_at_r0)
         assert np.array_equal(mode.u, ref.u)
     assert sl.restricted_norms == good.restricted_norms
