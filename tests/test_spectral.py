@@ -522,17 +522,16 @@ def test_angular_matrix_elements_need_positive_lambda(sphere, monkeypatch):
 def test_angular_matrix_elements_values(sphere):
     calls = []
 
-    def elements(chi):
-        sl = joint_slice(sphere, 10, 4000, angular_symbol(lambda s: calls.append(s) or chi(s)))
-        return sl, sl.elements
+    def slice_(chi):
+        return joint_slice(sphere, 10, 4000, angular_symbol(lambda s: calls.append(s) or chi(s)))
 
     beam, zonal = 20, 10
-    assert elements(lambda s: s)[1][beam] == pytest.approx(10 / np.sqrt(110), abs=1e-5)
-    assert np.all(elements(lambda s: 1.0)[1] == 1.0)
-    assert elements(lambda s: s * s)[1][zonal] == 0.0
+    assert slice_(lambda s: s).elements[beam] == pytest.approx(10 / np.sqrt(110), abs=1e-5)
+    assert np.all(slice_(lambda s: 1.0).elements == 1.0)
+    assert slice_(lambda s: s * s).elements[zonal] == 0.0
     # in the slice's order, each the ratio of its own mode, from one call of chi per slice
-    sl, ratios = elements(lambda s: s)
-    assert np.array_equal(ratios, [mode.m / mode.lam for mode in sl.modes])
+    sl = slice_(lambda s: s)
+    assert np.array_equal(sl.elements, [mode.m / mode.lam for mode in sl.modes])
     assert len(calls) == 4
 
 
