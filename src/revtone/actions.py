@@ -345,13 +345,13 @@ class _SinSeries(_ChebFit):
     its antiderivative makes the CDF of f in c closed-form.  The
     weight takes the rounded c, to cancel the blow-up of f at that point."""
 
-    def __init__(self, name: str, f, end: float, even: bool):
+    def __init__(self, name: str, f, end: float, even: bool, floor: float = 0.0):
         def sample(js):
             # u_j = cos(pi j / 512) as a sine: exact at u = 0 and odd in u
             c = np.sin(0.5 * np.pi * np.sin(np.pi * (256 - js) / 512))
             return f(c) * np.sqrt((1.0 - c) * (1.0 + c))
 
-        super().__init__(name, sample, (end, end), _SERIES_TOL, even)
+        super().__init__(name, sample, (end, end), _SERIES_TOL, even, floor=floor)
         self._anti = self.series.integ()
         self._lo = float(self._anti(-1.0))
         self.total = (np.pi / 2.0) * (float(self._anti(1.0)) - self._lo)
@@ -386,9 +386,17 @@ def mu_series(ev: ActionEvaluator) -> _SinSeries:
 
 def nu_series(ev: ActionEvaluator, sym: SymbolFn) -> _SinSeries:
     """The torus averages' series, cached in ev by the SymbolFn's identity; bounded, so
-    g(+-1) = 0.  A radial average depends on c only through |c|: c >= 0 is sampled."""
-    return _cached(ev, ("nu_series", sym), lambda: _SinSeries(
-        "nu", lambda c: torus_average(ev, sym, c), 0.0, even=sym.kind == "radial_mult"))
+    g(+-1) = 0.  A radial average depends on c only through |c|: c >= 0 is sampled.  Coefficients
+    all at most _SERIES_TOL max |b| (b on [0, L], chi on [-a(r0), a(r0)]) are the zero series."""
+    p, radial = ev.profile, sym.kind == "radial_mult"
+    lims = (0.0, p.L) if radial else (-p.a_r0, p.a_r0)
+
+    def build():
+        with np.errstate(all="ignore"):  # a non-finite max |b| sets no floor
+            top = np.max(np.abs(sym.fn(np.linspace(*lims, 513))))
+        return _SinSeries("nu", lambda c: torus_average(ev, sym, c), 0.0, radial,
+                          _SERIES_TOL * top if np.isfinite(top) else 0.0)
+    return _cached(ev, ("nu_series", sym), build)
 
 
 def normalization_M(ev: ActionEvaluator) -> float:

@@ -21,6 +21,7 @@ import sys
 import traceback
 import warnings
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 
@@ -119,9 +120,8 @@ def cmd_spectrum(cfg: _config.RunConfig) -> int:
     failures = {}
     for ell in cfg.ells:
         try:
-            slice_ = _spectral.joint_slice(ev.profile, ell, cfg.grid_size)
-            rows = [(mode.ell, mode.m, mode.n, mode.lam, slice_.restricted_norms[mode.m], res)
-                    for mode, res in zip(slice_.modes, _spectral.ebk_residual(slice_.modes, ev))]
+            t = _spectral.joint_slice(ev.profile, ell, cfg.grid_size).modes
+            rows = list(zip(abs(t.m) + t.n, t.m, t.n, t.lam, t.norm, _spectral.ebk_residual(t, ev)))
             _write_csv(cfg.out_dir, f"slice_{ell}.csv",
                        ["ell", "m", "n", "lambda", "restricted_norm", "ebk_residual"], rows)
             print(f"spectrum: wrote slice_{ell}.csv ({len(rows)} modes)")
@@ -171,12 +171,7 @@ def _sphere_checks(cfg: _config.RunConfig):
     profile = make_round_sphere()
     ev = _config.build_evaluator(cfg, profile)
     grid = cfg.grid_size
-    slices = {}
-
-    def get_slice(ell):
-        if ell not in slices:
-            slices[ell] = _spectral.joint_slice(profile, ell, grid)
-        return slices[ell]
+    get_modes = cache(lambda ell: _spectral.joint_slice(profile, ell, grid).modes)
 
     def check_action_identity():
         ratios = [0.0] + [s * 0.1 * k for k in range(1, 10) for s in (1.0, -1.0)] + [0.99, -0.99]
@@ -197,16 +192,14 @@ def _sphere_checks(cfg: _config.RunConfig):
         worst = abs(_spectral.radial_modes(profile, 0, 0, grid)[0].lam ** 2)
         for ell in range(1, 21):
             target = ell * (ell + 1.0)
-            for mode in get_slice(ell).modes:
-                worst = max(worst, abs(mode.lam ** 2 - target) / target)
+            worst = max(worst, np.max(np.abs(get_modes(ell).lam ** 2 - target) / target))
         return worst, 1e-6, "max relative |lambda^2 - ell(ell+1)|, ell <= 20"
 
     def check_legendre_restricted_norms():
         worst = 0.0
         for ell in range(1, 21):
-            slice_ = get_slice(ell)
-            for m, value in slice_.restricted_norms.items():
-                worst = max(worst, abs(value - legendre_equator_norm(ell, m)))
+            t = get_modes(ell)
+            worst = max(worst, np.abs(t.norm - [legendre_equator_norm(ell, m) for m in t.m]).max())
         return worst, 1e-5, "max |restricted norm - Legendre closed form|, ell <= 20"
 
     return [("action_identity", check_action_identity),

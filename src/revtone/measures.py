@@ -65,20 +65,18 @@ class LimitMeasure:
 
 def empirical_mu(slice_: _spectral.JointSlice) -> EmpiricalMeasure:
     """Equator-norm measure of a multiplet; raw mass is the norm sum."""
-    ms = np.array(sorted(slice_.restricted_norms.keys()))
-    w = np.array([slice_.restricted_norms[int(m)] for m in ms])
+    w = slice_.modes.norm
     total = float(np.sum(w))
     if total <= 0.0:
-        raise DegenerateMeasureError(
-            f"all {len(w)} equator norms vanish at ell = {slice_.ell}")
-    return EmpiricalMeasure(ms / slice_.ell, w / total, total)
+        raise DegenerateMeasureError(f"all {len(w)} equator norms vanish at ell = {slice_.ell}")
+    return EmpiricalMeasure(slice_.modes.m / slice_.ell, w / total, total)
 
 
 def empirical_nu(slice_: _spectral.JointSlice) -> EmpiricalMeasure:
     """Matrix-element measure of a multiplet, from the elements of the symbol it was built with."""
     if slice_.elements is None:
         raise InvalidParameterError(f"the slice at ell = {slice_.ell} was built without a symbol")
-    w, ms = slice_.elements, np.array([mode.m for mode in slice_.modes])
+    w, ms = slice_.elements, slice_.modes.m
     total = float(np.sum(w))
     signed = abs(total) <= 1e-12 * max(float(np.sum(np.abs(w))), 1e-300)
     return EmpiricalMeasure(ms / slice_.ell, w if signed else w / total, total, signed)

@@ -24,7 +24,7 @@ Eigenvalues carry an O(h^2) bias with a smooth coefficient, so every
 headline number (lambda^2 and the equator value u(r0)) is Richardson
 extrapolated from the requested grid and its half.  Modes are labeled
 ell = |m| + n with n the interior node count, checked on every solve.  A
-joint slice keeps no vectors: matrix elements are formed as modes are built.
+joint slice is a table of numbers per m: matrix elements are formed as modes are built.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ import os
 import random
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import machinery, util
 
@@ -56,24 +56,24 @@ _RQI_TOL, _RQI_FLOOR, _RQI_STEPS = 1e-13, 2.0 * np.finfo(float).eps, 8
 
 @dataclass(frozen=True, eq=False)
 class RadialMode:
-    """One radial eigenfunction, integral u^2 a dr = 1; r and u are None in a joint slice."""
+    """One radial eigenfunction u on the fine grid's nodes r, integral u^2 a dr = 1."""
 
     m: int
     n: int
     ell: int
     lam: float
-    r: np.ndarray | None
-    u: np.ndarray | None
+    r: np.ndarray
+    u: np.ndarray
     u_at_r0: float
 
 
 @dataclass(frozen=True, eq=False)
 class JointSlice:
-    """All 2 ell + 1 joint modes (|m| <= ell, n = ell - |m|) and their symbol's elements or None."""
+    """`modes` (n = ell - |m|) in ascending m = -ell..ell, a record array of columns m, n, lam,
+    u_at_r0 and norm = restricted_norm, and their symbol's `elements` in that order or None."""
 
     ell: int
-    modes: list
-    restricted_norms: dict
+    modes: np.recarray
     elements: np.ndarray | None
 
 
@@ -298,30 +298,30 @@ def _multiplet(p: SurfaceProfile, ell: int, grid_size: int):
 
 def joint_slice(p: SurfaceProfile, ell: int, grid_size: int,
                 sym: _actions.SymbolFn | None = None) -> JointSlice:
-    """The multiplet at label ell: modes n = ell - |m|, |m| <= ell, without vectors, negative m
-    mirroring positive m (the radial operator depends on m^2).  Elements of b(r): one dot per mode
+    """The multiplet at label ell: modes n = ell - |m|, |m| <= ell, without vectors, row m
+    mirroring row |m| (the radial operator depends on m^2).  Elements of b(r): one dot per mode
     as it is assembled (trapezoid integral of b u^2 a, weights a b h of its node set, ends halved,
     from one sampling of a and b); of chi: one call on every ratio m / lambda."""
     if ell < 1:
         raise InvalidParameterError(f"ell must be >= 1, got {ell}")
-    radial, half, dots = sym is not None and sym.kind == "radial_mult", [], []
+    radial, rows, dots = sym is not None and sym.kind == "radial_mult", [], []
     for mode in _multiplet(p, ell, grid_size):
-        if radial and not half:  # m = 0 comes first, on all nodes
+        if radial and not rows:  # m = 0 comes first, on all nodes
             r = mode.r
             w = np.asarray(p.a(r), float) * np.asarray(sym.fn(r), float) * (r[1] - r[0])
             weights = [np.concatenate(([0.5 * v[0]], v[1:-1], [0.5 * v[-1]])) for v in (w, w[1:-1])]
         if radial:
             dots.append(float(mode.u * mode.u @ weights[mode.m != 0]))
-        half.append(replace(mode, r=None, u=None))
-    modes = [replace(v, m=-v.m) for v in half[:0:-1]] + half
-    elements = np.array(dots[:0:-1] + dots) if radial else None
+        rows.append((mode.m, mode.n, mode.lam, mode.u_at_r0, restricted_norm(mode, p)))
+    mirror = np.abs(np.arange(-ell, ell + 1))
+    modes = np.rec.fromrecords(rows, names="m,n,lam,u_at_r0,norm")[mirror]
+    modes.m[:ell] *= -1
+    elements = np.array(dots)[mirror] if radial else None
     if sym is not None and not radial:
-        m, lam = np.array([(mode.m, mode.lam) for mode in modes]).T
-        if np.any(lam <= 0.0):
+        if np.any(modes.lam <= 0.0):
             raise InvalidParameterError("angular matrix element needs lambda > 0")
-        elements = np.broadcast_to(np.asarray(sym.fn(m / lam), float), m.shape)
-    return JointSlice(ell=ell, modes=modes, elements=elements,
-                      restricted_norms={mode.m: restricted_norm(mode, p) for mode in modes})
+        elements = np.broadcast_to(np.asarray(sym.fn(modes.m / modes.lam), float), mirror.shape)
+    return JointSlice(ell=ell, modes=modes, elements=elements)
 
 
 def restricted_norm(mode: RadialMode, p: SurfaceProfile) -> float:
@@ -330,8 +330,8 @@ def restricted_norm(mode: RadialMode, p: SurfaceProfile) -> float:
     return p.a_r0 * mode.u_at_r0 * mode.u_at_r0
 
 
-def ebk_residual(modes, ev: _actions.ActionEvaluator) -> np.ndarray:
-    """lambda minus the semiclassical K(m, ell + 1/2) = (ell + 1/2) K1(|m| / (ell + 1/2)),
-    for each of a sequence of RadialModes, from one K1 lookup."""
-    ell, m, lam = np.array([(mode.ell, mode.m, mode.lam) for mode in modes]).T
-    return lam - (ell + 0.5) * _actions._unit_torus(ev, np.abs(m) / (ell + 0.5))[0]
+def ebk_residual(modes: np.recarray, ev: _actions.ActionEvaluator) -> np.ndarray:
+    """lambda minus the semiclassical K(m, ell + 1/2) = (ell + 1/2) K1(|m| / (ell + 1/2)), ell =
+    |m| + n, for each row of a table of columns m, n, lam (a JointSlice's), from one K1 lookup."""
+    m, ell_half = np.abs(modes.m), np.abs(modes.m) + modes.n + 0.5
+    return modes.lam - ell_half * _actions._unit_torus(ev, m / ell_half)[0]

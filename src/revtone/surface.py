@@ -253,15 +253,15 @@ def _chop(coeffs: np.ndarray, tol: float) -> tuple[int, bool]:
 class _ChebFit:
     """Chebyshev fit through sample(js), the values at x_j = cos(pi j / 512) for an array of
     j, on nested Lobatto points N = 16, 32, ..., 512 (all samples reused, a level's new ones
-    in one call), up to the first N with a coefficient plateau at relative tol; x = 1 and -1
-    take `ends`, x < 0 is not sampled if even.  `series` is the fit as a numpy Chebyshev on
-    `domain`, mapped onto x in [-1, 1], and `coeffs` its coefficients.  `tail` is the largest
-    coefficient cut or, with no plateau (`converged` False, the fit kept whole and a
-    PlateauWarning naming it), the largest in its upper half.  A non-finite sample raises
-    ConvergenceError."""
+    in one call), up to the first N with a coefficient plateau at relative tol or with none
+    above `floor` (the zero series); x = 1 and -1 take `ends`, x < 0 is not sampled if even.
+    `series` is the fit as a numpy Chebyshev on `domain`, mapped onto x in [-1, 1], and
+    `coeffs` its coefficients.  `tail` is the largest coefficient cut or, with no plateau
+    (`converged` False, the fit kept whole and a PlateauWarning naming it), the largest in
+    its upper half.  A non-finite sample raises ConvergenceError."""
 
     def __init__(self, name: str, sample, ends: tuple, tol: float, even: bool = False,
-                 domain: tuple = (-1.0, 1.0)):
+                 domain: tuple = (-1.0, 1.0), floor: float = 0.0):
         g = np.full(513, np.nan)
         g[[0, 512]] = ends
         for n in (16, 32, 64, 128, 256, 512):
@@ -275,7 +275,7 @@ class _ChebFit:
             if even:
                 g[257:512] = g[255:0:-1]
             coeffs = _lobatto_coefficients(g[idx])
-            keep, self.converged = _chop(coeffs, tol)
+            keep, self.converged = (1, True) if abs(coeffs).max() <= floor else _chop(coeffs, tol)
             if self.converged:
                 break
         self.series, self.degree = Chebyshev(coeffs[:keep], domain), keep - 1

@@ -112,8 +112,8 @@ def test_04_sphere_eigenvalue_ladder(acceptance_log, sphere, sphere_ev):
 def test_05_equator_norms_vs_legendre(acceptance_log, sphere, sphere_ev):
     worst = 0.0
     for ell in range(1, 21):
-        sl = joint_slice(sphere, ell, 4000)
-        for m, value in sl.restricted_norms.items():
+        modes = joint_slice(sphere, ell, 4000).modes
+        for m, value in zip(modes.m.tolist(), modes.norm.tolist()):
             worst = max(worst, abs(value - oracles.equator_norm(ell, m)))
     ok = worst <= 1e-5
     _finish(acceptance_log, 5, "equator norms vs Legendre",
@@ -229,10 +229,10 @@ def test_09_property_battery(acceptance_log, sphere, sphere_ev, ell13,
     # m reflection symmetry
     sym_ok = True
     for sl in (joint_slice(sphere, 12, 2000), ell13_slices[50]):
-        lams = {mode.m: mode.lam for mode in sl.modes}
-        for m in range(1, sl.ell + 1):
-            sym_ok &= abs(lams[m] - lams[-m]) <= 1e-12
-            sym_ok &= abs(sl.restricted_norms[m] - sl.restricted_norms[-m]) <= 1e-12
+        pos, neg = sl.modes[sl.modes.m > 0], sl.modes[sl.modes.m < 0][::-1]
+        sym_ok &= np.array_equal(pos.m, np.arange(1, sl.ell + 1)) and np.array_equal(neg.m, -pos.m)
+        sym_ok &= bool(np.all(np.abs(pos.lam - neg.lam) <= 1e-12))
+        sym_ok &= bool(np.all(np.abs(pos.norm - neg.norm) <= 1e-12))
     checks.append(("m reflection 1e-12", sym_ok))
 
     # bit-identical reruns

@@ -33,7 +33,7 @@ from revtone import (
 from revtone import actions, cli, surface
 from revtone.actions import equator_momentum
 from revtone.measures import limit_measure_mu, limit_measure_nu
-from revtone.spectral import RadialMode, ebk_residual
+from revtone.spectral import ebk_residual
 from revtone.surface import make_ellipsoid, make_round_sphere
 
 import oracles
@@ -431,8 +431,9 @@ def test_limit_cdf_monotone(ell13_ev):
 
 # --- the unit-torus energy series K1 ---------------------------------------
 
-def _mode(m, ell, lam):
-    return RadialMode(m=m, n=ell - abs(m), ell=ell, lam=lam, r=None, u=None, u_at_r0=0.0)
+def _modes(m, ell, lam):
+    """A one-row mode table, the columns ebk_residual reads of a JointSlice's modes."""
+    return np.rec.fromrecords([(m, ell - abs(m), lam)], names="m,n,lam")
 
 
 def test_energy_homogeneity_behind_k1(ell13_ev):
@@ -464,9 +465,8 @@ def test_k1_series_matches_the_pointwise_oracle(aspect, ell13_ev):
         # at aspect 5, where a finite difference of energy_K sides with the series)
         assert abs(w1 + dc / dE) <= (1e-11 * abs(w1) if s >= 0.25 else 1e-9 * w2)
     for m in range(-100, 101, 20):
-        mode = _mode(m, 100, 100.0)
-        pointwise = mode.lam - energy_K(ev, float(m), 100.5)
-        assert abs(ebk_residual([mode], ev)[0] - pointwise) <= 1e-12
+        pointwise = 100.0 - energy_K(ev, float(m), 100.5)
+        assert abs(ebk_residual(_modes(m, 100, 100.0), ev)[0] - pointwise) <= 1e-12
 
 
 def test_k1_series_converges_from_few_inversions(ell13, monkeypatch):
@@ -511,9 +511,8 @@ def test_k1_without_plateau_reads_the_whole_fit(ell13, monkeypatch, tmp_path, ca
         assert frequencies(ev, c) == (np.sign(c) * slope, K - s * slope)
         assert limit_density_unnorm(ev, c) == (K - s * slope) / np.sqrt((1.0 - u) * (1.0 + u))
         assert torus_average(ev, chi, c) == c / K
-    mode = _mode(-7, 20, 20.0)
     K = np.polynomial.chebyshev.chebval(2.0 * 7 / 20.5 - 1.0, series.coeffs)
-    assert ebk_residual([mode], ev)[0] == mode.lam - 20.5 * K
+    assert ebk_residual(_modes(-7, 20, 20.0), ev)[0] == 20.0 - 20.5 * K
     # and the CLI still says so
     cfg = tmp_path / "run.cfg"
     cfg.write_text("profile.kind = ellipsoid\nprofile.aspect = 1.3\nrun.command = density\n"
@@ -644,7 +643,7 @@ def test_radial_nu_series_samples_half_the_interval(sphere, monkeypatch, plateau
     assert np.array_equal(even.coeffs, full.coeffs)
 
 
-def test_zero_symbol_nu_series_stops_at_the_first_level(sphere_ev, monkeypatch):
+def test_zero_symbol_nu_series_stops_at_the_first_level(sphere_ev, monkeypatch, plateau):
     # 0 * r: all-zero coefficients are a one-term plateau at N = 16 (8 samples of the even
     # series), not 256 samples without one; the vanishing state then has no limit
     calls = []
@@ -658,6 +657,12 @@ def test_zero_symbol_nu_series_stops_at_the_first_level(sphere_ev, monkeypatch):
     assert len(calls) == 8 and series.converged and series.degree == 0
     with pytest.raises(SignedMeasureError):
         limit_measure_nu(sphere_ev, zero)
+    # r^-1/2 is infinite at the poles, its torus averages are not: an infinite max |b| sets
+    # no zero-series floor, and the build runs to N = 512 (the averages are rough at c = 0)
+    calls.clear()
+    with plateau("nu"):
+        actions.nu_series(sphere_ev, radial_symbol(lambda r: 1.0 / np.sqrt(r), name="r^-1/2"))
+    assert len(calls) == 256
 
 
 # --- the equator derivative identity ---------------------------------------

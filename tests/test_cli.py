@@ -278,10 +278,10 @@ def test_spectrum_slice_files(tmp_path):
 
     # written floats round-trip to the solver output exactly
     p = make_round_sphere()
-    sl = joint_slice(p, 10, 2000)
-    lams = {mode.m: mode.lam for mode in sl.modes}
-    for r in rows10:
-        assert float(r[3]) == lams[int(r[1])]
+    modes = joint_slice(p, 10, 2000).modes
+    assert [int(r[1]) for r in rows10] == modes.m.tolist()
+    assert [float(r[3]) for r in rows10] == modes.lam.tolist()
+    assert [float(r[4]) for r in rows10] == modes.norm.tolist()
 
 
 @pytest.mark.parametrize("command", ["density", "spectrum"])

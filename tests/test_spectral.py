@@ -36,6 +36,11 @@ def _multiplet(p, ell, grid_size):
     return list(spectral._multiplet(p, ell, grid_size))
 
 
+def _table(modes):
+    """RadialModes as rows of the columns that ebk_residual reads of a JointSlice's modes."""
+    return np.rec.fromrecords([(mode.m, mode.n, mode.lam) for mode in modes], names="m,n,lam")
+
+
 def _recount_sign_changes(u):
     live = np.abs(u) > 1e-8 * np.max(np.abs(u))
     signs = np.sign(u[live])
@@ -83,10 +88,21 @@ def test_grid_convergence_order(sphere):
 
 def test_mode_invariants(sphere, ell13, ell13_slices):
     modes = list(radial_modes(sphere, 2, 5, 2000)) + _multiplet(ell13, 25, 4000)
-    # the slice keeps the multiplet's numbers, and no vectors
-    for mode, ref in zip(ell13_slices[25].modes[25:], modes[6:]):
+    # the slice is one table of numbers, no vectors, in ascending m: rows m >= 0 keep the
+    # multiplet's numbers and each row -m is row m bit for bit, m aside
+    t = ell13_slices[25].modes
+    assert t.dtype.names == ("m", "n", "lam", "u_at_r0", "norm")
+    assert all(t.dtype[k].kind in "if" and t.dtype[k].shape == () for k in t.dtype.names)
+    assert np.array_equal(t.m, np.arange(-25, 26))
+    for mode, ref in zip(t[25:], modes[6:]):
         assert (mode.m, mode.n, mode.lam, mode.u_at_r0) == (ref.m, ref.n, ref.lam, ref.u_at_r0)
-        assert mode.r is None and mode.u is None
+    for k in ("n", "lam", "u_at_r0", "norm"):
+        assert t[k][:25].tobytes() == t[k][:25:-1].tobytes()
+    assert np.array_equal(t.norm, ell13.a_r0 * t.u_at_r0 * t.u_at_r0)
+    # elements follow the rows: chi(s) = s gives m / lambda of each row's own m
+    sl = joint_slice(ell13, 25, 4000, angular_symbol(lambda s: s))
+    assert sl.modes.tobytes() == t.tobytes()
+    assert np.array_equal(sl.elements, t.m / t.lam)
     for mode in modes:
         assert mode.lam >= 0.0
         assert mode.ell == abs(mode.m) + mode.n
@@ -120,30 +136,28 @@ def test_resolution_guard_fires(sphere):
 
 def test_sphere_ell1_multiplet(sphere, sphere_ev):
     sl = joint_slice(sphere, 1, 2000)
-    assert sl.ell == 1 and len(sl.modes) == 3
-    assert sorted(mode.m for mode in sl.modes) == [-1, 0, 1]
-    for mode in sl.modes:
-        assert mode.lam ** 2 == pytest.approx(2.0, rel=1e-6)
-        assert mode.n == 1 - abs(mode.m)
-    assert sl.restricted_norms[0] <= 1e-12
-    assert sl.restricted_norms[1] == pytest.approx(0.75, abs=1e-6)
-    assert sl.restricted_norms[-1] == pytest.approx(0.75, abs=1e-6)
+    t = sl.modes
+    assert sl.ell == 1 and len(t) == 3
+    assert t.m.tolist() == [-1, 0, 1]
+    assert t.lam ** 2 == pytest.approx([2.0] * 3, rel=1e-6)
+    assert np.array_equal(t.n, 1 - np.abs(t.m))
+    assert t.norm[1] <= 1e-12
+    assert t.norm[[0, 2]] == pytest.approx([0.75, 0.75], abs=1e-6)
 
 
 def test_sphere_ell10_degenerate(sphere, sphere_ev):
     sl = joint_slice(sphere, 10, 4000)
     assert len(sl.modes) == 21
-    for mode in sl.modes:
-        assert mode.lam ** 2 == pytest.approx(110.0, rel=1e-6)
+    assert sl.modes.lam ** 2 == pytest.approx([110.0] * 21, rel=1e-6)
 
 
 def test_ellipsoid_multiplet_splits(ell13_slices):
-    sl = ell13_slices[25]
-    lams = {mode.m: mode.lam for mode in sl.modes}
-    assert len({round(v, 6) for v in lams.values()}) > 3
-    for m in range(1, 26):
-        assert abs(lams[m] - lams[-m]) <= 1e-12
-        assert sl.restricted_norms[m] == sl.restricted_norms[-m]
+    t = ell13_slices[25].modes
+    assert len({round(v, 6) for v in t.lam.tolist()}) > 3
+    pos, neg = t[t.m > 0], t[t.m < 0][::-1]
+    assert np.array_equal(pos.m, np.arange(1, 26)) and np.array_equal(neg.m, -pos.m)
+    assert np.all(np.abs(pos.lam - neg.lam) <= 1e-12)
+    assert np.array_equal(pos.norm, neg.norm)
 
 
 def test_joint_slice_requires_positive_ell(sphere, sphere_ev):
@@ -168,9 +182,7 @@ def test_joint_slice_samples_profile_once_per_grid(sphere, sphere_ev):
 def test_joint_slice_deterministic(sphere, sphere_ev):
     a = joint_slice(sphere, 6, 1000)
     b = joint_slice(sphere, 6, 1000)
-    for ma, mb in zip(a.modes, b.modes):
-        assert ma.lam == mb.lam
-    assert a.restricted_norms == b.restricted_norms
+    assert a.modes.tobytes() == b.modes.tobytes()
     for ma, mb in zip(_multiplet(sphere, 6, 1000), _multiplet(sphere, 6, 1000)):
         assert ma.lam == mb.lam
         assert np.array_equal(ma.u, mb.u)
@@ -213,8 +225,8 @@ def test_eigenvalues_steady_under_last_bit_of_profile(ell13, ell13_slices):
     # every profile value one ulp up: bisection to eps * ||T|| moved lambda^2 by
     # up to 1.3e-10 relative under changes this small
     nudged = dataclasses.replace(ell13, a=lambda r: np.nextafter(ell13.a(r), np.inf))
-    for mode, moved in zip(ell13_slices[50].modes, joint_slice(nudged, 50, 4000).modes):
-        assert abs(moved.lam ** 2 - mode.lam ** 2) <= 1e-13 * mode.lam ** 2
+    lam2, moved = ell13_slices[50].modes.lam ** 2, joint_slice(nudged, 50, 4000).modes.lam ** 2
+    assert np.all(np.abs(moved - lam2) <= 1e-13 * lam2)
 
 
 def test_bad_seed_falls_back_to_labelled_bisection(sphere, sphere_ev, monkeypatch):
@@ -231,7 +243,7 @@ def test_bad_seed_falls_back_to_labelled_bisection(sphere, sphere_ev, monkeypatc
     modes = _multiplet(sphere, 10, 2000)
     assert len(calls) == 3  # m = 0 on the coarse grid, m = 3 on both grids
     for mode, ref in zip(modes, good.modes[10:]):
-        assert (mode.m, mode.n, mode.ell) == (ref.m, ref.n, ref.ell)
+        assert (mode.m, mode.n, mode.ell) == (ref.m, ref.n, 10)
         assert _recount_sign_changes(mode.u) == mode.n
         assert abs(mode.lam - ref.lam) <= 1e-12 * ref.lam
 
@@ -445,31 +457,26 @@ def test_split_slices_match_unsplit_ones(request, profile):
 # --- restricted norms and matrix elements ----------------------------------
 
 def test_restricted_norm_closed_forms(sphere, sphere_ev):
-    sl1 = joint_slice(sphere, 1, 4000)
-    sl2 = joint_slice(sphere, 2, 4000)
-    assert sl1.restricted_norms[0] == pytest.approx(
-        oracles.EXACT_EQUATOR_NORMS[(1, 0)], abs=1e-8)
-    assert sl1.restricted_norms[1] == pytest.approx(
-        oracles.EXACT_EQUATOR_NORMS[(1, 1)], abs=1e-6)
-    assert sl2.restricted_norms[0] == pytest.approx(
-        oracles.EXACT_EQUATOR_NORMS[(2, 0)], abs=1e-6)
-    assert sl2.restricted_norms[2] == pytest.approx(
-        oracles.EXACT_EQUATOR_NORMS[(2, 2)], abs=1e-6)
+    # row ell + m of each slice
+    norm1 = joint_slice(sphere, 1, 4000).modes.norm
+    norm2 = joint_slice(sphere, 2, 4000).modes.norm
+    assert norm1[1] == pytest.approx(oracles.EXACT_EQUATOR_NORMS[(1, 0)], abs=1e-8)
+    assert norm1[2] == pytest.approx(oracles.EXACT_EQUATOR_NORMS[(1, 1)], abs=1e-6)
+    assert norm2[2] == pytest.approx(oracles.EXACT_EQUATOR_NORMS[(2, 0)], abs=1e-6)
+    assert norm2[4] == pytest.approx(oracles.EXACT_EQUATOR_NORMS[(2, 2)], abs=1e-6)
 
 
 def test_restricted_norm_parity_zeros(sphere, sphere_ev):
     # u is odd about the equator when ell - |m| is odd
-    sl = joint_slice(sphere, 7, 2000)
-    for mode in sl.modes:
-        if (sl.ell - abs(mode.m)) % 2 == 1:
-            assert restricted_norm(mode, sphere) <= 1e-12
+    t = joint_slice(sphere, 7, 2000).modes
+    assert np.all(t.norm[(7 - np.abs(t.m)) % 2 == 1] <= 1e-12)
 
 
 def test_weyl_mass_doubles(sphere, sphere_ev):
     mass = {}
     for ell in (50, 100):
         sl = joint_slice(sphere, ell, 2000)
-        mass[ell] = sum(sl.restricted_norms.values())
+        mass[ell] = float(np.sum(sl.modes.norm))
     assert mass[100] / mass[50] == pytest.approx(2.0, rel=0.10)
 
 
@@ -504,10 +511,10 @@ def test_radial_matrix_elements_match_per_mode(ell13, ell13_slices):
     # typically stays near sqrt(4000) eps = 7e-15 relative (8e-16 measured)
     sl = joint_slice(ell13, 25, 4000, radial_symbol(b))
     assert samples == [4000]
-    assert [mode.lam for mode in sl.modes] == [mode.lam for mode in ell13_slices[25].modes]
+    assert sl.modes.tobytes() == ell13_slices[25].modes.tobytes()
     modes = _multiplet(ell13, 25, 4000)
-    for value, mode in zip(sl.elements, sl.modes):
-        ref = oracles.matrix_element_radial(modes[abs(mode.m)], b, ell13)
+    for value, m in zip(sl.elements, sl.modes.m):
+        ref = oracles.matrix_element_radial(modes[abs(m)], b, ell13)
         assert abs(value - ref) <= 1e-14 * abs(ref)
 
 
@@ -531,7 +538,7 @@ def test_angular_matrix_elements_values(sphere):
     assert slice_(lambda s: s * s).elements[zonal] == 0.0
     # in the slice's order, each the ratio of its own mode, from one call of chi per slice
     sl = slice_(lambda s: s)
-    assert np.array_equal(sl.elements, [mode.m / mode.lam for mode in sl.modes])
+    assert np.array_equal(sl.elements, sl.modes.m / sl.modes.lam)
     assert len(calls) == 4
 
 
@@ -547,7 +554,8 @@ def test_joint_slice_keeps_no_vectors(sphere):
     finally:
         tracemalloc.stop()
     assert len(sl.modes) == 801 and sl.elements.shape == (801,)
-    assert all(mode.r is None and mode.u is None for mode in sl.modes)
+    assert sl.modes.dtype.names == ("m", "n", "lam", "u_at_r0", "norm")
+    assert sl.modes.nbytes == 801 * 5 * 8
     assert peak <= 4 * 2 ** 20, peak
 
 
@@ -594,18 +602,18 @@ def test_joint_slice_within_bounds_of_ritz_oracle(aspect, ell13, ell13_slices):
         bound_lam2, bound_norm = _RITZ_BOUNDS[aspect, ell]
         for m in (k * ell // 10 for k in range(11)):
             lam2, norm = oracles.ritz_modes(aspect, m, ell - m)
-            assert abs(sl.modes[ell + m].lam ** 2 / lam2 - 1.0) <= bound_lam2, (ell, m)
-            assert abs(sl.restricted_norms[m] - norm) <= bound_norm, (ell, m)
+            assert abs(sl.modes.lam[ell + m] ** 2 / lam2 - 1.0) <= bound_lam2, (ell, m)
+            assert abs(sl.modes.norm[ell + m] - norm) <= bound_norm, (ell, m)
 
 
 # --- semiclassical residuals -----------------------------------------------
 
 def test_ebk_residual_sphere(sphere, sphere_ev):
     modes10 = radial_modes(sphere, 0, 10, 4000)
-    res10 = ebk_residual(modes10[10:], sphere_ev)[0]
+    res10 = ebk_residual(_table(modes10[10:]), sphere_ev)[0]
     assert res10 == pytest.approx(np.sqrt(110.0) - 10.5, abs=1e-5)
     modes100 = radial_modes(sphere, 0, 100, 4000)
-    res100 = ebk_residual(modes100[100:], sphere_ev)[0]
+    res100 = ebk_residual(_table(modes100[100:]), sphere_ev)[0]
     assert res100 == pytest.approx(np.sqrt(10100.0) - 100.5, abs=1e-4)
 
 
@@ -623,7 +631,7 @@ def test_ebk_residual_shrinks_on_ellipsoid(ell13, ell13_ev):
     res = {}
     for ell in (10, 20, 40):
         mode = radial_modes(ell13, 0, ell, 4000)[ell]
-        res[ell] = abs(ebk_residual([mode], ell13_ev)[0])
+        res[ell] = abs(ebk_residual(_table([mode]), ell13_ev)[0])
     assert res[40] <= 0.05
     assert res[40] < res[20] < res[10]
 
@@ -672,7 +680,7 @@ def test_public_lapack_module_when_the_extension_is_not_found(sphere, monkeypatc
     for mode, ref in zip(_multiplet(sphere, 6, 1000), good_modes):
         assert (mode.m, mode.n, mode.lam, mode.u_at_r0) == (ref.m, ref.n, ref.lam, ref.u_at_r0)
         assert np.array_equal(mode.u, ref.u)
-    assert sl.restricted_norms == good.restricted_norms
+    assert sl.modes.tobytes() == good.modes.tobytes()
 
 
 def test_lapack_failures_raise_convergence_error(tmp_path, capsys, monkeypatch):
