@@ -74,7 +74,9 @@ def _cached(ev: ActionEvaluator, key, build: Callable):
 # ---------------------------------------------------------------------------
 # symbols
 
-SYMBOL_KINDS = ("radial_mult", "angular_ratio")
+# each kind's variable and its domain on a profile
+SYMBOL_KINDS = {"radial_mult": ("r", lambda p: (0.0, p.L)),
+                "angular_ratio": ("s", lambda p: (-p.a_r0, p.a_r0))}
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,17 +343,18 @@ def torus_average(ev: ActionEvaluator, sym: SymbolFn, c):
 # densities integrated in the arcsine variable
 
 class _SinSeries(_ChebFit):
-    """Fit of g(u) = f(c) sqrt((1 - c)(1 + c)), c = sin(pi u / 2), with g(+-1) = end;
-    its antiderivative makes the CDF of f in c closed-form.  The
-    weight takes the rounded c, to cancel the blow-up of f at that point."""
+    """Fit of g(u) = f(c) sqrt((1 - c)(1 + c)), c = sin(pi u / 2), with g(+-1) = end; its
+    antiderivative makes the CDF of f in c closed-form.  The weight takes the rounded c, to
+    cancel the blow-up of f there.  Coefficients all at most _SERIES_TOL scale: the zero series."""
 
-    def __init__(self, name: str, f, end: float, even: bool, floor: float = 0.0):
+    def __init__(self, name: str, f, end: float, even: bool, scale: float = 0.0):
         def sample(js):
             # u_j = cos(pi j / 512) as a sine: exact at u = 0 and odd in u
             c = np.sin(0.5 * np.pi * np.sin(np.pi * (256 - js) / 512))
             return f(c) * np.sqrt((1.0 - c) * (1.0 + c))
 
-        super().__init__(name, sample, (end, end), _SERIES_TOL, even, floor=floor)
+        super().__init__(name, sample, (end, end), _SERIES_TOL, even, floor=_SERIES_TOL * scale)
+        self.scale = scale
         self._anti = self.series.integ()
         self._lo = float(self._anti(-1.0))
         self.total = (np.pi / 2.0) * (float(self._anti(1.0)) - self._lo)
@@ -385,17 +388,14 @@ def mu_series(ev: ActionEvaluator) -> _SinSeries:
 
 
 def nu_series(ev: ActionEvaluator, sym: SymbolFn) -> _SinSeries:
-    """The torus averages' series, cached in ev by the SymbolFn's identity; bounded, so
-    g(+-1) = 0.  A radial average depends on c only through |c|: c >= 0 is sampled.  Coefficients
-    all at most _SERIES_TOL max |b| (b on [0, L], chi on [-a(r0), a(r0)]) are the zero series."""
-    p, radial = ev.profile, sym.kind == "radial_mult"
-    lims = (0.0, p.L) if radial else (-p.a_r0, p.a_r0)
-
+    """The torus averages' series, cached in ev by the SymbolFn's identity; bounded, so g(+-1)
+    = 0.  A radial average depends on c only through |c|: c >= 0 is sampled.  Its `scale` is
+    max |b| over the finite samples of b at 513 points of its kind's domain (SYMBOL_KINDS)."""
     def build():
-        with np.errstate(all="ignore"):  # a non-finite max |b| sets no floor
-            top = np.max(np.abs(sym.fn(np.linspace(*lims, 513))))
-        return _SinSeries("nu", lambda c: torus_average(ev, sym, c), 0.0, radial,
-                          _SERIES_TOL * top if np.isfinite(top) else 0.0)
+        with np.errstate(all="ignore"):  # a non-finite sample is left out of the scale
+            b = np.abs(sym.fn(np.linspace(*SYMBOL_KINDS[sym.kind][1](ev.profile), 513)))
+        return _SinSeries("nu", lambda c: torus_average(ev, sym, c), 0.0,
+                          sym.kind == "radial_mult", np.max(b[np.isfinite(b)], initial=0.0))
     return _cached(ev, ("nu_series", sym), build)
 
 

@@ -30,7 +30,7 @@ from . import config as _config
 from . import measures as _measures
 from . import spectral as _spectral
 from .errors import ConfigError, ExprError, PlateauWarning, RejectedProfileError, RevtoneError
-from .surface import CheckResult, ValidationReport, make_round_sphere, validate_profile
+from .surface import CheckResult, ValidationReport, make_round_sphere
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -83,9 +83,13 @@ def _write_csv(out_dir: str, name: str, header: list, rows: list):
 
 
 def _write_errors(out_dir: str, failures: dict) -> int:
-    """errors.json of the ells that failed, and the exit code of a partial failure."""
-    _write_json(out_dir, "errors.json", failures)
-    return EXIT_NUMERICAL
+    """errors.json of the ells that failed, and the exit code; a run without failures
+    removes an earlier run's errors.json."""
+    if failures:
+        _write_json(out_dir, "errors.json", failures)
+    elif os.path.exists(path := os.path.join(out_dir, "errors.json")):
+        os.remove(path)
+    return EXIT_NUMERICAL if failures else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +97,7 @@ def _write_errors(out_dir: str, failures: dict) -> int:
 
 def cmd_validate(cfg: _config.RunConfig) -> int:
     try:
-        profile = _config.build_profile(cfg)
-        report = profile.report or validate_profile(profile)
+        report = _config.build_profile(cfg).report
     except RejectedProfileError as exc:
         report = exc.report
     _write_json(cfg.out_dir, "validation.json", report.as_dict())
@@ -128,7 +131,7 @@ def cmd_spectrum(cfg: _config.RunConfig) -> int:
         except RevtoneError as exc:
             failures[str(ell)] = f"{type(exc).__name__}: {exc}"
             print(f"spectrum: ell = {ell} failed: {exc}", file=sys.stderr)
-    return _write_errors(cfg.out_dir, failures) if failures else EXIT_OK
+    return _write_errors(cfg.out_dir, failures)
 
 
 def cmd_converge(cfg: _config.RunConfig) -> int:
@@ -142,10 +145,10 @@ def cmd_converge(cfg: _config.RunConfig) -> int:
     failures = {str(r["ell"]): r["error"] for r in report.rows if "error" in r}
     if failures:
         print(f"converge: {len(failures)} of {len(report.rows)} ells failed", file=sys.stderr)
-        return _write_errors(cfg.out_dir, failures)
-    print(f"converge: {len(report.rows)} ells, W1 fit exponent "
-          f"{report.fit['w1_exponent']:.3f}")
-    return EXIT_OK
+    else:
+        print(f"converge: {len(report.rows)} ells, W1 fit exponent "
+              f"{report.fit['w1_exponent']:.3f}")
+    return _write_errors(cfg.out_dir, failures)
 
 
 # ---------------------------------------------------------------------------

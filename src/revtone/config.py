@@ -18,7 +18,9 @@ from .errors import ConfigError
 from .surface import load_profile_table, make_ellipsoid, make_round_sphere, read_table
 
 COMMANDS = ("validate", "density", "spectrum", "converge", "verify-sphere")
-PROFILE_KINDS = ("round_sphere", "ellipsoid", "custom_table")
+_PROFILES = {"round_sphere": lambda cfg: make_round_sphere(),
+             "ellipsoid": lambda cfg: make_ellipsoid(cfg.profile_aspect),
+             "custom_table": lambda cfg: load_profile_table(cfg.profile_table_path)}
 
 _LINE = re.compile(r"^\s*([A-Za-z_]+)\s*\.\s*([A-Za-z_]+)\s*=\s*(.*?)\s*$")
 
@@ -72,7 +74,7 @@ def _ells(raw: str) -> tuple:
 
 # `section.key` -> (RunConfig field, value parser raising ValueError)
 _KEYS = {
-    "profile.kind": ("profile_kind", _choice(PROFILE_KINDS)),
+    "profile.kind": ("profile_kind", _choice(_PROFILES)),
     "profile.aspect": ("profile_aspect", _aspect),
     "profile.table_path": ("profile_table_path", str),
     "spectral.grid_size": ("grid_size", _int_at_least(_spectral.MIN_GRID)),
@@ -131,11 +133,7 @@ def load_config(path: str) -> RunConfig:
 
 
 def build_profile(cfg: RunConfig):
-    if cfg.profile_kind == "round_sphere":
-        return make_round_sphere()
-    if cfg.profile_kind == "ellipsoid":
-        return make_ellipsoid(cfg.profile_aspect)
-    return load_profile_table(cfg.profile_table_path)
+    return _PROFILES[cfg.profile_kind](cfg)
 
 
 def build_evaluator(cfg: RunConfig, profile) -> _actions.ActionEvaluator:
@@ -143,16 +141,16 @@ def build_evaluator(cfg: RunConfig, profile) -> _actions.ActionEvaluator:
 
 
 def build_symbol(cfg: RunConfig, profile) -> _actions.SymbolFn | None:
-    """The run's symbol; as a spline extrapolates, a table must span its argument's domain on
-    `profile`: r in [0, L] for radial_mult, s in [-a(r0), a(r0)] for angular_ratio."""
+    """The run's symbol in its kind's variable; as a spline extrapolates, a table must span
+    the kind's domain on `profile` (`actions.SYMBOL_KINDS`)."""
     if cfg.symbol_kind is None:
         return None
-    radial = cfg.symbol_kind == "radial_mult"
+    var, domain = _actions.SYMBOL_KINDS[cfg.symbol_kind]
     if cfg.symbol_expr is not None:
-        fn, name = _expr.parse_expr(cfg.symbol_expr, "r" if radial else "s"), cfg.symbol_expr
+        fn, name = _expr.parse_expr(cfg.symbol_expr, var), cfg.symbol_expr
     else:
         fn, name = read_table(cfg.symbol_table_path, "symbol table", 4), cfg.symbol_table_path
-        lo, hi = (0.0, profile.L) if radial else (-profile.a_r0, profile.a_r0)
+        lo, hi = domain(profile)
         if fn.x[0] > lo + 1e-9 * (hi - lo) or fn.x[-1] < hi - 1e-9 * (hi - lo):
             raise ConfigError(f"symbol table {name!r} spans x in {fn.x[[0, -1]].tolist()}, not "
                               f"the {cfg.symbol_kind} domain [{lo!r}, {hi!r}]")

@@ -89,13 +89,12 @@ def limit_measure_mu(ev: _actions.ActionEvaluator) -> LimitMeasure:
 
 
 def limit_measure_nu(ev: _actions.ActionEvaluator, sym: _actions.SymbolFn) -> LimitMeasure:
-    """Weak-* limit of the matrix-element measures: normalized torus averages, which
-    a vanishing total average leaves without a normalization."""
-    omega = _actions.liouville_state(ev, sym)
-    if abs(omega) < 1e-12:
+    """Weak-* limit of the matrix-element measures: normalized torus averages, which a total
+    average of at most 1e-12 of the nu series' `scale` leaves without a normalization."""
+    omega, series = _actions.liouville_state(ev, sym), _actions.nu_series(ev, sym)
+    if abs(omega) <= 1e-12 * series.scale:
         raise SignedMeasureError(
             f"total average {omega:.3e} vanishes; no normalized limit density exists")
-    series = _actions.nu_series(ev, sym)
     return LimitMeasure(density=series.density, cdf=series.cdf, mass_constant=omega)
 
 

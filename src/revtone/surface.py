@@ -38,7 +38,7 @@ class SurfaceProfile:
     r0: float
     a_r0: float
     name: str = "custom"
-    # make_custom's validation of the profile; None for the round sphere
+    # make_custom's validation of the profile, which every built-in profile carries
     report: "ValidationReport | None" = field(default=None, repr=False, compare=False)
     # a(L - r) = a(r) and r0 = L / 2, declared by the sphere and ellipsoid constructors only
     mirror: bool = False
@@ -208,10 +208,9 @@ def make_custom(a, a1, a2, L: float, name: str = "custom",
 
 
 def make_round_sphere() -> SurfaceProfile:
-    """Unit round sphere: a(r) = sin r on [0, pi]."""
-    return SurfaceProfile(a=np.sin, a1=np.cos, a2=lambda r: -np.sin(np.asarray(r, float)),
-                          L=float(np.pi), r0=float(np.pi / 2), a_r0=1.0, name="round_sphere",
-                          mirror=True)
+    """Unit round sphere: a(r) = sin r on [0, pi], admitted by make_custom."""
+    return replace(make_custom(np.sin, np.cos, lambda r: -np.sin(np.asarray(r, float)), np.pi,
+                               "round_sphere", r0=np.pi / 2), mirror=True)
 
 
 def _lobatto_coefficients(values: np.ndarray) -> np.ndarray:
@@ -222,14 +221,12 @@ def _lobatto_coefficients(values: np.ndarray) -> np.ndarray:
 
 
 def _chop(coeffs: np.ndarray, tol: float) -> tuple[int, bool]:
-    """(number of leading coefficients to keep, whether a plateau showed) by
-    the rule of Aurentz & Trefethen, "Chopping a Chebyshev series" (ACM TOMS
-    43(4), 2017), at relative tolerance tol; without a plateau every
-    coefficient is kept."""
+    """(number of leading coefficients to keep, whether a plateau showed) by the rule of
+    Aurentz & Trefethen, "Chopping a Chebyshev series" (ACM TOMS 43(4), 2017), at relative
+    tolerance tol; without a plateau every coefficient is kept.  Not for the zero series,
+    which `_ChebFit`'s floor takes first."""
     n = len(coeffs)
     env = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
-    if env[0] == 0.0:  # the zero series: a plateau from the first term
-        return 1, True
     env = env / env[0]
     # first j (1-based) whose envelope is followed by a plateau
     for j in range(2, n + 1):

@@ -657,8 +657,8 @@ def test_zero_symbol_nu_series_stops_at_the_first_level(sphere_ev, monkeypatch, 
     assert len(calls) == 8 and series.converged and series.degree == 0
     with pytest.raises(SignedMeasureError):
         limit_measure_nu(sphere_ev, zero)
-    # r^-1/2 is infinite at the poles, its torus averages are not: an infinite max |b| sets
-    # no zero-series floor, and the build runs to N = 512 (the averages are rough at c = 0)
+    # r^-1/2 is infinite at the poles, its torus averages are not: the infinite sample is
+    # left out of the scale, and the build runs to N = 512 (the averages are rough at c = 0)
     calls.clear()
     with plateau("nu"):
         actions.nu_series(sphere_ev, radial_symbol(lambda r: 1.0 / np.sqrt(r), name="r^-1/2"))

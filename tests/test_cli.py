@@ -310,6 +310,10 @@ def test_spectrum_partial_failure(tmp_path):
     errors = json.loads((tmp_path / "errors.json").read_text())
     assert set(errors) == {"110"}
     assert "ResolutionError" in errors["110"]
+    # a successful rerun into the same directory leaves no stale errors.json
+    _write(tmp_path / "run.cfg", (tmp_path / "run.cfg").read_text().replace("110", "20"))
+    assert main(["--config", cfg]) == 0
+    assert (tmp_path / "slice_20.csv").exists() and not (tmp_path / "errors.json").exists()
 
 
 def test_spectrum_requires_ells(tmp_path, capsys):
@@ -343,6 +347,29 @@ def test_converge_outputs(tmp_path):
     assert [int(r[0]) for r in rows] == [10, 20, 40]
     for csv_row, json_row in zip(rows, rep["rows"]):
         assert float(csv_row[4]) == json_row["w1_mu"]
+
+
+@pytest.mark.parametrize("expr, scaled", [("1 + cos(r)^2", "1e-13*(1 + cos(r)^2)"),
+                                           ("cos(r)", "1e13*cos(r)")])
+def test_converge_symbol_scale_changes_no_measure(tmp_path, capsys, expr, scaled):
+    # the nu limit is normalized: a constant factor on the symbol moves neither its
+    # distances nor whether its total average vanishes (cos r: no limit at any scale)
+    reps, codes = [], []
+    for name, text in (("a", expr), ("b", scaled)):
+        cfg = _write(tmp_path / "run.cfg",
+                     "profile.kind = round_sphere\nspectral.grid_size = 1000\n"
+                     "run.command = converge\nrun.ells = 10, 20\n"
+                     f"symbol.kind = radial_mult\nsymbol.expr = {text}\n")
+        codes.append(main(["--config", cfg, "--out", str(tmp_path / name)]))
+        if codes[-1] == 0:
+            reps.append(json.loads((tmp_path / name / "converge.json").read_text()))
+        else:
+            assert "numerical failure: SignedMeasureError: " in capsys.readouterr().err
+    assert codes == ([0, 0] if expr.startswith("1 +") else [3, 3])
+    if reps:
+        for a, b in zip(reps[0]["rows"], reps[1]["rows"]):
+            for key in ("ks_nu", "w1_nu"):
+                assert b[key] == pytest.approx(a[key], rel=1e-12, abs=0.0)
 
 
 def test_converge_warns_once_per_series_without_plateau(tmp_path, capsys, monkeypatch):
@@ -478,6 +505,9 @@ def test_converge_partial_failure(tmp_path):
     assert "ResolutionError" in errors["110"]
     rep = json.loads((tmp_path / "converge.json").read_text())
     assert any("error" in row for row in rep["rows"])
+    _write(tmp_path / "run.cfg", (tmp_path / "run.cfg").read_text().replace("110", "20"))
+    assert main(["--config", cfg]) == 0
+    assert not (tmp_path / "errors.json").exists()
 
 
 # --- verify-sphere ---------------------------------------------------------
