@@ -8,8 +8,9 @@ other unexpected error.
 
 All writes go through one temp-file-and-rename, which also creates the
 output directory, so partial outputs never land under their final names;
-all floats are emitted via repr so identical configs reproduce artifacts
-byte for byte.
+density, spectrum and converge first remove every file they would write, so
+a failed run leaves no earlier run's artifact under those names.  All floats
+are emitted via repr so identical configs reproduce artifacts byte for byte.
 """
 from __future__ import annotations
 
@@ -83,12 +84,9 @@ def _write_csv(out_dir: str, name: str, header: list, rows: list):
 
 
 def _write_errors(out_dir: str, failures: dict) -> int:
-    """errors.json of the ells that failed, and the exit code; a run without failures
-    removes an earlier run's errors.json."""
+    """errors.json of the ells that failed, if any, and the exit code."""
     if failures:
         _write_json(out_dir, "errors.json", failures)
-    elif os.path.exists(path := os.path.join(out_dir, "errors.json")):
-        os.remove(path)
     return EXIT_NUMERICAL if failures else EXIT_OK
 
 
@@ -238,6 +236,10 @@ _DISPATCH = {
     "converge": cmd_converge,
     "verify-sphere": cmd_verify_sphere,
 }
+# the files density, spectrum and converge write, given run.ells
+_OUTPUTS = {"density": lambda ells: ["density.csv"],
+            "spectrum": lambda ells: [f"slice_{ell}.csv" for ell in ells] + ["errors.json"],
+            "converge": lambda ells: ["converge.json", "converge.csv", "errors.json"]}
 
 
 def main(argv=None) -> int:
@@ -261,6 +263,9 @@ def main(argv=None) -> int:
             raise ConfigError("no command given (run.command or --command)")
         if cfg.command in ("spectrum", "converge") and not cfg.ells:
             raise ConfigError(f"run.ells is required for the {cfg.command} command")
+        for name in _OUTPUTS.get(cfg.command, lambda ells: [])(cfg.ells):
+            if os.path.exists(path := os.path.join(cfg.out_dir, name)):
+                os.remove(path)
         with warnings.catch_warnings():  # a fit without a plateau: one line, when built
             warnings.simplefilter("always", PlateauWarning)
             show = warnings.showwarning

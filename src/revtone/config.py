@@ -66,8 +66,9 @@ def _choice(choices):
 
 
 def _ells(raw: str) -> tuple:
-    ells = tuple(int(p) for p in raw.split(",") if p.strip())
-    if not ells or ells[0] < 1 or any(b <= a for a, b in zip(ells, ells[1:])):
+    items = raw.split(",")
+    ells = tuple(int(p) for p in items if p.strip())
+    if len(ells) < len(items) or ells[0] < 1 or any(b <= a for a, b in zip(ells, ells[1:])):
         raise ValueError(f"expects a strictly ascending list of integers >= 1, got {raw!r}")
     return ells
 

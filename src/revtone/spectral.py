@@ -10,9 +10,9 @@ discretization is a flux-conservative second-order scheme on a uniform
 grid pulled back from the poles by delta = L / (10 * grid_size), written
 as a symmetric tridiagonal pencil with weight a(r) and solved by seeded
 Rayleigh-quotient iteration (one dgtsv per step, each after the first at
-the last quotient, stopped by a residual bound); bisection gives the first
-coarse pair and the fallback.  What every m shares is built once per grid
-size, from one sampling of the profile.  LAPACK: scipy's f2py module.
+the last quotient, stopped by a residual bound); bisection gives a chain's
+first coarse pair and the fallback.  What every m shares is built once per
+grid size, from one sampling of the profile.  LAPACK: scipy's f2py module.
 
 A mirror-symmetric profile (a(L - r) = a(r): the sphere and ellipsoids)
 is sampled on [0, L/2] for a node set of even size, whose pencil splits
@@ -78,8 +78,8 @@ class JointSlice:
 
 
 # The node sets of a uniform grid, zonal (m = 0: all nodes) and interior (m != 0: poles
-# dropped, their fluxes kept on the diagonal), with what every m shares: the pencil's m = 0
-# diagonal (which _tridiagonal completes with m^2 / a), off-diagonal, a, sq = sqrt(a)
+# dropped, their fluxes kept on the diagonal), with what every m shares: the summed fluxes
+# (_tridiagonal's diagonal is (flux + m^2 / a) / a), off-diagonal, a, sq = sqrt(a)
 # (x = sq u), nodes r, weights at r0, the interpolation from the coarse grid's set and the
 # coupling ec of the centre nodes (None unless split: then diag, off, a, sq, seed are halves).
 _Grid = namedtuple("_Grid", "r h sets")
@@ -121,8 +121,8 @@ def _grids(p: SurfaceProfile, grid_size: int) -> tuple:
         ah = ah / (h * h)
         flux = np.append(ah, 0.0) + np.insert(ah, 0, 0.0)
         sets = []
-        for cut, diag in ((slice(None), flux / a), (slice(1, -1), flux[1:-1])):
-            r, r_c, sq = rs[cut], nodes[1][cut], np.sqrt(a[cut])
+        for cut in (slice(None), slice(1, -1)):
+            r, r_c, sq, diag = rs[cut], nodes[1][cut], np.sqrt(a[cut]), flux[cut]
             j = np.clip(np.searchsorted(r_c, r) - 1, 0, len(r_c) - 2)  # np.interp's segments
             t = np.clip((r - r_c[j]) / (r_c[j + 1] - r_c[j]), 0.0, 1.0)
             off, k = -ah[cut] / (sq[:-1] * sq[1:]), len(r) // 2 if split else len(r)
@@ -136,7 +136,7 @@ def _tridiagonal(g: _Grid, m: int, n: int) -> _Pencil:
     """The node set of m, with the diagonal of its standard-form pencil at m: on a split set,
     that of n's sector, whose last entry adds (-1)^n times the centre coupling."""
     pen = g.sets[m != 0]
-    diag = (pen.diag + (m * m) / pen.a) / pen.a if m else pen.diag.copy()
+    diag = (pen.diag + (m * m) / pen.a) / pen.a
     if pen.ec is not None:
         diag[-1] += -pen.ec if n % 2 else pen.ec
     return pen._replace(diag=diag)
@@ -201,15 +201,13 @@ def eigh_tridiagonal(d, e, select_range):
     return w[order], v[:, order]
 
 
-def _solve_indices(g: _Grid, m: int, idx_lo: int, idx_hi: int) -> list:
-    """Eigenpairs idx_lo..idx_hi (ascending) on one grid by bisection, as (lambda^2, u, nodes),
-    one call per sector of a split set."""
-    step, pairs = 1 if g.sets[m != 0].ec is None else 2, {}
-    for first in range(idx_lo, min(idx_lo + step, idx_hi + 1)):
-        ns, pen = range(first, idx_hi + 1, step), _tridiagonal(g, m, first)
-        vals, vecs = eigh_tridiagonal(pen.diag, pen.off, (first // step, ns[-1] // step))
-        pairs.update((n, _pair(float(v), x, pen, g.h, n)) for n, v, x in zip(ns, vals, vecs.T))
-    return [pairs[n] for n in range(idx_lo, idx_hi + 1)]
+def _bisect(g: _Grid, m: int, n: int) -> tuple:
+    """Eigenpair n on one grid by bisection, as (lambda^2, u, nodes): pair n // 2 of the
+    sector of n's parity on a split set."""
+    pen = _tridiagonal(g, m, n)
+    k = n if pen.ec is None else n // 2
+    vals, vecs = eigh_tridiagonal(pen.diag, pen.off, (k, k))
+    return _pair(float(vals[0]), vecs[:, 0], pen, g.h, n)
 
 
 def _solve(g: _Grid, m: int, n: int, shift: float, u0: np.ndarray) -> tuple:
@@ -234,8 +232,8 @@ def _solve(g: _Grid, m: int, n: int, shift: float, u0: np.ndarray) -> tuple:
             tx[:-1] += pen.off * x[1:]
             tx[1:] += pen.off * x[:-1]
             pair = _pair(float(x @ tx), x, pen, g.h, n)
-            return pair if pair[2] == n else _solve_indices(g, m, n, n)[0]
-    return _solve_indices(g, m, n, n)[0]
+            return pair if pair[2] == n else _bisect(g, m, n)
+    return _bisect(g, m, n)
 
 
 def _extrapolated(values: list) -> float:
@@ -251,16 +249,18 @@ def _gauss_start(size: int) -> np.ndarray:
     return np.array([rng.gauss(0.0, 1.0) for _ in range(size)])
 
 
-def _assemble(fine_grid: _Grid, coarse_grid: _Grid, jobs: list):
-    """Richardson-extrapolated modes, with vectors, yielded for jobs (m, n, coarse pair or None)
-    in order.  A missing coarse pair is solved from Gaussian draws of random.Random(0) at the
-    coarse lambda^2 of the jobs before, extrapolated (quadratically, for prolate profiles); a fine
-    one from the coarse u at the coarse lambda^2 plus the extrapolated O(h^2) fine - coarse bias."""
-    start = _gauss_start(coarse_grid.sets[1].sq.size)
+def _assemble(p: SurfaceProfile, grid_size: int, jobs: list):
+    """Richardson-extrapolated modes, with vectors, yielded for a chain of jobs (m, n) in order.
+    Its first coarse pair is bisected, each later one solved from Gaussian draws of random.Random(0)
+    at the coarse lambda^2 of the jobs before, extrapolated (quadratically, for prolate profiles);
+    a fine one from the coarse u at the coarse lambda^2 plus the extrapolated fine - coarse bias."""
+    fine_grid, coarse_grid = _grids(p, grid_size)
+    start = _gauss_start(coarse_grid.sets[jobs[-1][0] != 0].sq.size)
     coarse_l2, bias = [], []
-    for m, n, pair in jobs:
+    for m, n in jobs:
         coarse_set, fine_set = coarse_grid.sets[m != 0], fine_grid.sets[m != 0]
-        l2_c, u_c, _ = pair or _solve(coarse_grid, m, n, _extrapolated(coarse_l2), start)
+        l2_c, u_c, _ = (_solve(coarse_grid, m, n, _extrapolated(coarse_l2), start) if coarse_l2
+                        else _bisect(coarse_grid, m, n))
         j, j1, t = fine_set.seed
         l2_f, u_f, nodes = _solve(fine_grid, m, n, l2_c + _extrapolated(bias),
                                   u_c[j] + t * (u_c[j1] - u_c[j]))
@@ -280,20 +280,16 @@ def _assemble(fine_grid: _Grid, coarse_grid: _Grid, jobs: list):
 
 
 def radial_modes(p: SurfaceProfile, m: int, n_max: int, grid_size: int) -> list:
-    """Lowest n_max + 1 radial modes for angular number m, in the order of their node
+    """Lowest n_max + 1 radial modes for angular number m, one chain in the order of their node
     count n = 0..n_max, which sign counting verifies: a mismatch raises LabelingError."""
     if n_max < 0:
         raise InvalidParameterError(f"n_max must be >= 0, got {n_max}")
-    grids, m = _grids(p, grid_size), int(m)
-    return list(_assemble(*grids, [(m, n, pair) for n, pair in
-                                   enumerate(_solve_indices(grids[1], m, 0, n_max))]))
+    return list(_assemble(p, grid_size, [(int(m), n) for n in range(n_max + 1)]))
 
 
 def _multiplet(p: SurfaceProfile, ell: int, grid_size: int):
     """The modes m = 0..ell, n = ell - m, of the multiplet at label ell, yielded with vectors."""
-    grids = _grids(p, grid_size)
-    return _assemble(*grids, [(0, ell, _solve_indices(grids[1], 0, ell, ell)[0])]
-                     + [(m, ell - m, None) for m in range(1, ell + 1)])
+    return _assemble(p, grid_size, [(m, ell - m) for m in range(ell + 1)])
 
 
 def joint_slice(p: SurfaceProfile, ell: int, grid_size: int,

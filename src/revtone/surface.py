@@ -236,8 +236,6 @@ def _chop(coeffs: np.ndarray, tol: float) -> tuple[int, bool]:
         e1, e2 = env[j - 1], env[j2 - 1]
         if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - np.log(e1) / np.log(tol)):
             break
-    if env[j - 2] == 0.0:
-        return j - 1, True
     # cut where the envelope, tilted to favour short series, is lowest
     j3 = int(np.count_nonzero(env >= tol ** (7.0 / 6.0)))
     if j3 < j2:

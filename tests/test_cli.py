@@ -314,6 +314,14 @@ def test_spectrum_partial_failure(tmp_path):
     _write(tmp_path / "run.cfg", (tmp_path / "run.cfg").read_text().replace("110", "20"))
     assert main(["--config", cfg]) == 0
     assert (tmp_path / "slice_20.csv").exists() and not (tmp_path / "errors.json").exists()
+    # a failed ell leaves no slice of an earlier run under its name
+    text = (tmp_path / "run.cfg").read_text().replace("10, 20", "10, 200")
+    _write(tmp_path / "run.cfg", text.replace("500", "4000"))
+    assert main(["--config", cfg]) == 0 and (tmp_path / "slice_200.csv").exists()
+    _write(tmp_path / "run.cfg", text)
+    assert main(["--config", cfg]) == 3
+    assert set(json.loads((tmp_path / "errors.json").read_text())) == {"200"}
+    assert (tmp_path / "slice_10.csv").exists() and not (tmp_path / "slice_200.csv").exists()
 
 
 def test_spectrum_requires_ells(tmp_path, capsys):
@@ -508,6 +516,13 @@ def test_converge_partial_failure(tmp_path):
     _write(tmp_path / "run.cfg", (tmp_path / "run.cfg").read_text().replace("110", "20"))
     assert main(["--config", cfg]) == 0
     assert not (tmp_path / "errors.json").exists()
+    # a run that fails as a whole leaves none of an earlier run's files
+    text = (tmp_path / "run.cfg").read_text() + "symbol.kind = radial_mult\nsymbol.expr = cos(r)"
+    _write(tmp_path / "run.cfg", text + "^2\n")
+    assert main(["--config", cfg]) == 0
+    _write(tmp_path / "run.cfg", text + "\n")
+    assert main(["--config", cfg]) == 3
+    assert not any((tmp_path / name).exists() for name in ("converge.json", "converge.csv"))
 
 
 # --- verify-sphere ---------------------------------------------------------

@@ -99,6 +99,10 @@ def test_ells_must_ascend():
         parse_config("run.ells = 0, 5\n")
     with pytest.raises(ConfigError):
         parse_config("run.ells = 3, three\n")
+    for raw in ("10,,20", "10,", ",10"):  # an empty item is not dropped
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"profile.kind = round_sphere\nrun.ells = {raw}\n")
+        assert str(err.value).startswith("line 2, col 12: run.ells:")
 
 
 def test_key_given_twice_is_rejected_at_its_second_line():

@@ -252,7 +252,7 @@ def test_solve_bisects_when_the_steps_do_not_settle(sphere, monkeypatch):
     # one Rayleigh-quotient step from a start without nodes cannot settle on n = 7, so the
     # solve returns the bisection pair
     fine, _ = spectral._grids(sphere, 4000)
-    ref = spectral._solve_indices(fine, 3, 7, 7)[0]
+    ref = spectral._bisect(fine, 3, 7)
     monkeypatch.setattr(spectral, "_RQI_STEPS", 1)
     calls = _count_bisections(monkeypatch)
     l2, u, nodes = spectral._solve(fine, 3, 7, 0.95 * ref[0], np.ones(fine.sets[1].sq.size))
@@ -298,7 +298,7 @@ def test_small_eigenvalues_stop_without_bisection(sphere, ell13, monkeypatch):
     calls = _count_bisections(monkeypatch)
     radial_modes(sphere, 0, 10, 4000)
     radial_modes(ell13, 3, 10, 4000)
-    assert calls == [1000, 1000, 999, 999]  # the coarse grid of each, once per parity
+    assert calls == [1000, 999]  # n = 0 on the coarse grid of each
 
 
 @pytest.mark.parametrize("aspect, bound", [(0.5, 2), (1.3, 2), (5.0, 2), (10.0, 3)])
@@ -320,9 +320,9 @@ def test_sphere_multiplet_bisects_only_its_zonal_coarse_pair(sphere, monkeypatch
     # at ell = 200 the fine m = 22 solve meets an exactly zero centre pivot; the moved shift
     # keeps it a Rayleigh-quotient solve
     bisected = []
-    solve_indices = spectral._solve_indices
-    monkeypatch.setattr(spectral, "_solve_indices", lambda g, m, lo, hi: bisected.append(
-        (len(g.r), m)) or solve_indices(g, m, lo, hi))
+    bisect = spectral._bisect
+    monkeypatch.setattr(spectral, "_bisect", lambda g, m, n: bisected.append(
+        (len(g.r), m)) or bisect(g, m, n))
     joint_slice(sphere, 200, 4000)
     assert bisected == [(2000, 0)]
 
@@ -331,7 +331,7 @@ def test_singular_pivot_moves_the_shift_instead_of_bisecting(sphere, monkeypatch
     # dgtsv reporting a zero last pivot (info = N) on one step: the shift moves off by the
     # rounding floor and the step is taken again, without a fallback to bisection
     fine, coarse = spectral._grids(sphere, 4000)
-    (l2_c, u_c, _), = spectral._solve_indices(coarse, 3, 7, 7)
+    l2_c, u_c, _ = spectral._bisect(coarse, 3, 7)
     j, j1, t = fine.sets[1].seed
     u0 = u_c[j] + t * (u_c[j1] - u_c[j])
     l2_ref, u_ref, _ = spectral._solve(fine, 3, 7, l2_c, u0)
@@ -347,7 +347,7 @@ def test_singular_pivot_moves_the_shift_instead_of_bisecting(sphere, monkeypatch
 
     monkeypatch.setattr(spectral, "_lapack", lambda: SimpleNamespace(
         dgtsv=dgtsv, dstebz=lapack.dstebz, dstein=lapack.dstein))
-    monkeypatch.setattr(spectral, "_solve_indices", lambda *args: pytest.fail("bisected"))
+    monkeypatch.setattr(spectral, "_bisect", lambda *args: pytest.fail("bisected"))
     l2, u, nodes = spectral._solve(fine, 3, 7, l2_c, u0)
     assert failed == [1999] and nodes == 7
     assert abs(l2 - l2_ref) <= 1e-13 * l2_ref
@@ -369,12 +369,10 @@ def _lagrange_at(r, u, x):
     return float(val)
 
 
-@pytest.mark.parametrize("profile, ell", [("sphere", 50), ("sphere", 200), ("ell13", 25),
-                                          ("ell13", 100)])
-def test_rayleigh_quotient_pairs_match_tight_bisection(request, monkeypatch, profile, ell):
-    # every pair the Rayleigh-quotient solves return, on both grids, against LAPACK
-    # bisection to its 2 ulp floor with inverse-iteration vectors on the whole, unsplit pencil
-    p = request.getfixturevalue(profile)
+def _check_solves_against_tight_bisection(monkeypatch, p, run, count, floor, r0_tol):
+    """Every pair the Rayleigh-quotient solves of run() return, on both grids, against LAPACK
+    bisection to its 2 ulp floor with inverse-iteration vectors on the whole, unsplit pencil:
+    lambda^2 within max(5e-13 lambda^2, floor * eps sum_i T_ii x_i^2), u(r0) within r0_tol."""
     pairs = []
     solve = spectral._solve
 
@@ -383,17 +381,38 @@ def test_rayleigh_quotient_pairs_match_tight_bisection(request, monkeypatch, pro
         return pairs[-1][3]
 
     monkeypatch.setattr(spectral, "_solve", record)
-    joint_slice(p, ell, 4000)
-    assert len(pairs) == 2 * ell + 1  # coarse for m >= 1, fine for every m
+    run()
+    assert len(pairs) == count
     for g, m, n, (l2, u, nodes) in pairs:
         pen, node_set = oracles.full_radial_pencil(p, len(g.r), m), g.sets[m != 0]
         vals, vecs = spectral.eigh_tridiagonal(pen.diag, pen.off, select_range=(n, n))
         ref = vecs[:, 0] / pen.sq
         ref /= np.sqrt(np.trapezoid(pen.a * ref * ref, dx=g.h))
         ref = ref if ref @ u > 0 else -ref
-        assert abs(l2 - vals[0]) <= 5e-13 * vals[0]
+        rounding = floor * np.finfo(float).eps * (pen.diag @ vecs[:, 0] ** 2)
+        assert abs(l2 - vals[0]) <= max(5e-13 * vals[0], rounding)
         assert spectral._at_r0(u, node_set, n) == (0.0 if n % 2 else _lagrange_at(pen.r, u, p.r0))
-        assert abs(_lagrange_at(pen.r, u, p.r0) - _lagrange_at(pen.r, ref, p.r0)) <= 1e-11
+        assert abs(_lagrange_at(pen.r, u, p.r0) - _lagrange_at(pen.r, ref, p.r0)) <= r0_tol
+
+
+@pytest.mark.parametrize("profile, ell", [("sphere", 50), ("sphere", 200), ("ell13", 25),
+                                          ("ell13", 100)])
+def test_rayleigh_quotient_pairs_match_tight_bisection(request, monkeypatch, profile, ell):
+    # a multiplet's chain: coarse for m >= 1, fine for every m
+    p = request.getfixturevalue(profile)
+    _check_solves_against_tight_bisection(monkeypatch, p, lambda: joint_slice(p, ell, 4000),
+                                          2 * ell + 1, 0.0, 1e-11)
+
+
+@pytest.mark.parametrize("profile", ["sphere", "ell13"])
+@pytest.mark.parametrize("m, n_max", [(3, 100), (0, 10)])
+def test_ladder_pairs_match_tight_bisection(request, monkeypatch, profile, m, n_max):
+    # a ladder's chain: coarse for n >= 1, fine for every n.  lambda^2 of the lowest n is
+    # small (0 at m = 0, n = 0), so the rounding floor bounds it, and u(r0) of the fine pairs
+    # carries up to 4e-11 there
+    p = request.getfixturevalue(profile)
+    _check_solves_against_tight_bisection(monkeypatch, p, lambda: radial_modes(p, m, n_max, 4000),
+                                          2 * n_max + 1, 1.0, 5e-11)
 
 
 def test_sphere_multiplet_dgtsv_budget(sphere, monkeypatch):
@@ -424,7 +443,7 @@ def test_split_pencils_keep_the_whole_pencils_eigenvalues(request, profile, ell)
     for g in spectral._grids(p, 4000):
         assert all(node_set.ec is not None for node_set in g.sets)
         for m in range(0, ell + 1, max(1, ell // 25)):
-            (l2, u, nodes), = spectral._solve_indices(g, m, ell - m, ell - m)
+            l2, u, nodes = spectral._bisect(g, m, ell - m)
             pen = oracles.full_radial_pencil(p, len(g.r), m)
             vals, vecs = spectral.eigh_tridiagonal(pen.diag, pen.off, (ell - m, ell - m))
             floor = np.finfo(float).eps * (pen.diag @ vecs[:, 0] ** 2)
