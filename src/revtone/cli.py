@@ -6,11 +6,12 @@ and --command override file values.  Exit codes: 0 success, 1
 verification failure, 2 configuration error, 3 numerical failure or any
 other unexpected error.
 
-All writes go through one temp-file-and-rename, which also creates the
-output directory, so partial outputs never land under their final names;
-density, spectrum and converge first remove every file they would write, so
-a failed run leaves no earlier run's artifact under those names.  All floats
-are emitted via repr so identical configs reproduce artifacts byte for byte.
+Each run ends by writing run.json, its one record (`main`).  All writes go
+through one temp-file-and-rename, which also creates the output directory,
+so partial outputs never land under their final names; a run first removes
+run.json and every file its config would write, so a failed run leaves no
+earlier run's artifact under those names.  All floats are emitted via repr
+so identical configs reproduce artifacts byte for byte.
 """
 from __future__ import annotations
 
@@ -21,17 +22,18 @@ import os
 import sys
 import traceback
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import cache
 
 import numpy as np
 
+from . import __version__
 from . import actions as _actions
 from . import config as _config
 from . import measures as _measures
 from . import spectral as _spectral
 from .errors import ConfigError, ExprError, PlateauWarning, RejectedProfileError, RevtoneError
-from .surface import CheckResult, ValidationReport, make_round_sphere
+from .surface import CheckResult, make_round_sphere
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -63,14 +65,8 @@ def _strip_nan(obj):
         return {k: _strip_nan(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_strip_nan(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        val = float(obj)
-        return val if math.isfinite(val) else None
-    return obj
+    obj = obj.item() if isinstance(obj, np.generic) else obj
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def _write_json(out_dir: str, name: str, obj):
@@ -83,28 +79,11 @@ def _write_csv(out_dir: str, name: str, header: list, rows: list):
     _atomic_write(os.path.join(out_dir, name), "\n".join(lines) + "\n")
 
 
-def _write_errors(out_dir: str, failures: dict) -> int:
-    """errors.json of the ells that failed, if any, and the exit code."""
-    if failures:
-        _write_json(out_dir, "errors.json", failures)
-    return EXIT_NUMERICAL if failures else EXIT_OK
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the run's admitted profile and returns its part of run.json
 
-def cmd_validate(cfg: _config.RunConfig) -> int:
-    try:
-        report = _config.build_profile(cfg).report
-    except RejectedProfileError as exc:
-        report = exc.report
-    _write_json(cfg.out_dir, "validation.json", report.as_dict())
-    print(f"validate {report.profile_name}: {'PASS' if report.passed else 'FAIL'}")
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
-
-
-def cmd_density(cfg: _config.RunConfig) -> int:
-    ev = _config.build_evaluator(cfg, _config.build_profile(cfg))
+def cmd_density(cfg: _config.RunConfig, profile) -> dict:
+    ev = _config.build_evaluator(cfg, profile)
     n = cfg.density_n
     lim = _measures.limit_measure_mu(ev)
     mass = lim.mass_constant
@@ -112,16 +91,16 @@ def cmd_density(cfg: _config.RunConfig) -> int:
     unnorm = _actions.limit_density_unnorm(ev, cs)
     rows = [(c, f, f / mass, cdf) for c, f, cdf in zip(cs, unnorm, lim.cdf(cs))]
     _write_csv(cfg.out_dir, "density.csv", ["c", "density_unnorm", "density_norm", "cdf"], rows)
-    print(f"density: {len(rows)} rows for {ev.profile.name}, mass constant {mass!r}")
-    return EXIT_OK
+    print(f"density: {len(rows)} rows for {profile.name}, mass constant {mass!r}")
+    return {}
 
 
-def cmd_spectrum(cfg: _config.RunConfig) -> int:
-    ev = _config.build_evaluator(cfg, _config.build_profile(cfg))
+def cmd_spectrum(cfg: _config.RunConfig, profile) -> dict:
+    ev = _config.build_evaluator(cfg, profile)
     failures = {}
     for ell in cfg.ells:
         try:
-            t = _spectral.joint_slice(ev.profile, ell, cfg.grid_size).modes
+            t = _spectral.joint_slice(profile, ell, cfg.grid_size).modes
             rows = list(zip(abs(t.m) + t.n, t.m, t.n, t.lam, t.norm, _spectral.ebk_residual(t, ev)))
             _write_csv(cfg.out_dir, f"slice_{ell}.csv",
                        ["ell", "m", "n", "lambda", "restricted_norm", "ebk_residual"], rows)
@@ -129,12 +108,12 @@ def cmd_spectrum(cfg: _config.RunConfig) -> int:
         except RevtoneError as exc:
             failures[str(ell)] = f"{type(exc).__name__}: {exc}"
             print(f"spectrum: ell = {ell} failed: {exc}", file=sys.stderr)
-    return _write_errors(cfg.out_dir, failures)
+    return {"failures": failures}
 
 
-def cmd_converge(cfg: _config.RunConfig) -> int:
-    ev = _config.build_evaluator(cfg, _config.build_profile(cfg))
-    sym = _config.build_symbol(cfg, ev.profile)
+def cmd_converge(cfg: _config.RunConfig, profile) -> dict:
+    ev = _config.build_evaluator(cfg, profile)
+    sym = _config.build_symbol(cfg, profile)
     report = _measures.convergence_sweep(ev, list(cfg.ells), sym, grid_size=cfg.grid_size)
     _write_json(cfg.out_dir, "converge.json", report.as_dict())
     cols = ["ell", "M_ell", "M_ell_over_ell", "ks_mu", "w1_mu", "ks_nu", "w1_nu"]
@@ -146,7 +125,7 @@ def cmd_converge(cfg: _config.RunConfig) -> int:
     else:
         print(f"converge: {len(report.rows)} ells, W1 fit exponent "
               f"{report.fit['w1_exponent']:.3f}")
-    return _write_errors(cfg.out_dir, failures)
+    return {"failures": failures}
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +147,7 @@ def legendre_equator_norm(ell: int, m: int) -> float:
     return math.exp(log_norm)
 
 
-def _sphere_checks(cfg: _config.RunConfig):
-    profile = make_round_sphere()
+def _sphere_checks(cfg: _config.RunConfig, profile):
     ev = _config.build_evaluator(cfg, profile)
     grid = cfg.grid_size
     get_modes = cache(lambda ell: _spectral.joint_slice(profile, ell, grid).modes)
@@ -203,43 +181,64 @@ def _sphere_checks(cfg: _config.RunConfig):
             worst = max(worst, np.abs(t.norm - [legendre_equator_norm(ell, m) for m in t.m]).max())
         return worst, 1e-5, "max |restricted norm - Legendre closed form|, ell <= 20"
 
-    return [("action_identity", check_action_identity),
-            ("density_closed_form", check_density_closed_form),
-            ("mass_constant", check_mass_constant),
-            ("eigenvalue_ladder", check_eigenvalue_ladder),
-            ("legendre_restricted_norms", check_legendre_restricted_norms)]
+    return [check_action_identity, check_density_closed_form, check_mass_constant,
+            check_eigenvalue_ladder, check_legendre_restricted_norms]
 
 
-def cmd_verify_sphere(cfg: _config.RunConfig) -> int:
+def cmd_verify_sphere(cfg: _config.RunConfig, profile) -> dict:
     checks = []
-    for name, fn in _sphere_checks(cfg):
+    for fn in _sphere_checks(cfg, profile):
+        name = fn.__name__.removeprefix("check_")
         try:
             residual, tolerance, detail = fn()
             check = CheckResult(name, residual <= tolerance, residual, detail, tolerance)
         except RevtoneError as exc:
             check = CheckResult(name, False, None, f"{type(exc).__name__}: {exc}")
-        checks.append(check)
+        checks.append(asdict(check))
         res = "" if check.residual is None else f" (residual {check.residual:.3e})"
         print(f"verify-sphere {name}: {'PASS' if check.passed else 'FAIL'}{res}")
-    report = ValidationReport("round_sphere", tuple(checks))
-    _write_json(cfg.out_dir, "verify.json",
-                {**report.as_dict(), "grid_size": cfg.grid_size})
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
+    return {"checks": checks}
 
 
 # ---------------------------------------------------------------------------
 
-_DISPATCH = {
-    "validate": cmd_validate,
-    "density": cmd_density,
-    "spectrum": cmd_spectrum,
-    "converge": cmd_converge,
-    "verify-sphere": cmd_verify_sphere,
-}
-# the files density, spectrum and converge write, given run.ells
+_DISPATCH = {"density": cmd_density, "spectrum": cmd_spectrum, "converge": cmd_converge,
+             "verify-sphere": cmd_verify_sphere}
+# the files density, spectrum and converge write besides run.json, given run.ells
 _OUTPUTS = {"density": lambda ells: ["density.csv"],
-            "spectrum": lambda ells: [f"slice_{ell}.csv" for ell in ells] + ["errors.json"],
-            "converge": lambda ells: ["converge.json", "converge.csv", "errors.json"]}
+            "spectrum": lambda ells: [f"slice_{ell}.csv" for ell in ells],
+            "converge": lambda ells: ["converge.json", "converge.csv"]}
+
+
+def _failure(exc: Exception) -> int:
+    """Say on stderr why a run stopped, and return its exit code."""
+    if isinstance(exc, (ConfigError, ExprError, RejectedProfileError)):
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if isinstance(exc, RevtoneError):
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+    else:  # exit 1 means a verification failed, so a crash must not reach it
+        traceback.print_exc()
+    return EXIT_NUMERICAL
+
+
+def _run(cfg: _config.RunConfig, record: dict) -> dict:
+    """The command's part of the record.  The profile's report enters `record` as soon as
+    the profile is built or rejected, so a run that stops later still records it; only
+    validate goes on from a rejection, as its FAIL."""
+    try:
+        profile = (make_round_sphere() if cfg.command == "verify-sphere"
+                   else _config.build_profile(cfg))
+        record["report"] = profile.report.as_dict()
+    except RejectedProfileError as exc:
+        record["report"] = exc.report.as_dict()
+        if cfg.command != "validate":
+            raise
+    if cfg.command != "validate":
+        return _DISPATCH[cfg.command](cfg, profile)
+    report = record["report"]
+    print(f"validate {report['profile']}: {'PASS' if report['passed'] else 'FAIL'}")
+    return {}
 
 
 def main(argv=None) -> int:
@@ -253,36 +252,50 @@ def main(argv=None) -> int:
                         help="command to run (overrides run.command)")
     args = parser.parse_args(argv)
 
+    record = {"command": args.command, "config": None, "failures": {}, "warnings": []}
+    out_dir = args.out
     try:
+        scipy_version = _spectral.scipy_module("scipy.version", "scipy.version").version
+        record["versions"] = {"revtone": __version__, "numpy": np.__version__,
+                              "python": "%d.%d.%d" % sys.version_info[:3], "scipy": scipy_version}
         cfg = _config.load_config(args.config) if args.config else _config.RunConfig()
         if args.out:
             cfg = replace(cfg, out_dir=args.out)
         if args.command:
             cfg = replace(cfg, command=args.command)
+        out_dir = cfg.out_dir
+        # without run.out_dir, so the record does not depend on where it lands
+        record.update(command=cfg.command, config={
+            key: getattr(cfg, field) for key, (field, _) in _config.KEYS.items()
+            if field != "out_dir"})
         if cfg.command is None:
             raise ConfigError("no command given (run.command or --command)")
         if cfg.command in ("spectrum", "converge") and not cfg.ells:
             raise ConfigError(f"run.ells is required for the {cfg.command} command")
-        for name in _OUTPUTS.get(cfg.command, lambda ells: [])(cfg.ells):
-            if os.path.exists(path := os.path.join(cfg.out_dir, name)):
+        os.makedirs(out_dir, exist_ok=True)
+        for name in ["run.json", *_OUTPUTS.get(cfg.command, lambda ells: [])(cfg.ells)]:
+            if os.path.exists(path := os.path.join(out_dir, name)):
                 os.remove(path)
         with warnings.catch_warnings():  # a fit without a plateau: one line, when built
             warnings.simplefilter("always", PlateauWarning)
             show = warnings.showwarning
             warnings.showwarning = lambda message, category, *rest: (
-                print(f"{cfg.command}: warning: {message}", file=sys.stderr)
+                (record["warnings"].append(str(message)),
+                 print(f"{cfg.command}: warning: {message}", file=sys.stderr))
                 if issubclass(category, PlateauWarning) else show(message, category, *rest))
-            return _DISPATCH[cfg.command](cfg)
-    except (ConfigError, ExprError, RejectedProfileError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except RevtoneError as exc:
-        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except Exception:
-        # exit 1 means a verification failed, so a crash must not reach it
-        traceback.print_exc()
-        return EXIT_NUMERICAL
+            record.update(_run(cfg, record))
+        checks = record["report"]["checks"] + record.get("checks", [])
+        record["exit_code"] = (EXIT_NUMERICAL if record["failures"] else EXIT_OK
+                               if all(ch["passed"] for ch in checks) else EXIT_VERIFY_FAILED)
+    except Exception as exc:
+        record.update(exit_code=_failure(exc), failures={"run": f"{type(exc).__name__}: {exc}"})
+    # a run stopped by its config creates no directory, but leaves no earlier record
+    if out_dir and os.path.isdir(out_dir):
+        try:
+            _write_json(out_dir, "run.json", record)
+        except Exception as exc:
+            return _failure(exc)
+    return record["exit_code"]
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Run configuration: flat `section.key = value` text with range checks.
 
 Lines are `section.key = value`, `#` starts a comment, blank lines are
-skipped.  The keys are those of `_KEYS`, and any other is rejected as
+skipped.  The keys are those of `KEYS`, and any other is rejected as
 unknown, as is a key given twice.  Every value is parsed and range-checked
 as it is read, with the line and column of the offending token, so a config
 either loads completely or fails loudly before any computation starts.
@@ -74,7 +74,7 @@ def _ells(raw: str) -> tuple:
 
 
 # `section.key` -> (RunConfig field, value parser raising ValueError)
-_KEYS = {
+KEYS = {
     "profile.kind": ("profile_kind", _choice(_PROFILES)),
     "profile.aspect": ("profile_aspect", _aspect),
     "profile.table_path": ("profile_table_path", str),
@@ -102,9 +102,9 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("expected 'section.key = value'", line=lineno,
                               col=len(stripped) - len(stripped.lstrip()) + 1)
         full, raw = f"{m.group(1)}.{m.group(2)}", m.group(3)
-        if full not in _KEYS:
+        if full not in KEYS:
             raise ConfigError(f"unknown key {full!r}", line=lineno, col=m.start(1) + 1)
-        name, parse = _KEYS[full]
+        name, parse = KEYS[full]
         if name in values:
             raise ConfigError(f"{full} given twice", line=lineno, col=m.start(1) + 1)
         try:

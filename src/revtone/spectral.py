@@ -35,7 +35,7 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import machinery, util
+from importlib import import_module, machinery, util
 
 import numpy as np
 
@@ -163,23 +163,27 @@ def _pair(lam2: float, x: np.ndarray, pen: _Pencil, h: float, n: int) -> tuple:
     return lam2, np.concatenate((u, -u[::-1] if n % 2 else u[::-1])), 2 * nodes + n % 2
 
 
-def _lapack():
-    """scipy's f2py LAPACK module scipy.linalg._flapack, loaded on its own: the package
-    __init__ of scipy.linalg imports numpy.f2py, numpy.testing and more, which takes
-    longer than all the solves of a run.  It is registered in sys.modules, so a later
-    import of scipy.linalg reuses it."""
-    name = "scipy.linalg._flapack"
+def scipy_module(name: str, public: str):
+    """scipy's module `name` loaded alone, without the package __init__s above it (scipy.linalg's
+    imports numpy.f2py, numpy.testing and more, longer than all the solves of a run), or the
+    module `public` if no file is found.  An extension is registered in sys.modules, so a later
+    import of its package reuses it; a Python module is not, so that import binds it as usual."""
     if name in sys.modules:
         return sys.modules[name]
     scipy_dirs = util.find_spec("scipy").submodule_search_locations
-    spec = machinery.PathFinder.find_spec(name, [os.path.join(d, "linalg") for d in scipy_dirs])
+    package = name.split(".")[1:-1]
+    spec = machinery.PathFinder.find_spec(name, [os.path.join(d, *package) for d in scipy_dirs])
     if spec is None:
-        from scipy.linalg import lapack
-        return lapack
+        return import_module(public)
     module = util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    sys.modules[name] = module
+    if isinstance(spec.loader, machinery.ExtensionFileLoader):
+        sys.modules[name] = module
     return module
+
+
+def _lapack():
+    return scipy_module("scipy.linalg._flapack", "scipy.linalg.lapack")
 
 
 def eigh_tridiagonal(d, e, select_range):

@@ -258,9 +258,9 @@ def test_10_verify_sphere_end_to_end(acceptance_log, tmp_path):
     proc = subprocess.run([sys.executable, "-m", "revtone", "--config", str(cfg)],
                           capture_output=True, text=True)
     dt = time.perf_counter() - t0
-    report = json.loads((tmp_path / "verify.json").read_text())
+    report = json.loads((tmp_path / "run.json").read_text())
     residuals_reported = all(ch["residual"] is not None for ch in report["checks"])
-    ok = proc.returncode == 0 and dt <= 120.0 and report["passed"] \
-        and residuals_reported
+    ok = proc.returncode == 0 and dt <= 120.0 and report["exit_code"] == 0 \
+        and all(ch["passed"] for ch in report["checks"]) and residuals_reported
     _finish(acceptance_log, 10, "verify-sphere end to end", ok,
             f"exit {proc.returncode}, {len(report['checks'])} checks, {dt:.1f}s")

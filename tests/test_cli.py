@@ -30,6 +30,10 @@ def _read_csv(path):
     return rows[0], rows[1:]
 
 
+def _record(out):
+    return json.loads((out / "run.json").read_text())
+
+
 # --- validate --------------------------------------------------------------
 
 def test_validate_sphere_passes(tmp_path):
@@ -37,8 +41,8 @@ def test_validate_sphere_passes(tmp_path):
                  "profile.kind = round_sphere\nrun.command = validate\n"
                  f"run.out_dir = {tmp_path}\n")
     assert main(["--config", cfg]) == 0
-    report = json.loads((tmp_path / "validation.json").read_text())
-    assert report["passed"] is True
+    record = _record(tmp_path)
+    assert record["exit_code"] == 0 and record["report"]["passed"] is True
 
 
 @pytest.mark.parametrize("aspect, warnings", [(0.2, 1), (1.3, 0)])
@@ -110,7 +114,7 @@ def test_validate_failing_table_writes_every_check(tmp_path, capsys):
     out = tmp_path / "new" / "dir"
     assert main(["--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().out == "validate custom_table: FAIL\n"
-    report = json.loads((out / "validation.json").read_text())
+    report = _record(out)["report"]
     assert report["profile"] == "custom_table" and report["passed"] is False
     checks = {ch["name"]: ch for ch in report["checks"]}
     assert len(checks) == 6
@@ -130,7 +134,7 @@ def test_validate_table_without_a_single_maximum_writes_the_error(tmp_path, caps
                  f"profile.table_path = {table}\nrun.command = validate\n")
     assert main(["--config", cfg, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().out == "validate custom_table: FAIL\n"
-    report = json.loads((tmp_path / "validation.json").read_text())
+    report = _record(tmp_path)["report"]
     assert report["profile"] == "custom_table" and report["passed"] is False
     checks = report["checks"]
     assert [ch["name"] for ch in checks] == ["endpoint_zero", "pole_slope", "interior_positive",
@@ -150,7 +154,7 @@ def test_validate_writes_one_schema(tmp_path, table, exit_code, failed):
     cfg = _write(tmp_path / "run.cfg", f"profile.kind = custom_table\n"
                  f"profile.table_path = {tmp_path / 't.dat'}\nrun.command = validate\n")
     assert main(["--config", cfg, "--out", str(tmp_path)]) == exit_code
-    report = json.loads((tmp_path / "validation.json").read_text())
+    report = _record(tmp_path)["report"]
     assert set(report) == {"profile", "passed", "checks"}
     assert {ch["name"] for ch in report["checks"] if not ch["passed"]} == failed
 
@@ -175,7 +179,7 @@ def test_validate_checks_the_profile_once(tmp_path, monkeypatch, kind):
                  f"profile.kind = {kind}\n{source}run.command = validate\n")
     assert main(["--config", cfg, "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
-    report = json.loads((tmp_path / "validation.json").read_text())
+    report = _record(tmp_path)["report"]
     assert report["profile"] == calls[0] and report["passed"] is True
 
 
@@ -307,20 +311,20 @@ def test_spectrum_partial_failure(tmp_path):
                  f"run.out_dir = {tmp_path}\n")
     assert main(["--config", cfg]) == 3
     assert (tmp_path / "slice_10.csv").exists()
-    errors = json.loads((tmp_path / "errors.json").read_text())
+    errors = _record(tmp_path)["failures"]
     assert set(errors) == {"110"}
     assert "ResolutionError" in errors["110"]
-    # a successful rerun into the same directory leaves no stale errors.json
+    # a successful rerun into the same directory leaves no stale failures
     _write(tmp_path / "run.cfg", (tmp_path / "run.cfg").read_text().replace("110", "20"))
     assert main(["--config", cfg]) == 0
-    assert (tmp_path / "slice_20.csv").exists() and not (tmp_path / "errors.json").exists()
+    assert (tmp_path / "slice_20.csv").exists() and _record(tmp_path)["failures"] == {}
     # a failed ell leaves no slice of an earlier run under its name
     text = (tmp_path / "run.cfg").read_text().replace("10, 20", "10, 200")
     _write(tmp_path / "run.cfg", text.replace("500", "4000"))
     assert main(["--config", cfg]) == 0 and (tmp_path / "slice_200.csv").exists()
     _write(tmp_path / "run.cfg", text)
     assert main(["--config", cfg]) == 3
-    assert set(json.loads((tmp_path / "errors.json").read_text())) == {"200"}
+    assert set(_record(tmp_path)["failures"]) == {"200"}
     assert (tmp_path / "slice_10.csv").exists() and not (tmp_path / "slice_200.csv").exists()
 
 
@@ -421,9 +425,9 @@ def test_other_warnings_keep_their_display(tmp_path, capsys, monkeypatch):
     # only a PlateauWarning becomes a `command: warning:` line
     density = cli.cmd_density
 
-    def warn_then_run(cfg):
+    def warn_then_run(cfg, profile):
         warnings.warn("unrelated", UserWarning)
-        return density(cfg)
+        return density(cfg, profile)
 
     monkeypatch.setitem(cli._DISPATCH, "density", warn_then_run)
     cfg = _write(tmp_path / "run.cfg", "profile.kind = round_sphere\nrun.command = density\n"
@@ -509,13 +513,13 @@ def test_converge_partial_failure(tmp_path):
                  "run.command = converge\nrun.ells = 10, 110\n"
                  f"run.out_dir = {tmp_path}\n")
     assert main(["--config", cfg]) == 3
-    errors = json.loads((tmp_path / "errors.json").read_text())
+    errors = _record(tmp_path)["failures"]
     assert "ResolutionError" in errors["110"]
     rep = json.loads((tmp_path / "converge.json").read_text())
     assert any("error" in row for row in rep["rows"])
     _write(tmp_path / "run.cfg", (tmp_path / "run.cfg").read_text().replace("110", "20"))
     assert main(["--config", cfg]) == 0
-    assert not (tmp_path / "errors.json").exists()
+    assert _record(tmp_path)["failures"] == {}
     # a run that fails as a whole leaves none of an earlier run's files
     text = (tmp_path / "run.cfg").read_text() + "symbol.kind = radial_mult\nsymbol.expr = cos(r)"
     _write(tmp_path / "run.cfg", text + "^2\n")
@@ -533,8 +537,8 @@ def test_verify_sphere_passes(tmp_path):
                  "run.command = verify-sphere\n"
                  f"run.out_dir = {tmp_path}\n")
     assert main(["--config", cfg]) == 0
-    rep = json.loads((tmp_path / "verify.json").read_text())
-    assert rep["passed"] is True
+    rep = _record(tmp_path)
+    assert rep["exit_code"] == 0
     assert len(rep["checks"]) >= 4
     names = {ch["name"] for ch in rep["checks"]}
     assert {"action_identity", "eigenvalue_ladder"} <= names
@@ -552,8 +556,7 @@ def test_verify_sphere_records_a_raising_check_as_failed(tmp_path, capsys, monke
     out = capsys.readouterr().out.splitlines()
     assert out[3:] == ["verify-sphere eigenvalue_ladder: FAIL",
                        "verify-sphere legendre_restricted_norms: FAIL"]
-    rep = json.loads((tmp_path / "verify.json").read_text())
-    checks = {ch["name"]: ch for ch in rep["checks"]}
+    checks = {ch["name"]: ch for ch in _record(tmp_path)["checks"]}
     for name in ("eigenvalue_ladder", "legendre_restricted_norms"):
         assert checks[name] == {"name": name, "passed": False, "residual": None,
                                 "detail": "ConvergenceError: no slice", "tolerance": None}
@@ -567,8 +570,8 @@ def test_verify_sphere_coarse_grid_fails(tmp_path):
     assert subprocess.run(
         [sys.executable, "-m", "revtone", "--config", cfg],
         capture_output=True, text=True).returncode == 1
-    rep = json.loads((tmp_path / "verify.json").read_text())
-    assert rep["passed"] is False
+    rep = _record(tmp_path)
+    assert rep["exit_code"] == 1
     failed = [ch for ch in rep["checks"] if not ch["passed"]]
     assert {ch["name"] for ch in failed} == {"eigenvalue_ladder", "legendre_restricted_norms"}
     assert all(ch["residual"] > ch["tolerance"] for ch in failed)
@@ -583,6 +586,63 @@ def test_grid_below_solver_minimum_is_config_error(tmp_path, capsys, command):
     assert capsys.readouterr().err == (
         "config error: line 2, col 22: spectral.grid_size: must be >= 500, got 499\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, table, exit_code", [
+    ("validate", "sin", 0), ("validate", "steep", 1), ("density", "steep", 2),
+    ("spectrum", "sin", 3), ("converge", "sin", 0), ("verify-sphere", "steep", 1)])
+def test_every_command_writes_one_record(tmp_path, capsys, command, table, exit_code):
+    # steep: a = 1.01 sin r, rejected (pole_slope); verify-sphere checks the round sphere
+    r = np.linspace(0.0, np.pi, 2001)
+    scale = {"sin": 1.0, "steep": 1.01}[table]
+    np.savetxt(tmp_path / "t.dat", np.column_stack([r, scale * np.sin(r)]))
+    cfg = _write(tmp_path / "run.cfg", f"profile.kind = custom_table\nprofile.table_path = "
+                 f"{tmp_path / 't.dat'}\nspectral.grid_size = 500\nrun.ells = 10, 110\n"
+                 f"run.command = {command}\n")
+    if command == "converge":
+        _write(tmp_path / "run.cfg", (tmp_path / "run.cfg").read_text().replace("110", "20"))
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == exit_code
+    record = _record(tmp_path / "out")
+    keys = {"command", "config", "exit_code", "failures", "report", "versions", "warnings"}
+    assert set(record) == keys | ({"checks"} if command == "verify-sphere" else set())
+    assert (record["command"], record["exit_code"]) == (command, exit_code)
+    assert record["config"]["run.command"] == command and "run.out_dir" not in record["config"]
+    assert record["report"]["passed"] == (table == "sin" or command == "verify-sphere")
+    assert set(record["failures"]) == {"density": {"run"}, "spectrum": {"110"}}.get(command, set())
+    assert all(record["versions"][lib] for lib in ("revtone", "numpy", "scipy", "python"))
+
+
+@pytest.mark.parametrize("command, rerun", [
+    ("validate", "profile.kind = custom_table\nprofile.table_path = {tmp_path}/absent.dat\n"),
+    ("verify-sphere", "spectral.grid_size = 50\n")])
+def test_a_rerun_stopped_by_its_config_leaves_no_passing_record(tmp_path, capsys, command, rerun):
+    # the unreadable table stops the run once its config is read, grid 50 stops the parse
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "run.cfg", f"spectral.grid_size = 2000\nrun.command = {command}\n")
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    assert _record(out)["exit_code"] == 0
+    rerun = rerun.format(tmp_path=tmp_path) + f"run.command = {command}\n"
+    cfg = _write(tmp_path / "run.cfg", rerun)
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    assert os.listdir(out) == ["run.json"]
+    record = _record(out)
+    assert record["exit_code"] == 2 and not {"report", "checks"} & set(record)
+    err = capsys.readouterr().err.removeprefix("config error: ")
+    assert record["failures"] == {"run": f"ConfigError: {err.rstrip()}"}
+
+
+def test_run_record_lists_the_plateau_warnings(tmp_path, capsys):
+    # the nu series of cos r on the 1.3 ellipsoid reaches no plateau
+    cfg = _write(tmp_path / "run.cfg",
+                 "profile.kind = ellipsoid\nprofile.aspect = 1.3\nspectral.grid_size = 1000\n"
+                 "run.command = converge\nrun.ells = 10, 20\n"
+                 "symbol.kind = radial_mult\nsymbol.expr = cos(r)\n")
+    for name in ("a", "b"):
+        assert main(["--config", cfg, "--out", str(tmp_path / name)]) == 0
+        warned = _record(tmp_path / name)["warnings"]
+        assert len(warned) == 1 and warned[0].startswith("no plateau in the nu series, tail ")
+        assert capsys.readouterr().err == f"converge: warning: {warned[0]}\n"
+    assert filecmp.cmp(tmp_path / "a" / "run.json", tmp_path / "b" / "run.json", shallow=False)
 
 
 def test_legendre_norm_helper_matches_oracle():

@@ -675,6 +675,30 @@ def test_solves_leave_the_scipy_linalg_package_unimported():
     assert done.returncode == 0, done.stderr
 
 
+def test_cli_runs_leave_the_scipy_package_unimported(tmp_path):
+    # run.json's scipy version is read from scipy's version module alone, and no version
+    # comes from importlib.metadata
+    import scipy
+    texts = {"density": "profile.kind = ellipsoid\nprofile.aspect = 1.3\ndensity.n = 50\n",
+             "converge": "spectral.grid_size = 500\nrun.ells = 5, 10\n"
+                         "symbol.kind = radial_mult\nsymbol.expr = cos(r)^2\n"}
+    for command, text in texts.items():
+        (tmp_path / f"{command}.cfg").write_text(
+            f"{text}run.command = {command}\nrun.out_dir = {tmp_path / command}\n")
+    code = ("import sys\n"
+            "from revtone.cli import main\n"
+            "for cfg in sys.argv[1:]:\n"
+            "    assert main(['--config', cfg]) == 0\n"
+            "loaded = {'scipy', 'scipy.linalg', 'importlib.metadata'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n")
+    cfgs = [str(tmp_path / f"{command}.cfg") for command in texts]
+    done = subprocess.run([sys.executable, "-c", code, *cfgs], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    for command in texts:
+        record = json.loads((tmp_path / command / "run.json").read_text())
+        assert record["versions"]["scipy"] == scipy.__version__
+
+
 @pytest.mark.parametrize("profile, which, m, select_range",
                          [("sphere", 1, 0, (10, 10)), ("ell13", 0, 3, (4, 6))])
 def test_eigh_tridiagonal_matches_scipy_bit_for_bit(request, profile, which, m, select_range):
@@ -719,4 +743,4 @@ def test_lapack_failures_raise_convergence_error(tmp_path, capsys, monkeypatch):
     assert cli.main(["--config", str(cfg)]) == 3
     assert capsys.readouterr().err.splitlines() == [
         "spectrum: ell = 2 failed: LAPACK dstebz failed (info = 1)"]
-    assert "ConvergenceError" in json.loads((tmp_path / "errors.json").read_text())["2"]
+    assert "ConvergenceError" in json.loads((tmp_path / "run.json").read_text())["failures"]["2"]
